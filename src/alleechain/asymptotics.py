@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import AssumptionError, QuadratureError, UnimodalProfileError
+from .errors import AssumptionError, QuadratureError
 from .model import ModelParams, basic_reproduction_ratio, check_assumptions, equilibria
-from .stationary import mode_profile, psd_product
+from .stationary import capacity_modes
 
 EXTINCTION = "extinction"
 PERSISTENCE = "persistence"
@@ -135,20 +135,12 @@ def markov_exponent(
 def discrete_markov_exponent(params: ModelParams, capacity_n: int | None = None) -> float:
     """(1/N) log(p_{i+} / p_0), the finite-capacity exponent.
 
-    Uses log weights directly, so the normalization never enters. Converges
-    to the markov_exponent integral as the capacity grows.
+    Converges to the markov_exponent integral as the capacity grows.
 
     Raises:
         UnimodalProfileError: the profile has no interior mode to anchor i+.
     """
-    p = params if capacity_n is None else params.with_capacity(int(capacity_n))
-    dist = psd_product(p)
-    profile = mode_profile(dist)
-    if profile.i_plus is None:
-        raise UnimodalProfileError(
-            f"no interior mode at capacity {p.capacity_n}; the discrete exponent is undefined"
-        )
-    return float(dist.log_weights[profile.i_plus] - dist.log_weights[0]) / p.capacity_n
+    return capacity_modes(params, capacity_n)[2]
 
 
 def limit_distribution_diagnostic(
@@ -192,16 +184,11 @@ def limit_distribution_diagnostic(
     rows = []
     for n in n_list:
         n = int(n)
-        p = params.with_capacity(n)
-        dist = psd_product(p)
+        dist, _, exponent = capacity_modes(params, n)
         density = np.arange(n + 1) / n
         if regime == EXTINCTION:
             tail = float(dist.probs[density > epsilon].sum())
         else:
             tail = float(dist.probs[np.abs(density - eq.x_plus) > epsilon].sum())
-        profile = mode_profile(dist)
-        if profile.i_plus is None:
-            raise UnimodalProfileError(f"no interior mode at capacity {n}")
-        exponent = float(dist.log_weights[profile.i_plus] - dist.log_weights[0]) / n
         rows.append((n, tail, exponent))
     return ConvergenceDiagnostic(tuple(rows), regime, float(epsilon))

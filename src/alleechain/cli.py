@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -235,7 +236,7 @@ def cmd_simulate(cfg: dict[str, str], out_dir: Path) -> None:
         burn_in=burn_in, epsilon=_cfg_float(cfg, "epsilon"),
     )
     buf = io.StringIO()
-    ssa.simulate(params, x0, t_end, seed).to_csv(buf)
+    summary.first_trajectory.to_csv(buf)
     _write_atomic(out_dir / "trajectory.csv", buf.getvalue())
 
     n = params.capacity_n
@@ -244,9 +245,10 @@ def cmd_simulate(cfg: dict[str, str], out_dir: Path) -> None:
         f"{i},{i / n!r},{float(summary.mean_occupation[i])!r}\n" for i in range(n + 1)
     )
     _write_atomic(out_dir / "occupation.csv", "".join(lines))
+    persistence = summary.persistence_mass  # NaN without x+*; strict JSON writes null
     _write_atomic(out_dir / "ensemble.json", _json_text({
         "extinction_mass": summary.extinction_mass,
-        "persistence_mass": summary.persistence_mass,
+        "persistence_mass": None if math.isnan(persistence) else persistence,
         "epsilon": summary.epsilon,
         "seeds": list(summary.seeds),
         "t_end": summary.t_end,
@@ -283,10 +285,8 @@ def cmd_ode(cfg: dict[str, str], out_dir: Path) -> None:
 def cmd_sweep(cfg: dict[str, str], out_dir: Path) -> None:
     params = params_from_config(cfg)
     n_list = _cfg_int_list(cfg, "n_list")
-    rows = stationary.mode_scaling_check(params, n_list)
     lines = ["N,i_plus,mode_density,scaled_gap,discrete_exponent\n"]
-    for n, density, gap in rows:
-        exponent = asymptotics.discrete_markov_exponent(params, n)
+    for n, density, gap, exponent in stationary.mode_scaling_check(params, n_list):
         lines.append(f"{n},{round(density * n)},{density!r},{gap!r},{exponent!r}\n")
     _write_atomic(out_dir / "sweep.csv", "".join(lines))
     _finish(out_dir, cfg, params)

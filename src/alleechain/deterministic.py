@@ -66,10 +66,7 @@ class ImmigrationEquilibria:
         }
 
 
-def ode_rhs(params: ModelParams, x: float) -> float:
-    """dx/dt = lam x (1 - delta1 x) - mu x (1 + delta2 x + delta3 theta/(theta + x))."""
-    if x < 0:
-        raise ValueError("density must be >= 0")
+def _net_growth(params: ModelParams, x: float) -> float:
     birth = params.lam * x * (1.0 - params.delta1 * x)
     death = params.mu * x * (
         1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
@@ -77,11 +74,22 @@ def ode_rhs(params: ModelParams, x: float) -> float:
     return birth - death
 
 
+def ode_rhs(params: ModelParams, x: float) -> float:
+    """dx/dt = lam x (1 - delta1 x) - mu x (1 + delta2 x + delta3 theta/(theta + x))."""
+    if x < 0:
+        raise ValueError("density must be >= 0")
+    return _net_growth(params, x)
+
+
 def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
-    """The density ODE with a constant immigration stream alpha (1 - x)."""
+    """The density ODE with a constant immigration stream alpha (1 - x).
+
+    Accepts the negative densities the stability probe samples around a
+    negative equilibrium; theta > 0 keeps the expression finite there.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return ode_rhs(params, x) + alpha * (1.0 - x)
+    return _net_growth(params, x) + alpha * (1.0 - x)
 
 
 def integrate(
@@ -166,8 +174,8 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
     for r in roots:
         lo = r - _STABILITY_STEP
         hi = r + _STABILITY_STEP
-        slope = (immigration_ode_rhs_unchecked(params, alpha, hi)
-                 - immigration_ode_rhs_unchecked(params, alpha, lo)) / (hi - lo)
+        slope = (immigration_ode_rhs(params, alpha, hi)
+                 - immigration_ode_rhs(params, alpha, lo)) / (hi - lo)
         if slope < -1e-10:
             stability.append("stable")
         elif slope > 1e-10:
@@ -175,13 +183,3 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
         else:
             stability.append("degenerate")
     return ImmigrationEquilibria(float(alpha), tuple(roots), tuple(stability))
-
-
-def immigration_ode_rhs_unchecked(params: ModelParams, alpha: float, x: float) -> float:
-    # The stability probe may sample slightly negative densities around a
-    # negative root; theta > 0 keeps the expression finite there.
-    birth = params.lam * x * (1.0 - params.delta1 * x)
-    death = params.mu * x * (
-        1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
-    )
-    return birth - death + alpha * (1.0 - x)

@@ -17,7 +17,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ConvergenceBudgetError
 from .model import ModelParams, rate_arrays
-from .stationary import stationary_from_rates
+from .stationary import stationary_from_rates, validate_rates
 
 #: Strict sub-stochasticity margin applied to the uniformization rate.
 _UNIFORMIZATION_MARGIN = 1e-9
@@ -42,14 +42,9 @@ class GeneratorMatrix:
 
     @classmethod
     def from_rates(cls, birth, death) -> "GeneratorMatrix":
-        b = np.ascontiguousarray(birth, dtype=float)
-        d = np.ascontiguousarray(death, dtype=float)
-        if b.ndim != 1 or b.shape != d.shape or b.size < 2:
-            raise ValueError("birth and death must be equal-length vectors over states 0..N")
-        if np.any(b < 0) or np.any(d < 0):
-            raise ValueError("rates must be nonnegative")
-        if b[-1] != 0.0 or d[0] != 0.0:
-            raise ValueError("boundary rates must vanish: b[N] = 0 and d[0] = 0")
+        b, d = validate_rates(birth, death)
+        if d[0] != 0.0:
+            raise ValueError("death rate at state 0 must be exactly 0")
         return cls(b, d)
 
     @property

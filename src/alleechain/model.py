@@ -216,10 +216,20 @@ def balance_coefficients(params: ModelParams) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _discriminant(params: ModelParams) -> float:
+def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | None]:
+    """Discriminant and roots (x-*, x+*) of the balance quadratic, or None
+    for the roots unless the discriminant and the slope a are positive.
+
+    (1 - R0 - theta*a)**2 - 4*theta*delta3*a equals b**2 - 4*a*c only in
+    exact arithmetic; the reported equilibria are pinned to these bits.
+    """
     r0 = basic_reproduction_ratio(params)
-    slope = r0 * params.delta1 + params.delta2
-    return (1.0 - r0 - params.theta * slope) ** 2 - 4.0 * params.theta * params.delta3 * slope
+    a, b, _ = balance_coefficients(params)
+    disc = (1.0 - r0 - params.theta * a) ** 2 - 4.0 * params.theta * params.delta3 * a
+    if not (disc > 0.0 and a > 0.0):
+        return disc, None
+    root = math.sqrt(disc)
+    return disc, ((b - root) / (2.0 * a), (b + root) / (2.0 * a))
 
 
 def check_assumptions(params: ModelParams) -> AssumptionReport:
@@ -236,7 +246,7 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
         AssumptionReport with one message per violated sub-check.
     """
     r0 = basic_reproduction_ratio(params)
-    slope = r0 * params.delta1 + params.delta2
+    slope, _, _ = balance_coefficients(params)
     messages = []
 
     chain = 1.0 + params.theta * slope < r0 < 1.0 + params.delta3
@@ -248,13 +258,13 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
     dens = params.delta1 ** 2 + params.delta2 ** 2 > 0.0
     if not dens:
         messages.append("bistability needs density dependence: delta1 and delta2 are both 0")
-    disc = _discriminant(params)
+    disc, roots = _balance_roots(params)
     disc_ok = disc > 0.0
     if not disc_ok:
         messages.append(f"bistability needs a positive balance discriminant, got {disc:.6g}")
 
-    if disc_ok and slope > 0.0:
-        x_plus = (r0 - 1.0 - slope * params.theta + math.sqrt(disc)) / (2.0 * slope)
+    if roots is not None:
+        x_plus = roots[1]
         interior = x_plus <= 1.0
         if not interior:
             messages.append(f"the persistence equilibrium x_plus = {x_plus:.6g} exceeds 1")
@@ -285,16 +295,8 @@ def equilibria(params: ModelParams) -> EquilibriumPair:
     if not report.bistability_holds:
         detail = "; ".join(m for m in report.messages if m.startswith("bistability"))
         raise AssumptionError(f"equilibria need bistability: {detail}", report)
-    r0 = basic_reproduction_ratio(params)
-    slope = r0 * params.delta1 + params.delta2
-    disc = _discriminant(params)
-    root = math.sqrt(disc)
-    mid = r0 - 1.0 - slope * params.theta
-    return EquilibriumPair(
-        x_minus=(mid - root) / (2.0 * slope),
-        x_plus=(mid + root) / (2.0 * slope),
-        discriminant=disc,
-    )
+    disc, (x_minus, x_plus) = _balance_roots(params)
+    return EquilibriumPair(x_minus=x_minus, x_plus=x_plus, discriminant=disc)
 
 
 def _check_state(params: ModelParams, i: int) -> int:

@@ -54,7 +54,8 @@ class EnsembleSummary:
     callers can form Monte Carlo standard errors across runs.
     extinction_mass is the pooled mass at densities <= epsilon;
     persistence_mass the pooled mass within epsilon of x_plus (NaN when the
-    parameters admit no persistence equilibrium).
+    parameters admit no persistence equilibrium). first_trajectory is the
+    path of the first run (seed base_seed).
     """
 
     mean_occupation: np.ndarray
@@ -65,6 +66,7 @@ class EnsembleSummary:
     seeds: tuple[int, ...]
     t_end: float
     burn_in: float
+    first_trajectory: Trajectory
 
 
 def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajectory:
@@ -136,6 +138,8 @@ def ensemble(
     for j, seed in enumerate(seeds):
         traj = simulate(params, x0, t_end, seed)
         rows[j] = occupation_distribution(traj, burn_in).frequencies
+        if j == 0:
+            first = traj
     mean = rows.mean(axis=0)
     density = np.arange(params.capacity_n + 1) / params.capacity_n
     extinction = float(mean[density <= epsilon].sum())
@@ -153,4 +157,5 @@ def ensemble(
         seeds=seeds,
         t_end=float(t_end),
         burn_in=float(burn_in),
+        first_trajectory=first,
     )

@@ -36,9 +36,6 @@ from .model import (
     rate_arrays,
 )
 
-#: Default half-width of the window used to certify a detected mode.
-DEFAULT_MODE_WINDOW = 5
-
 #: Default relative depth the interior minimum must have below both peaks.
 DEFAULT_BIMODAL_MARGIN = 1e-12
 
@@ -63,7 +60,7 @@ class StationaryDistribution:
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "StationaryDistribution":
-        lw = np.ascontiguousarray(log_weights, dtype=float)
+        lw = np.array(log_weights, dtype=float)
         probs = np.exp(lw - logsumexp(lw))
         probs /= probs.sum()
         return cls(probs, lw, lw.size - 1)
@@ -76,6 +73,19 @@ class StationaryDistribution:
             stream.write(
                 f"{i},{i / n!r},{float(self.probs[i])!r},{float(self.log_weights[i])!r}\n"
             )
+
+
+def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float copies of rates b[0..N], d[0..N]: equal shapes, >= 0, b[N] = 0."""
+    b = np.array(birth, dtype=float)
+    d = np.array(death, dtype=float)
+    if b.ndim != 1 or b.shape != d.shape or b.size < 2:
+        raise ValueError("birth and death must be equal-length vectors over states 0..N")
+    if np.any(b < 0) or np.any(d < 0):
+        raise ValueError("rates must be nonnegative")
+    if b[-1] != 0.0:
+        raise ValueError("birth rate at capacity must be exactly 0")
+    return b, d
 
 
 def stationary_from_rates(birth, death) -> StationaryDistribution:
@@ -91,14 +101,7 @@ def stationary_from_rates(birth, death) -> StationaryDistribution:
         ValueError: malformed rates (shape mismatch, negative entries, a
             zero interior birth or death rate that disconnects the chain).
     """
-    b = np.asarray(birth, dtype=float)
-    d = np.asarray(death, dtype=float)
-    if b.ndim != 1 or b.shape != d.shape or b.size < 2:
-        raise ValueError("birth and death must be equal-length vectors over states 0..N")
-    if np.any(b < 0) or np.any(d < 0):
-        raise ValueError("rates must be nonnegative")
-    if b[-1] != 0.0:
-        raise ValueError("birth rate at capacity must be exactly 0")
+    b, d = validate_rates(birth, death)
     if b[0] == 0.0:
         raise DegenerateDistributionError(
             "state 0 is absorbing (no immigration); the stationary distribution "
@@ -216,7 +219,6 @@ class ModeProfile:
     i_plus: int | None
     major_mode: int
     segments: tuple[tuple[int, int, str], ...]
-    window: int
 
     @property
     def bimodal(self) -> bool:
@@ -238,7 +240,6 @@ class ModeProfile:
             "minor_mode": self.minor_mode,
             "i_minus": self.i_minus,
             "i_plus": self.i_plus,
-            "window": self.window,
             "segments": [list(seg) for seg in self.segments],
         }
 
@@ -248,27 +249,22 @@ def _monotone_segments(lw: np.ndarray) -> tuple[tuple[int, int, str], ...]:
     # Zero diffs inherit the previous direction so a plateau never opens a
     # new segment; the leading direction defaults to decreasing, which makes
     # ties resolve toward the smaller index.
-    dirs = np.where(diffs > 0, 1, np.where(diffs < 0, -1, 0))
-    last = -1
-    for k in range(dirs.size):
-        if dirs[k] == 0:
-            dirs[k] = last
-        else:
-            last = dirs[k]
-    segments = []
-    start = 0
-    for k in range(1, dirs.size):
-        if dirs[k] != dirs[k - 1]:
-            segments.append((start, k, "increasing" if dirs[k - 1] > 0 else "decreasing"))
-            start = k
-    segments.append((start, lw.size - 1, "increasing" if dirs[-1] > 0 else "decreasing"))
-    return tuple(segments)
+    # last_set[k] is the last index <= k with a nonzero diff (-1 if none).
+    signs = np.where(diffs > 0, 1, np.where(diffs < 0, -1, 0))
+    last_set = np.where(signs != 0, np.arange(signs.size), -1)
+    np.maximum.accumulate(last_set, out=last_set)
+    dirs = np.where(last_set >= 0, signs[last_set], -1)
+    starts = [0, *(np.flatnonzero(dirs[1:] != dirs[:-1]) + 1).tolist()]
+    ends = [*starts[1:], lw.size - 1]
+    return tuple(
+        (start, end, "increasing" if dirs[start] > 0 else "decreasing")
+        for start, end in zip(starts, ends)
+    )
 
 
 def mode_profile(
     dist: StationaryDistribution,
     *,
-    window: int = DEFAULT_MODE_WINDOW,
     margin: float = DEFAULT_BIMODAL_MARGIN,
 ) -> ModeProfile:
     """Classify a stationary profile as bimodal or unimodal and locate modes.
@@ -280,9 +276,6 @@ def mode_profile(
 
     Args:
         dist: distribution to analyse (normally psd_product output).
-        window: detection half-width recorded with the profile; i_plus is
-            the argmax of its whole cluster, so it dominates any window that
-            stays on its side of the dip.
         margin: minimum relative depth (1 - p_min/p_peak) of the dip.
     """
     lw = dist.log_weights
@@ -290,26 +283,19 @@ def mode_profile(
     major = int(np.argmax(lw))
     segments = _monotone_segments(lw)
 
-    # First switch from a decreasing run to an increasing run marks the dip.
-    dip_at = None
-    for (_, end, direction), nxt in zip(segments, segments[1:]):
-        if direction == "decreasing" and nxt[2] == "increasing":
-            dip_at = end
-            break
-
-    if dip_at is None:
-        interior = major if 0 < major < n else None
-        return ModeProfile(None, interior, major, segments, window)
-
-    left_peak = int(np.argmax(lw[: dip_at + 1]))
-    i_plus = dip_at + int(np.argmax(lw[dip_at:]))
-    i_minus = left_peak + int(np.argmin(lw[left_peak : i_plus + 1]))
-    depth_left = 1.0 - float(np.exp(lw[i_minus] - lw[left_peak]))
-    depth_right = 1.0 - float(np.exp(lw[i_minus] - lw[i_plus]))
-    if min(depth_left, depth_right) < margin:
-        interior = major if 0 < major < n else None
-        return ModeProfile(None, interior, major, segments, window)
-    return ModeProfile(i_minus, i_plus, major, segments, window)
+    # Segments alternate in direction, so the end of the first decreasing
+    # segment that is not the last one is the first dip.
+    dip_at = next((end for _, end, direction in segments[:-1] if direction == "decreasing"), None)
+    if dip_at is not None:
+        left_peak = int(np.argmax(lw[: dip_at + 1]))
+        i_plus = dip_at + int(np.argmax(lw[dip_at:]))
+        i_minus = left_peak + int(np.argmin(lw[left_peak : i_plus + 1]))
+        depth_left = 1.0 - float(np.exp(lw[i_minus] - lw[left_peak]))
+        depth_right = 1.0 - float(np.exp(lw[i_minus] - lw[i_plus]))
+        if min(depth_left, depth_right) >= margin:
+            return ModeProfile(i_minus, i_plus, major, segments)
+    interior = major if 0 < major < n else None
+    return ModeProfile(None, interior, major, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +361,34 @@ def solve_mode_cubic(params: ModelParams, r1_at_i: float) -> CubicRoots:
     return CubicRoots(roots[0] * n, roots[1] * n, roots[2] * n)
 
 
-def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, float, float]]:
-    """Sweep capacities and report (N, i_plus/N, |i_plus/N - x_plus| * N).
+def capacity_modes(
+    params: ModelParams, capacity_n: int | None = None
+) -> tuple[StationaryDistribution, ModeProfile, float]:
+    """Stationary law, mode profile and exponent (1/N) log(p_{i+} / p_0).
 
-    The last column staying bounded across a doubling sweep is the finite
-    check that the persistence mode converges to x_plus at rate 1/N.
+    The exponent is read off the log weights, so the normalization never
+    enters. capacity_n resizes params; None keeps its capacity.
+
+    Raises:
+        UnimodalProfileError: the profile has no interior mode to anchor i+.
+    """
+    p = params if capacity_n is None else params.with_capacity(int(capacity_n))
+    dist = psd_product(p)
+    profile = mode_profile(dist)
+    if profile.i_plus is None:
+        raise UnimodalProfileError(
+            f"no interior mode at capacity {p.capacity_n}; the discrete exponent is undefined"
+        )
+    lw = dist.log_weights
+    return dist, profile, float(lw[profile.i_plus] - lw[0]) / p.capacity_n
+
+
+def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, float, float, float]]:
+    """Sweep capacities: rows (N, i_plus/N, |i_plus/N - x_plus| * N, exponent).
+
+    The third column staying bounded across a doubling sweep is the finite
+    check that the persistence mode converges to x_plus at rate 1/N; the
+    last is the discrete exponent of capacity_modes.
 
     Raises:
         UnimodalProfileError: some capacity in the sweep has no interior mode.
@@ -388,9 +397,7 @@ def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, float, fl
     rows = []
     for n in n_list:
         n = int(n)
-        profile = mode_profile(psd_product(params.with_capacity(n)))
-        if profile.i_plus is None:
-            raise UnimodalProfileError(f"no interior mode at capacity {n}")
+        _, profile, exponent = capacity_modes(params, n)
         density = profile.i_plus / n
-        rows.append((n, density, abs(density - eq.x_plus) * n))
+        rows.append((n, density, abs(density - eq.x_plus) * n, exponent))
     return rows

@@ -62,6 +62,23 @@ def test_assumption_failure_exits_2(tmp_path):
     assert run("threshold", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
 
+def test_ensemble_json_is_strict_without_persistence_equilibrium(tmp_path):
+    cfg = tmp_path / "no_x_plus.cfg"
+    cfg.write_text(
+        "lambda = 0.9\nmu = 1.0\ndelta1 = 0.2\ndelta2 = 0.0\n"
+        "delta3 = 1.5\ntheta = 0.03\nN = 20\nr1 = 0.5\n"
+        "runs = 2\nt_end = 20\nburn_in = 2\n"
+    )
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    summary = json.loads(read(tmp_path / "ensemble.json"), parse_constant=reject)
+    assert summary["persistence_mass"] is None
+    assert 0.0 <= summary["extinction_mass"] <= 1.0
+
+
 def test_numerical_budget_exits_3(tmp_path):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("tol = 1e-13\nmax_horizon = 2\n")

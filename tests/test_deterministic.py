@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,8 @@ def test_immigration_rhs_reduces_at_alpha_zero(fig1a):
         assert immigration_ode_rhs(fig1a, 0.0, x) == ode_rhs(fig1a, x)
     with pytest.raises(ValueError):
         immigration_ode_rhs(fig1a, -0.1, 0.5)
+    # only the plain density ODE rejects negative densities
+    assert math.isfinite(immigration_ode_rhs(fig1a, 0.01, -1e-7))
 
 
 def test_immigration_equilibria_alpha_zero_matches_base(fig1b):

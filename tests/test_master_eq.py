@@ -56,6 +56,17 @@ def test_generator_rejects_bad_rates():
         GeneratorMatrix.from_rates([0.0], [0.0])
 
 
+def test_from_rates_leaves_caller_arrays_alone():
+    b = np.array([1.0, 2.0, 0.0])
+    d = np.array([0.0, 1.0, 4.0])
+    gen = GeneratorMatrix.from_rates(b, d)
+    assert b.flags.writeable and d.flags.writeable
+    assert not gen.birth.flags.writeable and not gen.death.flags.writeable
+    b[0] = 7.0
+    d[1] = 7.0
+    assert gen.birth[0] == 1.0 and gen.death[1] == 1.0
+
+
 def test_uniformization_rate_covers_all_states(fig1b):
     gen = build_generator(fig1b)
     assert gen.uniformization_rate() > float((gen.birth + gen.death).max())

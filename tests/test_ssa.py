@@ -133,6 +133,14 @@ def test_ensemble_seed_layout(fig1a):
     assert np.allclose(summary.run_frequencies[2], solo.frequencies, atol=1e-15)
 
 
+def test_ensemble_keeps_first_run_path(fig1a):
+    summary = ensemble(fig1a, 3, 50, 30.0, 100, burn_in=5.0)
+    solo = simulate(fig1a, 50, 30.0, 100)
+    assert summary.first_trajectory.seed == 100
+    assert np.array_equal(summary.first_trajectory.times, solo.times)
+    assert np.array_equal(summary.first_trajectory.states, solo.states)
+
+
 def test_ensemble_masses(fig1a):
     summary = ensemble(fig1a, 6, 50, 200.0, 0, burn_in=20.0, epsilon=0.05)
     assert 0.0 <= summary.extinction_mass <= 1.0

@@ -14,6 +14,7 @@ from alleechain import (
     DegenerateDistributionError,
     ModelParams,
     StationaryDistribution,
+    discrete_markov_exponent,
     equilibria,
     mode_cubic_value,
     mode_profile,
@@ -185,6 +186,29 @@ def test_monotone_distribution_has_no_interior_mode():
     assert prof.segments == ((0, 3, "decreasing"),)
 
 
+def _segments_by_loop(lw):
+    """Reference decomposition: one step at a time, zero steps keep the last direction."""
+    dirs = []
+    for step in np.diff(lw):
+        dirs.append(1 if step > 0 else -1 if step < 0 else (dirs[-1] if dirs else -1))
+    segments, start = [], 0
+    for k in range(1, len(dirs)):
+        if dirs[k] != dirs[k - 1]:
+            segments.append((start, k, "increasing" if dirs[k - 1] > 0 else "decreasing"))
+            start = k
+    segments.append((start, len(lw) - 1, "increasing" if dirs[-1] > 0 else "decreasing"))
+    return tuple(segments)
+
+
+def test_monotone_segments_match_loop_reference():
+    rng = np.random.default_rng(3)
+    cases = [np.zeros(4), np.array([0.0, 0.0, 1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])]
+    cases += [rng.integers(-2, 3, size=rng.integers(3, 20)).astype(float) for _ in range(500)]
+    for lw in cases:
+        dist = StationaryDistribution.from_log_weights(lw - lw[0])
+        assert mode_profile(dist).segments == _segments_by_loop(dist.log_weights), lw
+
+
 def test_small_capacity_is_unimodal():
     prof = mode_profile(psd_product(make_params(FIG_A, 10)))
     assert prof.i_plus is None
@@ -198,6 +222,23 @@ def test_synthetic_dip_is_bimodal():
     assert prof.major_mode == 0
     assert prof.i_minus == 1
     assert prof.i_plus == 2
+
+
+def test_from_log_weights_leaves_caller_array_alone():
+    lw = np.array([0.0, -1.0, -0.2])
+    dist = StationaryDistribution.from_log_weights(lw)
+    assert lw.flags.writeable
+    assert not dist.log_weights.flags.writeable
+    lw[1] = 5.0
+    assert dist.log_weights[1] == -1.0
+
+
+def test_from_rates_leaves_caller_arrays_alone():
+    b = np.array([1.0, 2.0, 0.0])
+    d = np.array([0.0, 1.0, 4.0])
+    stationary_from_rates(b, d)
+    assert b.flags.writeable and d.flags.writeable
+    assert np.array_equal(b, [1.0, 2.0, 0.0]) and np.array_equal(d, [0.0, 1.0, 4.0])
 
 
 def test_flat_weights_are_unimodal():
@@ -248,6 +289,8 @@ def test_mode_scaling_rows():
     assert [r[0] for r in rows] == [100, 200, 400, 800]
     assert [round(r[1] * r[0]) for r in rows] == [39, 81, 164, 329]
     assert max(r[2] for r in rows) <= 3.0
+    p = make_params(FIG_A, 100)
+    assert [r[3] for r in rows] == [discrete_markov_exponent(p, r[0]) for r in rows]
 
 
 def test_csv_roundtrip_is_bit_exact(fig1a):
