@@ -28,12 +28,15 @@ MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
 _ALL = ("psd", "threshold", "evolve", "simulate", "ode", "sweep")
 
-#: (preset, subcommand) pairs; fig2a skips the two slow subcommands.
-RUNS = (
-    *(("fig1a", c) for c in _ALL),
-    *(("fig1b", c) for c in _ALL),
-    *(("fig2a", c) for c in ("psd", "threshold", "ode", "sweep")),
-)
+#: Manifest key -> (preset, subcommand, config text). The default modes of
+#: every subcommand on fig1a/fig1b and the fast ones on fig2a, plus the
+#: evolve checkpoint mode and the single-trajectory ode mode.
+RUNS = {
+    **{f"{p}/{c}": (p, c, "") for p in ("fig1a", "fig1b") for c in _ALL},
+    **{f"fig2a/{c}": ("fig2a", c, "") for c in ("psd", "threshold", "ode", "sweep")},
+    "fig1b/evolve-checkpoints": ("fig1b", "evolve", "start = deltaN\ntimes = 1,10,100,500\n"),
+    "fig1a/ode-x0": ("fig1a", "ode", "x0 = 0.5\n"),
+}
 
 
 def _versions() -> dict[str, str]:
@@ -44,10 +47,15 @@ def _versions() -> dict[str, str]:
     }
 
 
-def _artifact_hashes(preset: str, command: str, out_dir: Path) -> dict[str, str]:
+def _artifact_hashes(preset: str, command: str, out_dir: Path, config: str = "") -> dict[str, str]:
     argv = [command, "--preset", preset, "--out", str(out_dir)]
     if command == "simulate":
         argv += ["--seed", "0"]
+    if config:
+        config_path = out_dir.with_name(out_dir.name + ".cfg")
+        config_path.parent.mkdir(parents=True, exist_ok=True)
+        config_path.write_text(config)
+        argv += ["--config", str(config_path)]
     assert main(argv) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -66,15 +74,17 @@ def manifest() -> dict:
     return data
 
 
-@pytest.mark.parametrize("preset,command", RUNS, ids=[f"{p}-{c}" for p, c in RUNS])
-def test_cli_artifacts_byte_identical(manifest, preset, command, tmp_path):
-    assert _artifact_hashes(preset, command, tmp_path) == manifest["artifacts"][f"{preset}/{command}"]
+@pytest.mark.parametrize("key", RUNS, ids=[key.replace("/", "-") for key in RUNS])
+def test_cli_artifacts_byte_identical(manifest, key, tmp_path):
+    preset, command, config = RUNS[key]
+    assert _artifact_hashes(preset, command, tmp_path / "out", config) == manifest["artifacts"][key]
 
 
 def _capture() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = {
-            f"{p}/{c}": _artifact_hashes(p, c, Path(tmp) / p / c) for p, c in RUNS
+            key: _artifact_hashes(p, c, Path(tmp) / key, config)
+            for key, (p, c, config) in RUNS.items()
         }
     MANIFEST.write_text(
         json.dumps({"versions": _versions(), "artifacts": artifacts}, indent=2, sort_keys=True)
