@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import _csv
 from .errors import AssumptionError, QuadratureError
-from .model import ModelParams, basic_reproduction_ratio, check_assumptions, equilibria
+from .model import (
+    ModelParams,
+    basic_reproduction_ratio,
+    check_assumptions,
+    equilibria,
+    per_capita_factors,
+)
 from .stationary import capacity_modes
 
 EXTINCTION = "extinction"
@@ -43,12 +50,7 @@ class ThresholdReport:
     x_plus: float
 
     def to_summary(self) -> dict:
-        return {
-            "integral_value": self.integral_value,
-            "classification": self.classification,
-            "tolerance": self.tolerance,
-            "x_plus": self.x_plus,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,7 @@ class ConvergenceDiagnostic:
     epsilon: float
 
     def to_csv(self, stream) -> None:
-        stream.write("N,tail_mass,discrete_exponent\n")
-        for n, tail, exponent in self.rows:
-            stream.write(f"{n},{tail!r},{exponent!r}\n")
+        _csv.write_rows(stream, "N,tail_mass,discrete_exponent", *zip(*self.rows))
 
 
 def rate_ratio(params: ModelParams, x):
@@ -79,11 +79,8 @@ def rate_ratio(params: ModelParams, x):
     """
     if np.any(np.asarray(x) < 0):
         raise ValueError("density must be >= 0")
-    r0 = basic_reproduction_ratio(params)
-    return (
-        r0 * (1.0 - params.delta1 * x)
-        / (1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x))
-    )
+    fb, fd = per_capita_factors(params, x)
+    return basic_reproduction_ratio(params) * fb / fd
 
 
 def markov_exponent(

@@ -19,7 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, deterministic, master_eq, ssa, stationary
-from .model import CONFIG_KEYS, parse_config, params_from_config, params_to_config
+from . import _csv, asymptotics, deterministic, master_eq, ssa, stationary
+from .model import CONFIG_KEYS, ModelParams, parse_config, params_from_config, params_to_config
 
 #: Figure-caption parameter sets; the canonical reference configurations.
 PRESETS = {
@@ -68,19 +68,22 @@ _COMMAND_KEYS = {
 }
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    """Write-temp-then-rename so partial output never lands under the name."""
+@contextlib.contextmanager
+def _write_atomic(path: Path):
+    """Yield a temp file beside path; rename it into place on success and
+    delete it on an exception, so partial output never lands under the name."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # no-op once renamed
 
 
-def _emit_config(cfg: dict[str, str]) -> str:
-    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_json(path: Path, obj) -> None:
+    with _write_atomic(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_config(args, command: str) -> dict[str, str]:
@@ -143,35 +146,22 @@ def _cfg_int_list(cfg, key) -> list[int]:
         raise ValueError(f"config key {key!r} is not a comma list of integers: {cfg[key]!r}") from None
 
 
-def _finish(out_dir: Path, cfg: dict[str, str], params) -> None:
-    # Re-emit the model keys canonically so the round-trip is exact even if
-    # the input config spelled numbers differently.
-    cfg.update(params_to_config(params))
-    _write_atomic(out_dir / "effective_config.cfg", _emit_config(cfg))
-
-
-def cmd_psd(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     dist = stationary.psd_product(params)
     profile = stationary.mode_profile(dist)
-    buf = io.StringIO()
-    dist.to_csv(buf)
-    _write_atomic(out_dir / "psd.csv", buf.getvalue())
-    _write_atomic(out_dir / "modes.json", _json_text(profile.to_summary()))
-    _finish(out_dir, cfg, params)
+    with _write_atomic(out_dir / "psd.csv") as f:
+        dist.to_csv(f)
+    _write_json(out_dir / "modes.json", profile.to_summary())
 
 
-def cmd_threshold(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     report = asymptotics.markov_exponent(params)
     diagnostic = asymptotics.limit_distribution_diagnostic(
         params, _cfg_int_list(cfg, "n_list"), _cfg_float(cfg, "epsilon")
     )
-    _write_atomic(out_dir / "threshold.json", _json_text(report.to_summary()))
-    buf = io.StringIO()
-    diagnostic.to_csv(buf)
-    _write_atomic(out_dir / "diagnostic.csv", buf.getvalue())
-    _finish(out_dir, cfg, params)
+    _write_json(out_dir / "threshold.json", report.to_summary())
+    with _write_atomic(out_dir / "diagnostic.csv") as f:
+        diagnostic.to_csv(f)
 
 
 def _start_vector(label: str, dimension: int) -> master_eq.ProbabilityVector:
@@ -186,46 +176,37 @@ def _start_vector(label: str, dimension: int) -> master_eq.ProbabilityVector:
     raise ValueError(f"unknown start {label!r}; use delta0, deltaN, uniform or state:<i>")
 
 
-def cmd_evolve(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     gen = master_eq.build_generator(params)
     p = _start_vector(cfg["start"], gen.dimension)
     times = [float(v) for v in cfg["times"].split(",") if v.strip()]
     if times:
         if sorted(times) != times or times[0] < 0:
             raise ValueError("times must be nonnegative and ascending")
-        lines = ["t,state,prob\n"]
-        previous = 0.0
-        for t in times:
-            p = master_eq.evolve(gen, p, t - previous)
-            previous = t
-            lines.extend(
-                f"{t!r},{i},{float(p.probs[i])!r}\n" for i in range(gen.dimension)
-            )
-        _write_atomic(out_dir / "evolve.csv", "".join(lines))
+        states = np.arange(gen.dimension)
+        with _write_atomic(out_dir / "evolve.csv") as f:
+            header, previous = "t,state,prob", 0.0
+            for t in times:
+                p = master_eq.evolve(gen, p, t - previous)
+                _csv.write_rows(f, header, np.full(gen.dimension, t), states, p.probs)
+                header, previous = None, t
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}
     else:
-        witness, horizon = master_eq.converge_to_stationary(
+        witness, horizon, achieved_tv = master_eq.converge_to_stationary(
             gen, p, _cfg_float(cfg, "tol"), max_horizon=_cfg_float(cfg, "max_horizon")
         )
-        target = stationary.psd_product(params)
-        lines = ["state,prob\n"]
-        lines.extend(
-            f"{i},{float(witness.probs[i])!r}\n" for i in range(gen.dimension)
-        )
-        _write_atomic(out_dir / "final.csv", "".join(lines))
+        with _write_atomic(out_dir / "final.csv") as f:
+            _csv.write_rows(f, "state,prob", np.arange(gen.dimension), witness.probs)
         summary = {
             "start": cfg["start"],
             "mode": "converge",
             "horizon": horizon,
-            "achieved_tv": master_eq.total_variation(witness.probs, target.probs),
+            "achieved_tv": achieved_tv,
         }
-    _write_atomic(out_dir / "evolve_summary.json", _json_text(summary))
-    _finish(out_dir, cfg, params)
+    _write_json(out_dir / "evolve_summary.json", summary)
 
 
-def cmd_simulate(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     x0 = _cfg_int(cfg, "x0") if cfg["x0"] else params.capacity_n // 2
     cfg["x0"] = str(x0)
     t_end = _cfg_float(cfg, "t_end")
@@ -235,61 +216,58 @@ def cmd_simulate(cfg: dict[str, str], out_dir: Path) -> None:
         params, _cfg_int(cfg, "runs"), x0, t_end, seed,
         burn_in=burn_in, epsilon=_cfg_float(cfg, "epsilon"),
     )
-    buf = io.StringIO()
-    summary.first_trajectory.to_csv(buf)
-    _write_atomic(out_dir / "trajectory.csv", buf.getvalue())
+    with _write_atomic(out_dir / "trajectory.csv") as f:
+        summary.first_trajectory.to_csv(f)
 
-    n = params.capacity_n
-    lines = ["state,density,mean_frequency\n"]
-    lines.extend(
-        f"{i},{i / n!r},{float(summary.mean_occupation[i])!r}\n" for i in range(n + 1)
-    )
-    _write_atomic(out_dir / "occupation.csv", "".join(lines))
+    states = np.arange(params.capacity_n + 1)
+    with _write_atomic(out_dir / "occupation.csv") as f:
+        _csv.write_rows(
+            f, "state,density,mean_frequency",
+            states, states / params.capacity_n, summary.mean_occupation,
+        )
     persistence = summary.persistence_mass  # NaN without x+*; strict JSON writes null
-    _write_atomic(out_dir / "ensemble.json", _json_text({
+    _write_json(out_dir / "ensemble.json", {
         "extinction_mass": summary.extinction_mass,
         "persistence_mass": None if math.isnan(persistence) else persistence,
         "epsilon": summary.epsilon,
         "seeds": list(summary.seeds),
         "t_end": summary.t_end,
         "burn_in": summary.burn_in,
-    }))
-    _finish(out_dir, cfg, params)
+    })
 
 
-def cmd_ode(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     t_end = _cfg_float(cfg, "t_end")
     if cfg["x0"]:
         traj = deterministic.integrate(params, _cfg_float(cfg, "x0"), t_end)
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        _write_atomic(out_dir / "ode.csv", buf.getvalue())
-        _write_atomic(out_dir / "ode_summary.json", _json_text({
+        with _write_atomic(out_dir / "ode.csv") as f:
+            traj.to_csv(f)
+        _write_json(out_dir / "ode_summary.json", {
             "x0": _cfg_float(cfg, "x0"),
             "classification": traj.classification,
             "x_plus": traj.x_plus,
-        }))
+        })
     else:
         grid = _cfg_int(cfg, "grid")
         if grid < 2:
             raise ValueError("grid must be >= 2")
-        lines = ["x0,classification,t_final\n"]
-        for x0 in np.linspace(0.0, 1.0, grid):
-            traj = deterministic.integrate(params, float(x0), t_end)
-            lines.append(f"{float(x0)!r},{traj.classification},{float(traj.times[-1])!r}\n")
-        _write_atomic(out_dir / "basin.csv", "".join(lines))
-    _finish(out_dir, cfg, params)
+        x0s = np.linspace(0.0, 1.0, grid).tolist()
+        trajs = [deterministic.integrate(params, x0, t_end) for x0 in x0s]
+        with _write_atomic(out_dir / "basin.csv") as f:
+            _csv.write_rows(
+                f, "x0,classification,t_final",
+                x0s, [tr.classification for tr in trajs], [float(tr.times[-1]) for tr in trajs],
+            )
 
 
-def cmd_sweep(cfg: dict[str, str], out_dir: Path) -> None:
-    params = params_from_config(cfg)
+def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     n_list = _cfg_int_list(cfg, "n_list")
-    lines = ["N,i_plus,mode_density,scaled_gap,discrete_exponent\n"]
-    for n, density, gap, exponent in stationary.mode_scaling_check(params, n_list):
-        lines.append(f"{n},{round(density * n)},{density!r},{gap!r},{exponent!r}\n")
-    _write_atomic(out_dir / "sweep.csv", "".join(lines))
-    _finish(out_dir, cfg, params)
+    rows = [
+        (n, round(density * n), density, gap, exponent)
+        for n, density, gap, exponent in stationary.mode_scaling_check(params, n_list)
+    ]
+    with _write_atomic(out_dir / "sweep.csv") as f:
+        _csv.write_rows(f, "N,i_plus,mode_density,scaled_gap,discrete_exponent", *zip(*rows))
 
 
 _COMMANDS = {
@@ -326,7 +304,13 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args, args.command)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out_dir)
+        params = params_from_config(cfg)
+        _COMMANDS[args.command](cfg, params, out_dir)
+        # Re-emit the model keys canonically so the round-trip is exact even if
+        # the input config spelled numbers differently.
+        cfg.update(params_to_config(params))
+        with _write_atomic(out_dir / "effective_config.cfg") as f:
+            f.write("".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

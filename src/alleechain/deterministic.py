@@ -14,16 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import _cubic
+from . import _csv, _cubic
 from .errors import AssumptionError
-from .model import ModelParams, equilibria
+from .model import ModelParams, equilibria, per_capita_factors
 
 TO_ZERO = "to_zero"
 TO_X_PLUS = "to_x_plus"
 UNDECIDED = "undecided"
 
 #: Distance to an attractor at which a trajectory counts as classified.
-DEFAULT_PROXIMITY = 1e-6
+PROXIMITY = 1e-6
+
+#: Relative and absolute tolerances of the Runge-Kutta integration.
+_RTOL = 1e-10
+_ATOL = 1e-13
 
 #: Step used for the central-difference stability tags.
 _STABILITY_STEP = 1e-7
@@ -39,9 +43,7 @@ class OdeTrajectory:
     x_plus: float | None
 
     def to_csv(self, stream) -> None:
-        stream.write("t,density\n")
-        for t, x in zip(self.times, self.densities):
-            stream.write(f"{float(t)!r},{float(x)!r}\n")
+        _csv.write_rows(stream, "t,density", self.times, self.densities)
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,8 @@ class ImmigrationEquilibria:
 
 
 def _net_growth(params: ModelParams, x: float) -> float:
-    birth = params.lam * x * (1.0 - params.delta1 * x)
-    death = params.mu * x * (
-        1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
-    )
-    return birth - death
+    fb, fd = per_capita_factors(params, x)
+    return params.lam * x * fb - params.mu * x * fd
 
 
 def ode_rhs(params: ModelParams, x: float) -> float:
@@ -92,18 +91,10 @@ def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
     return _net_growth(params, x) + alpha * (1.0 - x)
 
 
-def integrate(
-    params: ModelParams,
-    x0: float,
-    t_end: float = 1000.0,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-    proximity: float = DEFAULT_PROXIMITY,
-) -> OdeTrajectory:
+def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTrajectory:
     """Integrate from x0 until the trajectory settles near 0 or x_plus.
 
-    Adaptive embedded Runge-Kutta with terminal events at proximity from
+    Adaptive embedded Runge-Kutta with terminal events at PROXIMITY from
     each attractor; classification is read off which event fired. If the
     parameters admit no persistence equilibrium, only the extinction event
     is armed. Reaching t_end without an event yields "undecided".
@@ -115,16 +106,16 @@ def integrate(
     except AssumptionError:
         x_plus = None
 
-    if x0 <= proximity:
+    if x0 <= PROXIMITY:
         return OdeTrajectory(np.zeros(1), np.full(1, x0), TO_ZERO, x_plus)
-    if x_plus is not None and abs(x0 - x_plus) <= proximity:
+    if x_plus is not None and abs(x0 - x_plus) <= PROXIMITY:
         return OdeTrajectory(np.zeros(1), np.full(1, x0), TO_X_PLUS, x_plus)
 
     def rhs(_t, y):
         return [ode_rhs(params, max(y[0], 0.0))]
 
     def near_zero(_t, y):
-        return y[0] - proximity
+        return y[0] - PROXIMITY
 
     near_zero.terminal = True
     near_zero.direction = -1
@@ -132,14 +123,14 @@ def integrate(
     if x_plus is not None:
 
         def near_plus(_t, y):
-            return abs(y[0] - x_plus) - proximity
+            return abs(y[0] - x_plus) - PROXIMITY
 
         near_plus.terminal = True
         near_plus.direction = -1
         events.append(near_plus)
 
     sol = solve_ivp(rhs, (0.0, float(t_end)), [float(x0)], method="RK45",
-                    rtol=rtol, atol=atol, events=events)
+                    rtol=_RTOL, atol=_ATOL, events=events)
     if sol.t_events[0].size:
         classification = TO_ZERO
     elif x_plus is not None and sol.t_events[1].size:

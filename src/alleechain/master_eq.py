@@ -22,6 +22,9 @@ from .stationary import stationary_from_rates, validate_rates
 #: Strict sub-stochasticity margin applied to the uniformization rate.
 _UNIFORMIZATION_MARGIN = 1e-9
 
+#: First horizon converge_to_stationary tries; it doubles from there.
+_INITIAL_HORIZON = 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
@@ -183,15 +186,14 @@ def converge_to_stationary(
     p0: ProbabilityVector,
     tol: float,
     *,
-    initial_horizon: float = 1.0,
     max_horizon: float = 1e6,
-) -> tuple[ProbabilityVector, float]:
+) -> tuple[ProbabilityVector, float, float]:
     """Evolve over doubling horizons until within tol of the stationary law.
 
     The reference distribution is computed from the generator's own rates by
     the product formula, so synthetic generators work the same as
-    model-built ones. Returns (witness, elapsed model time); elapsed is 0
-    when p0 already satisfies the tolerance.
+    model-built ones. Returns (witness, elapsed model time, total variation
+    to the reference); elapsed is 0 when p0 already satisfies the tolerance.
 
     Raises:
         ConvergenceBudgetError: max_horizon was integrated without reaching
@@ -202,14 +204,14 @@ def converge_to_stationary(
     elapsed = 0.0
     tv = total_variation(current.probs, target)
     if tv <= tol:
-        return current, elapsed
-    horizon = initial_horizon
+        return current, elapsed, tv
+    horizon = _INITIAL_HORIZON
     while True:
         current = evolve(gen, current, horizon)
         elapsed += horizon
         tv = total_variation(current.probs, target)
         if tv <= tol:
-            return current, elapsed
+            return current, elapsed, tv
         if elapsed >= max_horizon:
             raise ConvergenceBudgetError(
                 f"met {tv:.3e} total variation after horizon {elapsed:g}, "

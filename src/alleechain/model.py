@@ -307,27 +307,33 @@ def _check_state(params: ModelParams, i: int) -> int:
     return int(i)
 
 
+def per_capita_factors(params: ModelParams, x):
+    """Per-capita birth and death factors (1 - delta1*x, 1 + delta2*x +
+    delta3*theta/(theta + x)) at density x, scalar or array."""
+    fb = 1.0 - params.delta1 * x
+    return fb, 1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
+
+
 def birth_rate(params: ModelParams, i: int) -> float:
     """Total birth-plus-immigration rate b(i) out of state i.
 
     b(i) = lam*i*(1 - delta1*i/N) + alpha_i*(N - i) for i < N, with
     alpha_i = mu*R_1i/N, and exactly 0 at i = N (capacity is a hard wall).
+    Bit-identical to rate_arrays.
     """
     i = _check_state(params, i)
     n = params.capacity_n
     if i == n:
         return 0.0
-    alpha = params.mu * float(params.immigration.r1[i]) / n
-    return params.lam * i * (1.0 - params.delta1 * i / n) + alpha * (n - i)
+    fb, _ = per_capita_factors(params, i / n)
+    return params.lam * i * fb + (params.mu / n) * float(params.immigration.r1[i]) * (n - i)
 
 
 def death_rate(params: ModelParams, i: int) -> float:
     """Total death rate d(i) = mu*i*(1 + delta2*i/N + delta3*theta/(theta + i/N))."""
     i = _check_state(params, i)
-    x = i / params.capacity_n
-    return params.mu * i * (
-        1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
-    )
+    _, fd = per_capita_factors(params, i / params.capacity_n)
+    return params.mu * i * fd
 
 
 def rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -338,12 +344,11 @@ def rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """
     n = params.capacity_n
     i = np.arange(n + 1, dtype=float)
-    x = i / n
+    fb, fd = per_capita_factors(params, i / n)
     r1 = np.concatenate([params.immigration.r1, [0.0]])
-    b = params.lam * i * (1.0 - params.delta1 * x) + (params.mu / n) * r1 * (n - i)
+    b = params.lam * i * fb + (params.mu / n) * r1 * (n - i)
     b[n] = 0.0
-    d = params.mu * i * (1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x))
-    return b, d
+    return b, params.mu * i * fd
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .errors import AssumptionError
 from .model import ModelParams, equilibria, rate_arrays
 
@@ -32,9 +33,7 @@ class Trajectory:
     absorbed: bool
 
     def to_csv(self, stream) -> None:
-        stream.write("t,state\n")
-        for t, s in zip(self.times, self.states):
-            stream.write(f"{float(t)!r},{int(s)}\n")
+        _csv.write_rows(stream, "t,state", self.times, self.states)
 
 
 @dataclass(frozen=True, eq=False)

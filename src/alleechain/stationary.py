@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import _cubic
+from . import _csv, _cubic
 from .errors import (
     ComplexRootError,
     DegenerateDistributionError,
@@ -36,8 +36,8 @@ from .model import (
     rate_arrays,
 )
 
-#: Default relative depth the interior minimum must have below both peaks.
-DEFAULT_BIMODAL_MARGIN = 1e-12
+#: Relative depth the interior minimum must have below both peaks.
+BIMODAL_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +66,12 @@ class StationaryDistribution:
         return cls(probs, lw, lw.size - 1)
 
     def to_csv(self, stream) -> None:
-        """Write rows (state, density, prob, log_weight); floats use repr."""
-        n = self.capacity_n
-        stream.write("state,density,prob,log_weight\n")
-        for i in range(n + 1):
-            stream.write(
-                f"{i},{i / n!r},{float(self.probs[i])!r},{float(self.log_weights[i])!r}\n"
-            )
+        """Write rows (state, density, prob, log_weight)."""
+        states = np.arange(self.capacity_n + 1)
+        _csv.write_rows(
+            stream, "state,density,prob,log_weight",
+            states, states / self.capacity_n, self.probs, self.log_weights,
+        )
 
 
 def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +137,13 @@ def successive_ratio(params: ModelParams, i: int) -> float:
 #: paying when the product formula is exact anyway.
 ORACLE_MAX_CAPACITY = 2000
 
+#: Iterative-refinement passes of the dense solve, and the largest accepted
+#: null-space residual ||Q p||_inf.
+_ORACLE_REFINE_STEPS = 2
+_ORACLE_RESIDUAL_TOL = 1e-10
 
-def stationary_nullspace_from_rates(
-    birth, death, *, refine_steps: int = 2, residual_tol: float = 1e-10
-) -> StationaryDistribution:
+
+def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     """Stationary distribution by dense linear algebra, for cross-checks.
 
     Solves Q p = 0 with the normalization row sum(p) = 1 replacing the last
@@ -150,7 +152,8 @@ def stationary_nullspace_from_rates(
     product formula so the two can serve as independent witnesses.
 
     Raises:
-        OracleSolveError: the residual ||Q p||_inf stayed above residual_tol.
+        OracleSolveError: the residual ||Q p||_inf stayed above
+            _ORACLE_RESIDUAL_TOL.
     """
     b = np.asarray(birth, dtype=float)
     d = np.asarray(death, dtype=float)
@@ -178,26 +181,26 @@ def stationary_nullspace_from_rates(
         raise OracleSolveError(f"bordered system is singular: {exc}") from exc
     m_wide = m.astype(np.longdouble)
     rhs_wide = rhs.astype(np.longdouble)
-    for _ in range(refine_steps):
+    for _ in range(_ORACLE_REFINE_STEPS):
         residual = rhs_wide - m_wide @ p.astype(np.longdouble)
         p = p + np.linalg.solve(m, residual.astype(float))
 
     p = np.clip(p, 0.0, None)
     p /= p.sum()
     residual_inf = float(np.abs(q @ p).max())
-    if residual_inf > residual_tol:
+    if residual_inf > _ORACLE_RESIDUAL_TOL:
         raise OracleSolveError(
-            f"null-space residual {residual_inf:.3e} above tolerance {residual_tol:.1e}"
+            f"null-space residual {residual_inf:.3e} above tolerance {_ORACLE_RESIDUAL_TOL:.1e}"
         )
     with np.errstate(divide="ignore"):
         lw = np.log(p) - np.log(p[0])
     return StationaryDistribution(p, lw, n)
 
 
-def psd_nullspace_oracle(params: ModelParams, *, refine_steps: int = 2) -> StationaryDistribution:
+def psd_nullspace_oracle(params: ModelParams) -> StationaryDistribution:
     """Independent stationary distribution witness for psd_product."""
     b, d = rate_arrays(params)
-    return stationary_nullspace_from_rates(b, d, refine_steps=refine_steps)
+    return stationary_nullspace_from_rates(b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +265,17 @@ def _monotone_segments(lw: np.ndarray) -> tuple[tuple[int, int, str], ...]:
     )
 
 
-def mode_profile(
-    dist: StationaryDistribution,
-    *,
-    margin: float = DEFAULT_BIMODAL_MARGIN,
-) -> ModeProfile:
+def mode_profile(dist: StationaryDistribution) -> ModeProfile:
     """Classify a stationary profile as bimodal or unimodal and locate modes.
 
     Works on log weights so flat tails that underflow in probs still order
     correctly. The profile counts as bimodal only when the interior minimum
-    sits below both neighbouring peaks by at least the relative margin;
-    ties break toward the smaller state index throughout.
+    sits below both neighbouring peaks by a relative depth
+    (1 - p_min/p_peak) of at least BIMODAL_MARGIN; ties break toward the
+    smaller state index throughout.
 
     Args:
         dist: distribution to analyse (normally psd_product output).
-        margin: minimum relative depth (1 - p_min/p_peak) of the dip.
     """
     lw = dist.log_weights
     n = dist.capacity_n
@@ -292,7 +291,7 @@ def mode_profile(
         i_minus = left_peak + int(np.argmin(lw[left_peak : i_plus + 1]))
         depth_left = 1.0 - float(np.exp(lw[i_minus] - lw[left_peak]))
         depth_right = 1.0 - float(np.exp(lw[i_minus] - lw[i_plus]))
-        if min(depth_left, depth_right) >= margin:
+        if min(depth_left, depth_right) >= BIMODAL_MARGIN:
             return ModeProfile(i_minus, i_plus, major, segments)
     interior = major if 0 < major < n else None
     return ModeProfile(None, interior, major, segments)

@@ -123,7 +123,7 @@ def test_criterion_06_global_stability_witness(capsys):
         )
         for p0 in starts:
             try:
-                witness, horizon = converge_to_stationary(gen, p0, 1e-8)
+                witness, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
             except ConvergenceBudgetError as err:
                 budget_hit = True
                 witness, horizon = err.witness, err.horizon

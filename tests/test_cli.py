@@ -132,6 +132,18 @@ def test_evolve_rejects_unsorted_times(tmp_path):
     ) == 2
 
 
+def test_failed_run_leaves_no_partial_output(tmp_path):
+    # The first checkpoint's rows are already written when the second
+    # exceeds the uniformization term budget; the temp file must go too.
+    cfg = tmp_path / "times.cfg"
+    cfg.write_text("times = 1,1e7\n")
+    out = tmp_path / "out"
+    assert run("evolve", "--preset", "fig1a", "--config", str(cfg), "--out", str(out)) == 3
+    assert not (out / "evolve.csv").exists()
+    assert list(out.glob("*.tmp")) == []
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_outputs_and_reruns_identically(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert run("simulate", "--preset", "fig1a", "--seed", "7", "--out", str(out1)) == 0

@@ -154,17 +154,18 @@ def test_evolve_term_budget_error(fig1a):
 def test_converge_from_point_mass():
     p = make_params(FIG_A, 50)
     gen = build_generator(p)
-    witness, horizon = converge_to_stationary(
+    witness, horizon, achieved_tv = converge_to_stationary(
         gen, ProbabilityVector.point_mass(0, gen.dimension), 1e-8
     )
     assert total_variation(witness.probs, psd_product(p).probs) <= 1e-8
+    assert achieved_tv == total_variation(witness.probs, psd_product(p).probs)
     assert horizon == pytest.approx(255.0)
 
 
 def test_converge_vacuous_tolerance(fig1b):
     gen = build_generator(fig1b)
     p0 = ProbabilityVector.uniform(gen.dimension)
-    witness, horizon = converge_to_stationary(gen, p0, 1.0)
+    witness, horizon, _ = converge_to_stationary(gen, p0, 1.0)
     assert horizon == 0.0
     assert witness is p0
 

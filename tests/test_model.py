@@ -19,6 +19,7 @@ from alleechain import (
     parse_config,
     rate_arrays,
 )
+from alleechain.cli import PRESETS
 from alleechain.model import balance_coefficients
 
 from conftest import FIG_A, FIG_B, make_params
@@ -87,11 +88,13 @@ def test_boundary_rates():
 
 
 def test_rate_arrays_match_scalar_rates():
-    p = make_params(FIG_B, 37)
-    b, d = rate_arrays(p)
-    for i in range(p.capacity_n + 1):
-        assert b[i] == pytest.approx(birth_rate(p, i), abs=1e-13)
-        assert d[i] == pytest.approx(death_rate(p, i), abs=1e-13)
+    # Bit for bit: both paths share one per-capita rate law and one order of
+    # evaluation, on every state of the four presets.
+    presets = [params_from_config(cfg) for cfg in PRESETS.values()]
+    for p in (make_params(FIG_B, 37), *presets):
+        b, d = rate_arrays(p)
+        assert b.tolist() == [birth_rate(p, i) for i in range(p.capacity_n + 1)]
+        assert d.tolist() == [death_rate(p, i) for i in range(p.capacity_n + 1)]
 
 
 def test_rates_reject_out_of_range_states():
