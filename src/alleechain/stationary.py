@@ -152,8 +152,7 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     product formula so the two can serve as independent witnesses.
 
     Raises:
-        OracleSolveError: the residual ||Q p||_inf stayed above
-            _ORACLE_RESIDUAL_TOL.
+        OracleSolveError: the residual ||Q p||_inf stayed above _ORACLE_RESIDUAL_TOL.
     """
     b = np.asarray(birth, dtype=float)
     d = np.asarray(death, dtype=float)
