@@ -29,7 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from . import _csv, asymptotics, deterministic, master_eq, ssa, stationary
-from .model import CONFIG_KEYS, ModelParams, parse_config, params_from_config, params_to_config
+from .model import (
+    CONFIG_KEYS,
+    ModelParams,
+    config_float,
+    config_int,
+    config_int_list,
+    parse_config,
+    params_from_config,
+    params_to_config,
+)
 
 #: Figure-caption parameter sets; the canonical reference configurations.
 PRESETS = {
@@ -125,27 +134,6 @@ def _resolve_config(args, command: str) -> dict[str, str]:
     return cfg
 
 
-def _cfg_float(cfg, key) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
-
-
-def _cfg_int(cfg, key) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r} is not an integer: {cfg[key]!r}") from None
-
-
-def _cfg_int_list(cfg, key) -> list[int]:
-    try:
-        return [int(v) for v in cfg[key].split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"config key {key!r} is not a comma list of integers: {cfg[key]!r}") from None
-
-
 def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     dist = stationary.psd_product(params)
     profile = stationary.mode_profile(dist)
@@ -157,7 +145,7 @@ def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     report = asymptotics.markov_exponent(params)
     diagnostic = asymptotics.limit_distribution_diagnostic(
-        params, _cfg_int_list(cfg, "n_list"), _cfg_float(cfg, "epsilon")
+        params, config_int_list(cfg, "n_list"), config_float(cfg, "epsilon")
     )
     _write_json(out_dir / "threshold.json", report.to_summary())
     with _write_atomic(out_dir / "diagnostic.csv") as f:
@@ -193,7 +181,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}
     else:
         witness, horizon, achieved_tv = master_eq.converge_to_stationary(
-            gen, p, _cfg_float(cfg, "tol"), max_horizon=_cfg_float(cfg, "max_horizon")
+            gen, p, config_float(cfg, "tol"), max_horizon=config_float(cfg, "max_horizon")
         )
         with _write_atomic(out_dir / "final.csv") as f:
             _csv.write_rows(f, "state,prob", np.arange(gen.dimension), witness.probs)
@@ -207,14 +195,14 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    x0 = _cfg_int(cfg, "x0") if cfg["x0"] else params.capacity_n // 2
+    x0 = config_int(cfg, "x0") if cfg["x0"] else params.capacity_n // 2
     cfg["x0"] = str(x0)
-    t_end = _cfg_float(cfg, "t_end")
-    burn_in = _cfg_float(cfg, "burn_in")
-    seed = _cfg_int(cfg, "seed")
+    t_end = config_float(cfg, "t_end")
+    burn_in = config_float(cfg, "burn_in")
+    seed = config_int(cfg, "seed")
     summary = ssa.ensemble(
-        params, _cfg_int(cfg, "runs"), x0, t_end, seed,
-        burn_in=burn_in, epsilon=_cfg_float(cfg, "epsilon"),
+        params, config_int(cfg, "runs"), x0, t_end, seed,
+        burn_in=burn_in, epsilon=config_float(cfg, "epsilon"),
     )
     with _write_atomic(out_dir / "trajectory.csv") as f:
         summary.first_trajectory.to_csv(f)
@@ -237,18 +225,18 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
 
 
 def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    t_end = _cfg_float(cfg, "t_end")
+    t_end = config_float(cfg, "t_end")
     if cfg["x0"]:
-        traj = deterministic.integrate(params, _cfg_float(cfg, "x0"), t_end)
+        traj = deterministic.integrate(params, config_float(cfg, "x0"), t_end)
         with _write_atomic(out_dir / "ode.csv") as f:
             traj.to_csv(f)
         _write_json(out_dir / "ode_summary.json", {
-            "x0": _cfg_float(cfg, "x0"),
+            "x0": config_float(cfg, "x0"),
             "classification": traj.classification,
             "x_plus": traj.x_plus,
         })
     else:
-        grid = _cfg_int(cfg, "grid")
+        grid = config_int(cfg, "grid")
         if grid < 2:
             raise ValueError("grid must be >= 2")
         x0s = np.linspace(0.0, 1.0, grid).tolist()
@@ -261,7 +249,7 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    n_list = _cfg_int_list(cfg, "n_list")
+    n_list = config_int_list(cfg, "n_list")
     rows = [
         (n, round(density * n), density, gap, exponent)
         for n, density, gap, exponent in stationary.mode_scaling_check(params, n_list)

@@ -64,9 +64,9 @@ class GeneratorMatrix:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product Q v using only the three diagonals."""
-        out = self.diagonal * v
-        out[1:] += self.birth[:-1] * v[:-1]
-        out[:-1] += self.death[1:] * v[1:]
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        _stencil(self, v, out)()
         return out
 
     def dense(self) -> np.ndarray:
@@ -82,6 +82,30 @@ class GeneratorMatrix:
     def uniformization_rate(self) -> float:
         """Smallest usable uniform event rate, with a strict margin."""
         return float((self.birth + self.death).max()) * (1.0 + _UNIFORMIZATION_MARGIN)
+
+
+def _stencil(gen: GeneratorMatrix, v: np.ndarray, out: np.ndarray):
+    """Return a function that writes Q v into out for the current contents of v.
+
+    The diagonal, the rate and vector slice views and one scratch row are
+    made here once, so each call runs five ufuncs and allocates nothing.
+    The sums are taken in one fixed order: diag*v, then the birth inflow
+    into out[1:], then the death inflow into out[:-1].
+    """
+    diag = gen.diagonal
+    b_lo, d_hi = gen.birth[:-1], gen.death[1:]
+    v_lo, v_hi = v[:-1], v[1:]
+    out_lo, out_hi = out[:-1], out[1:]
+    tmp = np.empty(v.size - 1)
+
+    def apply() -> None:
+        np.multiply(diag, v, out=out)
+        np.multiply(b_lo, v_lo, out=tmp)
+        np.add(out_hi, tmp, out=out_hi)
+        np.multiply(d_hi, v_hi, out=tmp)
+        np.add(out_lo, tmp, out=out_lo)
+
+    return apply
 
 
 def build_generator(params: ModelParams) -> GeneratorMatrix:
@@ -148,6 +172,14 @@ def evolve(
     keeps the output on the simplex and absorbs the float rounding a
     fifty-thousand-term sum would otherwise accumulate.
 
+    The loop allocates nothing per term: v, Q v and one scratch row are
+    preallocated, and each step computes v + (Q v)/rate in place with the
+    same operations in the same order as the plain expression, so the
+    result is bit for bit the same. Terms whose weight underflowed to
+    exactly 0.0 (at long horizons most of the leading ones) are propagated
+    but not accumulated; adding 0.0 * v could only flip the sign of a zero
+    entry, and the final clip maps -0.0 to 0.0.
+
     Raises:
         ConvergenceBudgetError: the required number of series terms exceeds
             max_terms.
@@ -173,10 +205,16 @@ def evolve(
     log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
     weights = np.exp(log_w - logsumexp(log_w))
     v = p0.probs.copy()
+    qv = np.empty_like(v)
+    apply_q = _stencil(gen, v, qv)
     acc = weights[0] * v
-    for j in range(1, last + 1):
-        v = v + gen.apply(v) / rate
-        acc += weights[j] * v
+    for w in weights[1:].tolist():
+        apply_q()
+        np.divide(qv, rate, out=qv)
+        np.add(v, qv, out=v)
+        if w:  # exact-zero weights add nothing (see the docstring)
+            np.multiply(w, v, out=qv)
+            np.add(acc, qv, out=acc)
     acc = np.clip(acc, 0.0, None)
     return ProbabilityVector(acc / acc.sum(), p0.time + t)
 

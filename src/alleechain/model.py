@@ -379,13 +379,36 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_float(mapping, key) -> float:
+def _config_value(mapping, key, parse, what: str):
     try:
-        return float(mapping[key])
+        raw = mapping[key]
     except KeyError:
         raise ValueError(f"config is missing required key {key!r}") from None
+    try:
+        return parse(raw)
     except ValueError:
-        raise ValueError(f"config key {key!r} is not a number: {mapping[key]!r}") from None
+        raise ValueError(f"config key {key!r} is not {what}: {raw!r}") from None
+
+
+def config_float(mapping, key) -> float:
+    """Value of a config key as a float; ValueError names the key."""
+    return _config_value(mapping, key, float, "a number")
+
+
+def config_int(mapping, key) -> int:
+    """Value of a config key as an integer; ValueError names the key."""
+    return _config_value(mapping, key, lambda raw: int(str(raw)), "an integer")
+
+
+def config_int_list(mapping, key) -> list[int]:
+    """Comma-separated integers of a config key; at least one is required."""
+    values = _config_value(
+        mapping, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()],
+        "a comma list of integers",
+    )
+    if not values:
+        raise ValueError(f"config key {key!r} lists no integers: {mapping[key]!r}")
+    return values
 
 
 def params_from_config(mapping) -> ModelParams:
@@ -395,12 +418,7 @@ def params_from_config(mapping) -> ModelParams:
     r1 accepts a scalar (constant schedule) or a comma-separated vector of
     length N.
     """
-    try:
-        n = int(str(mapping["N"]))
-    except KeyError:
-        raise ValueError("config is missing required key 'N'") from None
-    except ValueError:
-        raise ValueError(f"config key 'N' is not an integer: {mapping['N']!r}") from None
+    n = config_int(mapping, "N")
     raw_r1 = str(mapping.get("r1", ""))
     if "r1" not in mapping:
         raise ValueError("config is missing required key 'r1'")
@@ -415,12 +433,12 @@ def params_from_config(mapping) -> ModelParams:
         except ValueError:
             raise ValueError(f"config key 'r1' is not a number: {raw_r1!r}") from None
     return ModelParams(
-        lam=_parse_float(mapping, "lambda"),
-        mu=_parse_float(mapping, "mu"),
-        delta1=_parse_float(mapping, "delta1"),
-        delta2=_parse_float(mapping, "delta2"),
-        delta3=_parse_float(mapping, "delta3"),
-        theta=_parse_float(mapping, "theta"),
+        lam=config_float(mapping, "lambda"),
+        mu=config_float(mapping, "mu"),
+        delta1=config_float(mapping, "delta1"),
+        delta2=config_float(mapping, "delta2"),
+        delta3=config_float(mapping, "delta3"),
+        theta=config_float(mapping, "theta"),
         capacity_n=n,
         immigration=schedule,
     )

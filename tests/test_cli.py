@@ -62,6 +62,23 @@ def test_assumption_failure_exits_2(tmp_path):
     assert run("threshold", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_empty_n_list_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, "--preset", "fig1a", "--n-list", "", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: config key 'n_list' lists no integers: ''\n"
+    assert list(out.iterdir()) == []
+
+
+def test_non_numeric_value_message(tmp_path, capsys):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = tight\n")
+    out = tmp_path / "out"
+    assert run("evolve", "--preset", "fig1a", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: config key 'tol' is not a number: 'tight'\n"
+    assert list(out.iterdir()) == []
+
+
 def test_ensemble_json_is_strict_without_persistence_equilibrium(tmp_path):
     cfg = tmp_path / "no_x_plus.cfg"
     cfg.write_text(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import gammaln, logsumexp
 
 from alleechain import (
     ConvergenceBudgetError,
@@ -43,6 +49,72 @@ def test_apply_matches_dense(fig1a):
     rng = np.random.default_rng(7)
     v = rng.uniform(0.0, 1.0, size=gen.dimension)
     assert np.allclose(gen.apply(v), gen.dense() @ v, rtol=1e-12, atol=1e-12)
+
+
+def _reference_apply(gen, v):
+    """Q v written out with fresh temporaries, as a plain reference."""
+    out = -(gen.birth + gen.death) * v
+    out[1:] += gen.birth[:-1] * v[:-1]
+    out[:-1] += gen.death[1:] * v[1:]
+    return out
+
+
+def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
+    """The allocating uniformization loop, summing every Poisson term."""
+    rate = gen.uniformization_rate()
+    lt = rate * t
+    last = int(stats.poisson.isf(truncation_tol, lt)) + 1
+    k = np.arange(last + 1, dtype=float)
+    log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
+    weights = np.exp(log_w - logsumexp(log_w))
+    v = p0.probs.copy()
+    acc = weights[0] * v
+    for j in range(1, last + 1):
+        v = v + _reference_apply(gen, v) / rate
+        acc += weights[j] * v
+    acc = np.clip(acc, 0.0, None)
+    return acc / acc.sum(), weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, 300),
+    scale=st.floats(0.01, 10.0),
+    # rate * t: up to ~745 the first Poisson weight is positive, beyond it
+    # the leading weights underflow to exactly 0.0
+    rate_times_t=st.one_of(st.floats(1e-3, 50.0), st.floats(800.0, 3000.0)),
+    point_mass=st.booleans(),
+)
+@example(seed=1, dimension=300, scale=10.0, rate_times_t=3000.0, point_mass=True)
+@example(seed=2, dimension=2, scale=0.01, rate_times_t=1e-3, point_mass=False)
+def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_times_t, point_mass):
+    rng = np.random.default_rng(seed)
+    birth = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    birth[-1] = 0.0
+    death[0] = 0.0
+    gen = GeneratorMatrix.from_rates(birth, death)
+    rate = gen.uniformization_rate()
+    assume(rate > 0.0)
+    if point_mass:
+        p0 = ProbabilityVector.point_mass(int(rng.integers(dimension)), dimension)
+    else:
+        p0 = ProbabilityVector.from_probs(rng.dirichlet(np.ones(dimension)))
+    before = p0.probs.copy()
+    t = rate_times_t / rate
+
+    v = rng.uniform(0.0, 1.0, dimension)
+    assert gen.apply(v).tobytes() == _reference_apply(gen, v).tobytes()
+
+    out = evolve(gen, p0, t)
+    expected, weights = _reference_evolve(gen, p0, t)
+    assert np.array_equal(out.probs, expected)
+    assert out.probs.tobytes() == expected.tobytes()  # the sign of zeros too
+    if rate * t > 800.0:
+        assert weights[0] == 0.0
+    assert np.array_equal(p0.probs, before)
+    assert not p0.probs.flags.writeable
 
 
 def test_generator_rejects_bad_rates():
