@@ -41,7 +41,6 @@ from .errors import (
 )
 from .master_eq import (
     GeneratorMatrix,
-    ProbabilityVector,
     build_generator,
     converge_to_stationary,
     evolve,
@@ -53,9 +52,7 @@ from .model import (
     ImmigrationSpec,
     ModelParams,
     basic_reproduction_ratio,
-    birth_rate,
     check_assumptions,
-    death_rate,
     equilibria,
     params_from_config,
     params_to_config,
@@ -64,7 +61,6 @@ from .model import (
 )
 from .ssa import (
     EnsembleSummary,
-    OccupationDistribution,
     Trajectory,
     ensemble,
     occupation_distribution,
@@ -75,7 +71,6 @@ from .stationary import (
     ModeProfile,
     StationaryDistribution,
     mode_cubic_coefficients,
-    mode_cubic_value,
     mode_profile,
     mode_scaling_check,
     psd_nullspace_oracle,
@@ -104,11 +99,9 @@ __all__ = [
     "ImmigrationSpec",
     "ModeProfile",
     "ModelParams",
-    "OccupationDistribution",
     "OdeTrajectory",
     "OracleSolveError",
     "PERSISTENCE",
-    "ProbabilityVector",
     "QuadratureError",
     "StationaryDistribution",
     "TO_X_PLUS",
@@ -118,11 +111,9 @@ __all__ = [
     "UNDECIDED",
     "UnimodalProfileError",
     "basic_reproduction_ratio",
-    "birth_rate",
     "build_generator",
     "check_assumptions",
     "converge_to_stationary",
-    "death_rate",
     "discrete_markov_exponent",
     "ensemble",
     "equilibria",
@@ -133,7 +124,6 @@ __all__ = [
     "limit_distribution_diagnostic",
     "markov_exponent",
     "mode_cubic_coefficients",
-    "mode_cubic_value",
     "mode_profile",
     "mode_scaling_check",
     "occupation_distribution",

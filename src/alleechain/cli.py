@@ -92,7 +92,7 @@ def _write_atomic(path: Path):
 
 def _write_json(path: Path, obj) -> None:
     with _write_atomic(path) as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        f.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _resolve_config(args, command: str) -> dict[str, str]:
@@ -152,16 +152,22 @@ def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> No
         diagnostic.to_csv(f)
 
 
-def _start_vector(label: str, dimension: int) -> master_eq.ProbabilityVector:
-    if label == "delta0":
-        return master_eq.ProbabilityVector.point_mass(0, dimension)
-    if label == "deltaN":
-        return master_eq.ProbabilityVector.point_mass(dimension - 1, dimension)
+def _start_vector(label: str, dimension: int) -> np.ndarray:
     if label == "uniform":
-        return master_eq.ProbabilityVector.uniform(dimension)
-    if label.startswith("state:"):
-        return master_eq.ProbabilityVector.point_mass(int(label.split(":", 1)[1]), dimension)
-    raise ValueError(f"unknown start {label!r}; use delta0, deltaN, uniform or state:<i>")
+        return np.full(dimension, 1.0 / dimension)
+    if label == "delta0":
+        state = 0
+    elif label == "deltaN":
+        state = dimension - 1
+    elif label.startswith("state:"):
+        state = int(label.split(":", 1)[1])
+    else:
+        raise ValueError(f"unknown start {label!r}; use delta0, deltaN, uniform or state:<i>")
+    if not 0 <= state < dimension:
+        raise ValueError(f"state {state} outside 0..{dimension - 1}")
+    p = np.zeros(dimension)
+    p[state] = 1.0
+    return p
 
 
 def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
@@ -176,15 +182,15 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
             header, previous = "t,state,prob", 0.0
             for t in times:
                 p = master_eq.evolve(gen, p, t - previous)
-                _csv.write_rows(f, header, np.full(gen.dimension, t), states, p.probs)
+                _csv.write_rows(f, header, np.full(gen.dimension, t), states, p)
                 header, previous = None, t
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}
     else:
-        witness, horizon, achieved_tv = master_eq.converge_to_stationary(
+        final, horizon, achieved_tv = master_eq.converge_to_stationary(
             gen, p, config_float(cfg, "tol"), max_horizon=config_float(cfg, "max_horizon")
         )
         with _write_atomic(out_dir / "final.csv") as f:
-            _csv.write_rows(f, "state,prob", np.arange(gen.dimension), witness.probs)
+            _csv.write_rows(f, "state,prob", np.arange(gen.dimension), final)
         summary = {
             "start": cfg["start"],
             "mode": "converge",

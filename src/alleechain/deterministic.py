@@ -60,13 +60,6 @@ class ImmigrationEquilibria:
     roots: tuple[float, ...]
     stability: tuple[str, ...]
 
-    def to_summary(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "roots": list(self.roots),
-            "stability": list(self.stability),
-        }
-
 
 def _net_growth(params: ModelParams, x: float) -> float:
     fb, fd = per_capita_factors(params, x)

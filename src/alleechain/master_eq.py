@@ -3,7 +3,8 @@
 Builds the tridiagonal generator Q of the birth-death chain and evolves
 p(t) = exp(Qt) p0 by uniformization, which preserves the probability
 simplex by construction. The long-horizon driver witnesses convergence to
-the product-formula stationary distribution from arbitrary starts.
+the product-formula stationary distribution from arbitrary starts. Inputs
+are copied, and every distribution returned is a new read-only float array.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class GeneratorMatrix:
         return int(self.birth.size)
 
     @property
-    def capacity_n(self) -> int:
-        return int(self.birth.size - 1)
-
-    @property
     def diagonal(self) -> np.ndarray:
         return -(self.birth + self.death)
 
@@ -68,16 +65,6 @@ class GeneratorMatrix:
         out = np.empty_like(v)
         _stencil(self, v, out)()
         return out
-
-    def dense(self) -> np.ndarray:
-        """Full (N+1) x (N+1) array, for tests and small-system inspection."""
-        n = self.dimension
-        q = np.zeros((n, n))
-        idx = np.arange(n)
-        q[idx, idx] = self.diagonal
-        q[idx[1:], idx[:-1]] = self.birth[:-1]
-        q[idx[:-1], idx[1:]] = self.death[1:]
-        return q
 
     def uniformization_rate(self) -> float:
         """Smallest usable uniform event rate, with a strict margin."""
@@ -114,54 +101,32 @@ def build_generator(params: ModelParams) -> GeneratorMatrix:
     return GeneratorMatrix.from_rates(b, d)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
-    """A point on the probability simplex together with its model time."""
-
-    probs: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.probs.setflags(write=False)
-
-    @classmethod
-    def from_probs(cls, probs, time: float = 0.0) -> "ProbabilityVector":
-        p = np.ascontiguousarray(probs, dtype=float)
-        if np.any(p < -1e-14):
-            raise ValueError("probabilities must be nonnegative")
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        return cls(p / total, float(time))
-
-    @classmethod
-    def point_mass(cls, state: int, dimension: int, time: float = 0.0) -> "ProbabilityVector":
-        if not 0 <= state < dimension:
-            raise ValueError(f"state {state} outside 0..{dimension - 1}")
-        p = np.zeros(dimension)
-        p[state] = 1.0
-        return cls(p, float(time))
-
-    @classmethod
-    def uniform(cls, dimension: int, time: float = 0.0) -> "ProbabilityVector":
-        return cls(np.full(dimension, 1.0 / dimension), float(time))
-
-
 def total_variation(p, q) -> float:
     """Total-variation distance between two probability vectors."""
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def _frozen_copy(gen: GeneratorMatrix, p) -> np.ndarray:
+    """A new read-only float array holding p, checked against the generator."""
+    v = np.array(p, dtype=float)
+    if v.shape != (gen.dimension,):
+        raise ValueError(f"distribution of shape {v.shape} does not fit {gen.dimension} states")
+    v.setflags(write=False)
+    return v
+
+
 def evolve(
     gen: GeneratorMatrix,
-    p0: ProbabilityVector,
+    p0,
     t: float,
     *,
     truncation_tol: float = 1e-12,
     max_terms: int = 5_000_000,
-) -> ProbabilityVector:
+) -> np.ndarray:
     """p(t) = exp(Qt) p0 by uniformization.
+
+    p0 is any array-like probability vector over the generator's states; it
+    is copied, never written to. The result is a new read-only array.
 
     Writes the semigroup as a Poisson(rate*t) mixture of powers of the
     uniformized stochastic matrix P = I + Q/rate. The truncation point is
@@ -181,19 +146,17 @@ def evolve(
     entry, and the final clip maps -0.0 to 0.0.
 
     Raises:
+        ValueError: t is negative or not finite, or p0 has the wrong shape.
         ConvergenceBudgetError: the required number of series terms exceeds
             max_terms.
     """
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
-    if p0.probs.size != gen.dimension:
-        raise ValueError("distribution dimension does not match the generator")
-    if t == 0.0:
-        return p0
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+    p = _frozen_copy(gen, p0)
     rate = gen.uniformization_rate()
     lt = rate * t
-    if lt == 0.0:
-        return ProbabilityVector(p0.probs.copy(), p0.time + t)
+    if t == 0.0 or lt == 0.0:
+        return p
     last = int(stats.poisson.isf(truncation_tol, lt)) + 1
     if last + 1 > max_terms:
         raise ConvergenceBudgetError(
@@ -204,7 +167,7 @@ def evolve(
     k = np.arange(last + 1, dtype=float)
     log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
     weights = np.exp(log_w - logsumexp(log_w))
-    v = p0.probs.copy()
+    v = p.copy()
     qv = np.empty_like(v)
     apply_q = _stencil(gen, v, qv)
     acc = weights[0] * v
@@ -216,38 +179,47 @@ def evolve(
             np.multiply(w, v, out=qv)
             np.add(acc, qv, out=acc)
     acc = np.clip(acc, 0.0, None)
-    return ProbabilityVector(acc / acc.sum(), p0.time + t)
+    acc /= acc.sum()
+    acc.setflags(write=False)
+    return acc
 
 
 def converge_to_stationary(
     gen: GeneratorMatrix,
-    p0: ProbabilityVector,
+    p0,
     tol: float,
     *,
     max_horizon: float = 1e6,
-) -> tuple[ProbabilityVector, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Evolve over doubling horizons until within tol of the stationary law.
 
     The reference distribution is computed from the generator's own rates by
     the product formula, so synthetic generators work the same as
-    model-built ones. Returns (witness, elapsed model time, total variation
-    to the reference); elapsed is 0 when p0 already satisfies the tolerance.
+    model-built ones. Returns (probs, elapsed model time, total variation
+    to the reference), probs a new read-only array; elapsed is 0 when p0
+    already satisfies the tolerance.
 
     Raises:
+        ValueError: tol is negative or not finite, or max_horizon is not a
+            finite positive number.
         ConvergenceBudgetError: max_horizon was integrated without reaching
-            tol; carries the achieved distance and the final witness.
+            tol; carries the achieved distance and the final distribution.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not (math.isfinite(max_horizon) and max_horizon > 0):
+        raise ValueError(f"max_horizon must be finite and > 0, got {max_horizon!r}")
     target = stationary_from_rates(gen.birth, gen.death).probs
-    current = p0
+    current = _frozen_copy(gen, p0)
     elapsed = 0.0
-    tv = total_variation(current.probs, target)
+    tv = total_variation(current, target)
     if tv <= tol:
         return current, elapsed, tv
     horizon = _INITIAL_HORIZON
     while True:
         current = evolve(gen, current, horizon)
         elapsed += horizon
-        tv = total_variation(current.probs, target)
+        tv = total_variation(current, target)
         if tv <= tol:
             return current, elapsed, tv
         if elapsed >= max_horizon:

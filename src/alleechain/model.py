@@ -2,7 +2,7 @@
 
 Core of the stochastic logistic model with mate limitation and immigration:
   - ModelParams / ImmigrationSpec immutable value types
-  - birth rate b(i) and death rate d(i) of the birth-death chain on 0..N
+  - rate_arrays, the one home of the chain's rates b(i) and d(i) on 0..N
   - basic reproduction ratio R0 = lambda / mu
   - assumption report: bistability, interior capacity, bounded immigration
   - the two positive equilibria x-* < x+* of the density balance
@@ -299,14 +299,6 @@ def equilibria(params: ModelParams) -> EquilibriumPair:
     return EquilibriumPair(x_minus=x_minus, x_plus=x_plus, discriminant=disc)
 
 
-def _check_state(params: ModelParams, i: int) -> int:
-    if not (isinstance(i, (int, np.integer)) and not isinstance(i, bool)):
-        raise IndexError(f"state index must be an integer, got {i!r}")
-    if not 0 <= i <= params.capacity_n:
-        raise IndexError(f"state index {i} outside 0..{params.capacity_n}")
-    return int(i)
-
-
 def per_capita_factors(params: ModelParams, x):
     """Per-capita birth and death factors (1 - delta1*x, 1 + delta2*x +
     delta3*theta/(theta + x)) at density x, scalar or array."""
@@ -314,30 +306,12 @@ def per_capita_factors(params: ModelParams, x):
     return fb, 1.0 + params.delta2 * x + params.delta3 * params.theta / (params.theta + x)
 
 
-def birth_rate(params: ModelParams, i: int) -> float:
-    """Total birth-plus-immigration rate b(i) out of state i.
-
-    b(i) = lam*i*(1 - delta1*i/N) + alpha_i*(N - i) for i < N, with
-    alpha_i = mu*R_1i/N, and exactly 0 at i = N (capacity is a hard wall).
-    Bit-identical to rate_arrays.
-    """
-    i = _check_state(params, i)
-    n = params.capacity_n
-    if i == n:
-        return 0.0
-    fb, _ = per_capita_factors(params, i / n)
-    return params.lam * i * fb + (params.mu / n) * float(params.immigration.r1[i]) * (n - i)
-
-
-def death_rate(params: ModelParams, i: int) -> float:
-    """Total death rate d(i) = mu*i*(1 + delta2*i/N + delta3*theta/(theta + i/N))."""
-    i = _check_state(params, i)
-    _, fd = per_capita_factors(params, i / params.capacity_n)
-    return params.mu * i * fd
-
-
 def rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (b, d) over all states 0..N.
+    """Birth and death rates (b, d) over all states 0..N.
+
+    b(i) = lam*i*(1 - delta1*i/N) + alpha_i*(N - i) with alpha_i = mu*R_1i/N,
+    and exactly 0 at i = N (capacity is a hard wall);
+    d(i) = mu*i*(1 + delta2*i/N + delta3*theta/(theta + i/N)).
 
     Returns:
         Pair of float arrays of length N + 1 with b[N] = 0 and d[0] = 0.

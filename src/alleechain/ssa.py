@@ -1,12 +1,13 @@
 """Exact stochastic simulation of the birth-death chain.
 
 Gillespie sampling of individual trajectories, time-weighted occupation
-estimates, and reproducible multi-run ensembles whose per-run seeds derive
+frequency arrays, and reproducible ensembles whose per-run seeds derive
 from (base_seed + run index) so results never depend on execution order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,6 @@ class Trajectory:
 
     def to_csv(self, stream) -> None:
         _csv.write_rows(stream, "t,state", self.times, self.states)
-
-
-@dataclass(frozen=True, eq=False)
-class OccupationDistribution:
-    """Time-weighted state frequencies after a burn-in period."""
-
-    frequencies: np.ndarray
-    burn_in: float
-    total_time: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +69,8 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     n = params.capacity_n
     if not 0 <= x0 <= n:
         raise ValueError(f"initial state {x0} outside 0..{n}")
-    if not t_end > 0:
-        raise ValueError("t_end must be > 0")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     b, d = rate_arrays(params)
     rng = np.random.default_rng(seed)
     times = [0.0]
@@ -102,17 +94,16 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     )
 
 
-def occupation_distribution(traj: Trajectory, burn_in: float = 0.0) -> OccupationDistribution:
-    """Time-weighted histogram of the post-burn-in path."""
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+def occupation_distribution(traj: Trajectory, burn_in: float = 0.0) -> np.ndarray:
+    """Time-weighted state frequencies of the post-burn-in path, over 0..N."""
+    if not burn_in >= 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     if burn_in >= traj.t_end:
         raise ValueError(f"burn-in {burn_in} leaves no observation window before {traj.t_end}")
     bounds = np.append(traj.times, traj.t_end)
     weights = np.clip(bounds[1:], burn_in, None) - np.clip(bounds[:-1], burn_in, None)
     freq = np.bincount(traj.states, weights=weights, minlength=traj.capacity_n + 1)
-    total = traj.t_end - burn_in
-    return OccupationDistribution(freq / total, float(burn_in), float(total))
+    return freq / (traj.t_end - burn_in)
 
 
 def ensemble(
@@ -132,11 +123,13 @@ def ensemble(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     seeds = tuple(int(base_seed) + j for j in range(int(n_runs)))
     rows = np.empty((n_runs, params.capacity_n + 1))
     for j, seed in enumerate(seeds):
         traj = simulate(params, x0, t_end, seed)
-        rows[j] = occupation_distribution(traj, burn_in).frequencies
+        rows[j] = occupation_distribution(traj, burn_in)
         if j == 0:
             first = traj
     mean = rows.mean(axis=0)

@@ -30,8 +30,6 @@ from .model import (
     ModelParams,
     balance_coefficients,
     basic_reproduction_ratio,
-    birth_rate,
-    death_rate,
     equilibria,
     rate_arrays,
 )
@@ -117,16 +115,6 @@ def psd_product(params: ModelParams) -> StationaryDistribution:
     """The unique positive stationary distribution via the product formula."""
     b, d = rate_arrays(params)
     return stationary_from_rates(b, d)
-
-
-def successive_ratio(params: ModelParams, i: int) -> float:
-    """p_{i+1}/p_i = b(i)/d(i+1) for 0 <= i <= N-1.
-
-    Crossing 1 from above/below brackets the modes of the profile.
-    """
-    if not 0 <= i <= params.capacity_n - 1:
-        raise IndexError(f"ratio index {i} outside 0..{params.capacity_n - 1}")
-    return birth_rate(params, i) / death_rate(params, i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +322,6 @@ def mode_cubic_coefficients(
     )
     c0 = -((d3 + 1.0 - r) * th / n + (1.0 + d2 * th - r) / n**2 + d2 / n**3)
     return c3, c2, c1, c0
-
-
-def mode_cubic_value(params: ModelParams, r1_at_i: float, x) -> float:
-    """Evaluate the finite-capacity mode cubic at density x (scalar or array)."""
-    c3, c2, c1, c0 = mode_cubic_coefficients(params, r1_at_i)
-    return ((c3 * x + c2) * x + c1) * x + c0
 
 
 def solve_mode_cubic(params: ModelParams, r1_at_i: float) -> CubicRoots:

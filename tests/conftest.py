@@ -3,13 +3,15 @@
 The corpus is rejection-sampled so every draw satisfies the full
 assumption set (threshold chain, density dependence, positive
 discriminant, interior carrying capacity). Sampling is seeded, so test
-runs are reproducible.
+runs are reproducible. The hypothesis strategy boundary_params draws
+across those assumptions instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from alleechain import ModelParams
 
@@ -46,6 +48,31 @@ def sample_admissible(rng: np.random.Generator) -> dict:
             lam=lam, mu=mu, delta1=d1, delta2=d2, delta3=d3,
             theta=theta, r1=rng.uniform(0.05, 1.0),
         )
+
+
+@st.composite
+def boundary_params(draw, max_capacity: int = 300) -> ModelParams:
+    """Parameters on both sides of the bistability and interior-capacity bounds.
+
+    R0 is placed at a drawn position along the bistability chain
+    (1 + theta*delta2)/(1 - theta*delta1) < R0 < 1 + delta3, from half its
+    width below the lower end to half its width above the upper one. The
+    density dependence is sometimes scaled down fifty-fold, which pushes
+    x_plus above 1.
+    """
+    mu = draw(st.floats(0.5, 2.0))
+    scale = draw(st.sampled_from([0.02, 1.0]))
+    delta1 = draw(st.floats(0.0, 1.0)) * scale
+    delta2 = draw(st.floats(0.0, 0.5)) * scale
+    delta3 = draw(st.floats(0.1, 3.0))
+    theta = draw(st.floats(0.01, 0.3))
+    lo = (1.0 + theta * delta2) / (1.0 - theta * delta1)
+    hi = 1.0 + delta3
+    r0 = max(lo + draw(st.floats(-0.5, 1.5)) * (hi - lo), 0.05)
+    return ModelParams.from_constants(
+        lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2, delta3=delta3, theta=theta,
+        capacity_n=draw(st.integers(2, max_capacity)), r1=draw(st.floats(0.01, 1.0)),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ import pytest
 
 from alleechain import (
     ModelParams,
-    ProbabilityVector,
     build_generator,
     converge_to_stationary,
     discrete_markov_exponent,
@@ -117,9 +116,9 @@ def test_criterion_06_global_stability_witness(capsys):
         gen = build_generator(p)
         target = psd_product(p).probs
         starts = (
-            ProbabilityVector.point_mass(0, gen.dimension),
-            ProbabilityVector.point_mass(gen.dimension - 1, gen.dimension),
-            ProbabilityVector.uniform(gen.dimension),
+            np.eye(gen.dimension)[0],
+            np.eye(gen.dimension)[-1],
+            np.full(gen.dimension, 1.0 / gen.dimension),
         )
         for p0 in starts:
             try:
@@ -127,9 +126,9 @@ def test_criterion_06_global_stability_witness(capsys):
             except ConvergenceBudgetError as err:
                 budget_hit = True
                 witness, horizon = err.witness, err.horizon
-            distances.append(total_variation(witness.probs, target))
+            distances.append(total_variation(witness, target))
             horizons.append(horizon)
-            witnesses.append(witness.probs)
+            witnesses.append(witness)
     pairwise = max(
         total_variation(witnesses[i], witnesses[j])
         for block in (0, 3)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alleechain import mode_profile, mode_scaling_check, psd_product
+from alleechain import ThresholdReport, mode_profile, mode_scaling_check, psd_product
 from alleechain.cli import main
 
 from conftest import FIG_A, make_params
@@ -158,6 +160,60 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     assert run("evolve", "--preset", "fig1a", "--config", str(cfg), "--out", str(out)) == 3
     assert not (out / "evolve.csv").exists()
     assert list(out.glob("*.tmp")) == []
+    assert list(out.iterdir()) == []
+
+
+def _run_with_config(tmp_path, command, text) -> tuple[int, Path]:
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    return run(command, "--preset", "fig1a", "--config", str(cfg), "--out", str(out)), out
+
+
+@pytest.mark.parametrize("text", [
+    "tol = nan\n",
+    "tol = inf\n",
+    "tol = -1\n",
+    "max_horizon = nan\n",
+    "max_horizon = 0\n",
+    "tol = -1\nmax_horizon = inf\n",
+])
+def test_evolve_rejects_non_finite_settings(tmp_path, text):
+    code, out = _run_with_config(tmp_path, "evolve", text)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def test_evolve_rejects_infinite_checkpoint(tmp_path, capsys):
+    code, out = _run_with_config(tmp_path, "evolve", "times = 1,inf\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: evolution time must be finite and >= 0, got inf\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["t_end = inf\n", "t_end = nan\n", "burn_in = nan\n"])
+def test_simulate_rejects_non_finite_times(tmp_path, text):
+    code, out = _run_with_config(tmp_path, "simulate", "runs = 1\n" + text)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
+def test_simulate_rejects_bad_epsilon(tmp_path, epsilon):
+    out = tmp_path / "out"
+    argv = ["simulate", "--preset", "fig1a", "--epsilon", epsilon, "--out", str(out)]
+    assert run(*argv) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_json_artifacts_reject_non_finite_values(tmp_path, monkeypatch, capsys):
+    # A summary carrying infinity must fail the run, not write a bare Infinity.
+    monkeypatch.setattr(ThresholdReport, "to_summary", lambda self: {"integral_value": math.inf})
+    out = tmp_path / "out"
+    assert run("threshold", "--preset", "fig1a", "--n-list", "100", "--out", str(out)) == 2
+    assert "JSON" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

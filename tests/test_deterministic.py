@@ -146,12 +146,6 @@ def test_immigration_equilibria_small_alpha(fig1b):
         assert abs(immigration_ode_rhs(fig1b, 0.001, r)) <= 1e-10
 
 
-def test_immigration_equilibria_summary(fig1b):
-    summary = immigration_equilibria(fig1b, 0.001).to_summary()
-    assert summary["alpha"] == 0.001
-    assert len(summary["roots"]) == len(summary["stability"]) == 3
-
-
 def test_immigration_equilibria_rejects_negative_alpha(fig1b):
     with pytest.raises(ValueError):
         immigration_equilibria(fig1b, -0.5)

@@ -15,7 +15,6 @@ from alleechain import (
     ConvergenceBudgetError,
     GeneratorMatrix,
     ModelParams,
-    ProbabilityVector,
     build_generator,
     converge_to_stationary,
     evolve,
@@ -23,7 +22,14 @@ from alleechain import (
     total_variation,
 )
 
+from alleechain.cli import _start_vector
+
 from conftest import FIG_A, FIG_B, make_params
+
+
+def _dense(gen):
+    """Q as a full matrix, column j being Q applied to the unit vector e_j."""
+    return np.column_stack([gen.apply(e) for e in np.eye(gen.dimension)])
 
 
 def test_two_state_generator_by_hand():
@@ -33,22 +39,26 @@ def test_two_state_generator_by_hand():
         [1.0, -3.0, 4.0],
         [0.0, 2.0, -4.0],
     ])
-    assert np.array_equal(gen.dense(), expected)
+    assert np.array_equal(_dense(gen), expected)
     assert gen.dimension == 3
-    assert gen.capacity_n == 2
 
 
 def test_columns_sum_to_zero(corpus):
     for entry in corpus[:5]:
         gen = build_generator(ModelParams.from_constants(capacity_n=40, **entry))
-        assert np.abs(gen.dense().sum(axis=0)).max() <= 1e-10
+        assert np.abs(_dense(gen).sum(axis=0)).max() <= 1e-10
 
 
 def test_apply_matches_dense(fig1a):
     gen = build_generator(fig1a)
+    idx = np.arange(gen.dimension)
+    q = np.zeros((gen.dimension, gen.dimension))
+    q[idx, idx] = -(gen.birth + gen.death)
+    q[idx[1:], idx[:-1]] = gen.birth[:-1]
+    q[idx[:-1], idx[1:]] = gen.death[1:]
     rng = np.random.default_rng(7)
     v = rng.uniform(0.0, 1.0, size=gen.dimension)
-    assert np.allclose(gen.apply(v), gen.dense() @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(gen.apply(v), q @ v, rtol=1e-12, atol=1e-12)
 
 
 def _reference_apply(gen, v):
@@ -67,7 +77,7 @@ def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
     k = np.arange(last + 1, dtype=float)
     log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
     weights = np.exp(log_w - logsumexp(log_w))
-    v = p0.probs.copy()
+    v = np.array(p0, dtype=float)
     acc = weights[0] * v
     for j in range(1, last + 1):
         v = v + _reference_apply(gen, v) / rate
@@ -98,10 +108,10 @@ def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_tim
     rate = gen.uniformization_rate()
     assume(rate > 0.0)
     if point_mass:
-        p0 = ProbabilityVector.point_mass(int(rng.integers(dimension)), dimension)
+        p0 = np.eye(dimension)[int(rng.integers(dimension))]
     else:
-        p0 = ProbabilityVector.from_probs(rng.dirichlet(np.ones(dimension)))
-    before = p0.probs.copy()
+        p0 = rng.dirichlet(np.ones(dimension))
+    before = p0.copy()
     t = rate_times_t / rate
 
     v = rng.uniform(0.0, 1.0, dimension)
@@ -109,12 +119,15 @@ def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_tim
 
     out = evolve(gen, p0, t)
     expected, weights = _reference_evolve(gen, p0, t)
-    assert np.array_equal(out.probs, expected)
-    assert out.probs.tobytes() == expected.tobytes()  # the sign of zeros too
+    assert np.array_equal(out, expected)
+    assert out.tobytes() == expected.tobytes()  # the sign of zeros too
     if rate * t > 800.0:
         assert weights[0] == 0.0
-    assert np.array_equal(p0.probs, before)
-    assert not p0.probs.flags.writeable
+    # on the simplex, read-only, and the caller's array untouched
+    assert np.all(out >= 0.0) and abs(out.sum() - 1.0) <= 1e-12
+    assert not out.flags.writeable and not np.shares_memory(out, p0)
+    assert np.array_equal(p0, before)
+    assert p0.flags.writeable
 
 
 def test_generator_rejects_bad_rates():
@@ -144,81 +157,78 @@ def test_uniformization_rate_covers_all_states(fig1b):
     assert gen.uniformization_rate() > float((gen.birth + gen.death).max())
 
 
-def test_probability_vector_validation():
-    with pytest.raises(ValueError):
-        ProbabilityVector.from_probs([0.5, 0.6])
-    with pytest.raises(ValueError):
-        ProbabilityVector.from_probs([-0.2, 1.2])
-    # a tiny negative rounding residue is clamped, not rejected
-    p = ProbabilityVector.from_probs([1.0, -1e-15])
-    assert p.probs[1] == 0.0
-    assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
-
-
 def test_point_mass_and_uniform():
-    p = ProbabilityVector.point_mass(3, 6)
-    assert p.probs[3] == 1.0 and p.probs.sum() == 1.0
+    p = _start_vector("state:3", 6)
+    assert p[3] == 1.0 and p.sum() == 1.0
+    assert np.array_equal(_start_vector("deltaN", 6), np.eye(6)[5])
     with pytest.raises(ValueError):
-        ProbabilityVector.point_mass(6, 6)
-    u = ProbabilityVector.uniform(4)
-    assert np.allclose(u.probs, 0.25)
+        _start_vector("state:6", 6)
+    with pytest.raises(ValueError):
+        _start_vector("state:-1", 6)
+    assert np.allclose(_start_vector("uniform", 4), 0.25)
 
 
 def test_evolve_zero_time_identity(fig1a):
     gen = build_generator(fig1a)
-    p0 = ProbabilityVector.point_mass(10, gen.dimension)
+    p0 = np.eye(gen.dimension)[10]
     out = evolve(gen, p0, 0.0)
-    assert out is p0
+    assert np.array_equal(out, p0)
+    assert not out.flags.writeable and not np.shares_memory(out, p0)
+    assert p0.flags.writeable
+    # any array-like start works
+    assert np.array_equal(evolve(gen, p0.tolist(), 0.0), p0)
 
 
 def test_evolve_rejects_bad_inputs(fig1a):
     gen = build_generator(fig1a)
-    p0 = ProbabilityVector.point_mass(0, gen.dimension)
+    p0 = np.eye(gen.dimension)[0]
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="evolution time"):
+            evolve(gen, p0, t)
     with pytest.raises(ValueError):
-        evolve(gen, p0, -1.0)
+        evolve(gen, np.eye(5)[0], 1.0)
     with pytest.raises(ValueError):
-        evolve(gen, ProbabilityVector.point_mass(0, 5), 1.0)
+        evolve(gen, np.eye(gen.dimension)[:2], 1.0)
 
 
 def test_evolve_preserves_stationary_distribution():
     p = make_params(FIG_A, 40)
     gen = build_generator(p)
-    psd = ProbabilityVector.from_probs(psd_product(p).probs)
+    psd = psd_product(p).probs
     for t in (0.7, 13.0, 257.0):
         out = evolve(gen, psd, t)
-        assert total_variation(out.probs, psd.probs) <= 1e-10
+        assert total_variation(out, psd) <= 1e-10
 
 
 def test_evolve_simplex_and_time_stamps():
     p = make_params(FIG_B, 30)
     gen = build_generator(p)
-    out = evolve(gen, ProbabilityVector.point_mass(5, gen.dimension, time=2.0), 3.5)
-    assert out.time == pytest.approx(5.5)
-    assert np.all(out.probs >= 0.0)
-    assert abs(out.probs.sum() - 1.0) <= 1e-12
+    out = evolve(gen, np.eye(gen.dimension)[5], 3.5)
+    assert np.all(out >= 0.0)
+    assert abs(out.sum() - 1.0) <= 1e-12
 
 
 def test_evolve_semigroup_property():
     p = make_params(FIG_A, 30)
     gen = build_generator(p)
-    p0 = ProbabilityVector.uniform(gen.dimension)
+    p0 = np.full(gen.dimension, 1.0 / gen.dimension)
     for s, t in ((0.3, 1.7), (2.5, 0.25), (5.0, 5.0)):
         two_leg = evolve(gen, evolve(gen, p0, s), t)
         one_leg = evolve(gen, p0, s + t)
-        assert total_variation(two_leg.probs, one_leg.probs) <= 1e-10
+        assert total_variation(two_leg, one_leg) <= 1e-10
 
 
 def test_evolve_long_time_reaches_product_formula():
     """Point mass at 10, N = 20: the semigroup limit is the product PSD."""
     p = make_params(FIG_A, 20)
     gen = build_generator(p)
-    out = evolve(gen, ProbabilityVector.point_mass(10, gen.dimension), 300.0)
-    assert total_variation(out.probs, psd_product(p).probs) <= 1e-8
+    out = evolve(gen, np.eye(gen.dimension)[10], 300.0)
+    assert total_variation(out, psd_product(p).probs) <= 1e-8
 
 
 def test_evolve_term_budget_error(fig1a):
     gen = build_generator(fig1a)
-    p0 = ProbabilityVector.point_mass(0, gen.dimension)
+    p0 = np.eye(gen.dimension)[0]
     with pytest.raises(ConvergenceBudgetError):
         evolve(gen, p0, 100.0, max_terms=10)
 
@@ -226,32 +236,43 @@ def test_evolve_term_budget_error(fig1a):
 def test_converge_from_point_mass():
     p = make_params(FIG_A, 50)
     gen = build_generator(p)
-    witness, horizon, achieved_tv = converge_to_stationary(
-        gen, ProbabilityVector.point_mass(0, gen.dimension), 1e-8
-    )
-    assert total_variation(witness.probs, psd_product(p).probs) <= 1e-8
-    assert achieved_tv == total_variation(witness.probs, psd_product(p).probs)
+    witness, horizon, achieved_tv = converge_to_stationary(gen, np.eye(gen.dimension)[0], 1e-8)
+    assert total_variation(witness, psd_product(p).probs) <= 1e-8
+    assert achieved_tv == total_variation(witness, psd_product(p).probs)
     assert horizon == pytest.approx(255.0)
+    assert not witness.flags.writeable
 
 
 def test_converge_vacuous_tolerance(fig1b):
     gen = build_generator(fig1b)
-    p0 = ProbabilityVector.uniform(gen.dimension)
+    p0 = np.full(gen.dimension, 1.0 / gen.dimension)
     witness, horizon, _ = converge_to_stationary(gen, p0, 1.0)
     assert horizon == 0.0
-    assert witness is p0
+    assert np.array_equal(witness, p0)
+    assert not witness.flags.writeable and not np.shares_memory(witness, p0)
+    assert p0.flags.writeable
+
+
+@pytest.mark.parametrize("tol, max_horizon", [
+    (math.nan, 1e6), (math.inf, 1e6), (-1.0, 1e6),
+    (1e-8, math.nan), (1e-8, math.inf), (1e-8, 0.0), (-1.0, math.inf),
+])
+def test_converge_rejects_non_finite_settings(fig1a, tol, max_horizon):
+    gen = build_generator(fig1a)
+    with pytest.raises(ValueError):
+        converge_to_stationary(gen, np.eye(gen.dimension)[0], tol, max_horizon=max_horizon)
 
 
 def test_converge_budget_reports_progress():
     p = make_params(FIG_B, 50)
     gen = build_generator(p)
-    p0 = ProbabilityVector.point_mass(0, gen.dimension)
+    p0 = np.eye(gen.dimension)[0]
     with pytest.raises(ConvergenceBudgetError) as exc_info:
         converge_to_stationary(gen, p0, 1e-12, max_horizon=2.0)
     err = exc_info.value
     assert err.achieved_tv is not None and err.achieved_tv > 1e-12
     assert err.horizon >= 2.0
-    assert err.witness is not None
+    assert err.witness.shape == (gen.dimension,) and not err.witness.flags.writeable
 
 
 def test_total_variation_known_values():

@@ -10,16 +10,13 @@ from alleechain import (
     ImmigrationSpec,
     ModelParams,
     basic_reproduction_ratio,
-    birth_rate,
     check_assumptions,
-    death_rate,
     equilibria,
     params_from_config,
     params_to_config,
     parse_config,
     rate_arrays,
 )
-from alleechain.cli import PRESETS
 from alleechain.model import balance_coefficients
 
 from conftest import FIG_A, FIG_B, make_params
@@ -70,12 +67,12 @@ def test_invalid_capacity():
 
 def test_hand_computed_rates():
     # set (a), N=100: b(50) = 1.4*50*(1 - 0.45/2) + (0.99/100)*50
-    p = make_params(FIG_A, 100)
-    assert birth_rate(p, 50) == pytest.approx(54.745, abs=1e-12)
-    assert death_rate(p, 100) == pytest.approx(100.0 * (1.1 + 1.45 * 0.03 / 1.03), abs=1e-9)
+    b, d = rate_arrays(make_params(FIG_A, 100))
+    assert b[50] == pytest.approx(54.745, abs=1e-12)
+    assert d[100] == pytest.approx(100.0 * (1.1 + 1.45 * 0.03 / 1.03), abs=1e-9)
     # set (b): no crowding in deaths, only the low-density penalty
-    q = make_params(FIG_B, 100)
-    assert death_rate(q, 3) == pytest.approx(5.55, abs=1e-12)
+    _, d = rate_arrays(make_params(FIG_B, 100))
+    assert d[3] == pytest.approx(5.55, abs=1e-12)
 
 
 def test_boundary_rates():
@@ -85,24 +82,6 @@ def test_boundary_rates():
     assert d[0] == 0.0
     # immigration alone feeds the empty state: b(0) = mu * R1 * (N - 0) / N
     assert b[0] == pytest.approx(0.99, abs=1e-15)
-
-
-def test_rate_arrays_match_scalar_rates():
-    # Bit for bit: both paths share one per-capita rate law and one order of
-    # evaluation, on every state of the four presets.
-    presets = [params_from_config(cfg) for cfg in PRESETS.values()]
-    for p in (make_params(FIG_B, 37), *presets):
-        b, d = rate_arrays(p)
-        assert b.tolist() == [birth_rate(p, i) for i in range(p.capacity_n + 1)]
-        assert d.tolist() == [death_rate(p, i) for i in range(p.capacity_n + 1)]
-
-
-def test_rates_reject_out_of_range_states():
-    p = make_params(FIG_A, 10)
-    with pytest.raises(IndexError):
-        birth_rate(p, 11)
-    with pytest.raises(IndexError):
-        death_rate(p, -1)
 
 
 def test_reproduction_ratio_and_coefficients():

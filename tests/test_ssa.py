@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alleechain import (
     ModelParams,
@@ -18,15 +20,28 @@ from alleechain import (
 )
 from alleechain.model import rate_arrays
 
-from conftest import FIG_A, FIG_B, make_params
+from conftest import FIG_A, FIG_B, boundary_params, make_params
 
 
-def test_same_seed_same_path(fig1a):
-    a = simulate(fig1a, 50, 25.0, 42)
-    b = simulate(fig1a, 50, 25.0, 42)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.states, b.states)
-    assert a.seed == 42
+@settings(max_examples=30, deadline=None)
+@given(
+    params=boundary_params(max_capacity=60),
+    start=st.floats(0.0, 1.0),
+    t_end=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**63 - 1),
+)
+@example(params=make_params(FIG_A, 100), start=0.5, t_end=25.0, seed=42)
+def test_same_seed_same_path(params, start, t_end, seed):
+    x0 = round(start * params.capacity_n)
+    a = simulate(params, x0, t_end, seed)
+    b = simulate(params, x0, t_end, seed)
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.absorbed == b.absorbed
+    assert a.seed == seed
+    first = ensemble(params, 2, x0, t_end, seed).first_trajectory
+    assert first.times.tobytes() == a.times.tobytes()
+    assert first.states.tobytes() == a.states.tobytes()
 
 
 def test_different_seeds_diverge(fig1a):
@@ -51,8 +66,9 @@ def test_input_validation(fig1a):
         simulate(fig1a, 101, 10.0, 0)
     with pytest.raises(ValueError):
         simulate(fig1a, -1, 10.0, 0)
-    with pytest.raises(ValueError):
-        simulate(fig1a, 10, 0.0, 0)
+    for t_end in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate(fig1a, 10, t_end, 0)
 
 
 def test_absorption_without_immigration():
@@ -67,20 +83,20 @@ def test_absorption_without_immigration():
     assert traj.states[-1] == 0
     occ = occupation_distribution(traj)
     # almost the whole window sits on the absorbing state
-    assert occ.frequencies[0] > 0.9
-    assert occ.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
+    assert occ[0] > 0.9
+    assert occ.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_occupation_weights_account_for_burn_in(fig1a):
     traj = simulate(fig1a, 50, 40.0, 3)
     occ = occupation_distribution(traj, burn_in=10.0)
-    assert occ.burn_in == 10.0
-    assert occ.total_time == pytest.approx(30.0)
-    assert occ.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
+    assert occ.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         occupation_distribution(traj, burn_in=40.0)
     with pytest.raises(ValueError):
         occupation_distribution(traj, burn_in=-1.0)
+    with pytest.raises(ValueError):
+        occupation_distribution(traj, burn_in=math.nan)
 
 
 def test_occupation_matches_manual_integration(fig1a):
@@ -90,7 +106,7 @@ def test_occupation_matches_manual_integration(fig1a):
     manual = np.zeros(fig1a.capacity_n + 1)
     for state, lo, hi in zip(traj.states, bounds[:-1], bounds[1:]):
         manual[state] += hi - lo
-    assert np.allclose(occ.frequencies, manual / traj.t_end, atol=1e-15)
+    assert np.allclose(occ, manual / traj.t_end, atol=1e-15)
 
 
 def test_up_move_odds_match_rates():
@@ -130,7 +146,7 @@ def test_ensemble_seed_layout(fig1a):
     assert np.allclose(summary.mean_occupation, summary.run_frequencies.mean(axis=0))
     # each run is reproducible on its own
     solo = occupation_distribution(simulate(fig1a, 50, 30.0, 102), 5.0)
-    assert np.allclose(summary.run_frequencies[2], solo.frequencies, atol=1e-15)
+    assert np.allclose(summary.run_frequencies[2], solo, atol=1e-15)
 
 
 def test_ensemble_keeps_first_run_path(fig1a):
@@ -146,6 +162,9 @@ def test_ensemble_masses(fig1a):
     assert 0.0 <= summary.extinction_mass <= 1.0
     assert 0.0 <= summary.persistence_mass <= 1.0
     assert summary.epsilon == 0.05
+    for epsilon in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError):
+            ensemble(fig1a, 1, 50, 10.0, 0, epsilon=epsilon)
 
 
 def test_ensemble_persistence_mass_nan_without_equilibria():
@@ -161,7 +180,7 @@ def test_ensemble_persistence_mass_nan_without_equilibria():
 def test_ensemble_single_run(fig1b):
     summary = ensemble(fig1b, 1, 30, 40.0, 9, burn_in=4.0)
     solo = occupation_distribution(simulate(fig1b, 30, 40.0, 9), 4.0)
-    assert np.allclose(summary.mean_occupation, solo.frequencies, atol=1e-15)
+    assert np.allclose(summary.mean_occupation, solo, atol=1e-15)
 
 
 def test_long_runs_approach_stationary_law():
