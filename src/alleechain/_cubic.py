@@ -29,8 +29,10 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
 
     Uses the trigonometric form when the depressed cubic has three real
     roots and Cardano's formula otherwise, followed by one Newton step per
-    root to shake off cancellation in the closed forms. Degenerate leading
-    coefficients fall back to the quadratic / linear closed forms.
+    simple root to shake off cancellation in the closed forms. A
+    discriminant (and p) within its rounding error of 0 counts as 0, so a
+    repeated root is kept, unpolished. Degenerate leading coefficients fall
+    back to the quadratic / linear closed forms.
 
     Multiple roots are returned with multiplicity. Raises ValueError for the
     identically-zero polynomial (every x is a root).
@@ -48,7 +50,15 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     half_q = q / 2.0
     third_p = p / 3.0
     disc = half_q * half_q + third_p ** 3
+    # Rounding bounds of p and q (a few ulps of their terms), carried into disc.
+    err_p = 4.0 * math.ulp(1.0) * (abs(c) + b * b / 3.0)
+    err_q = 4.0 * math.ulp(1.0) * (abs(2.0 * b ** 3 / 27.0) + abs(b * c / 3.0) + abs(d))
+    if abs(disc) <= abs(half_q) * err_q + third_p ** 2 * err_p:
+        disc = 0.0
+        p = 0.0 if abs(p) <= err_p else p
 
+    coeffs = (c3, c2, c1, c0)
+    deriv = (3.0 * c3, 2.0 * c2, c1)
     if disc < 0.0:
         # Three distinct real roots; p < 0 is guaranteed here.
         m = 2.0 * math.sqrt(-third_p)
@@ -56,18 +66,15 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
     elif disc == 0.0:
         if p == 0.0:
-            ts = [0.0, 0.0, 0.0]
-        else:
-            # One simple root and one double root.
-            ts = [3.0 * q / p, -1.5 * q / p, -1.5 * q / p]
+            return [-shift] * 3
+        # One simple root and one double root, where f' = 0 defeats Newton.
+        double = -1.5 * q / p - shift
+        return sorted([_newton_polish(coeffs, deriv, 3.0 * q / p - shift), double, double])
     else:
         root = math.sqrt(disc)
         u = math.copysign(abs(-half_q + root) ** (1.0 / 3.0), -half_q + root)
         v = math.copysign(abs(-half_q - root) ** (1.0 / 3.0), -half_q - root)
         ts = [u + v]
-
-    coeffs = (c3, c2, c1, c0)
-    deriv = (3.0 * c3, 2.0 * c2, c1)
     return sorted(_newton_polish(coeffs, deriv, t - shift) for t in ts)
 
 

@@ -6,7 +6,7 @@ decides the large-capacity fate of the chain: negative means the stationary
 law collapses onto extinction, positive onto the persistence density x+*.
 This module computes that integral, its finite-capacity discrete
 counterpart (a log-weight slope of the stationary distribution), and exact
-tail diagnostics along capacity sweeps.
+tail diagnostics along capacity sweeps. |integral| <= CRITICAL_TOL is critical.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ PERSISTENCE = "persistence"
 CRITICAL = "critical"
 
 #: Band half-width around 0 inside which the integral counts as critical.
-DEFAULT_CRITICAL_TOL = 1e-7
+CRITICAL_TOL = 1e-7
 
 #: Absolute tolerance requested from the adaptive quadrature.
 _QUAD_ABS_TOL = 1e-9
@@ -65,7 +65,6 @@ class ConvergenceDiagnostic:
 
     rows: tuple[tuple[int, float, float], ...]
     regime: str
-    epsilon: float
 
     def to_csv(self, stream) -> None:
         _csv.write_rows(stream, "N,tail_mass,discrete_exponent", *zip(*self.rows))
@@ -83,9 +82,7 @@ def rate_ratio(params: ModelParams, x):
     return basic_reproduction_ratio(params) * fb / fd
 
 
-def markov_exponent(
-    params: ModelParams, *, critical_tol: float = DEFAULT_CRITICAL_TOL
-) -> ThresholdReport:
+def markov_exponent(params: ModelParams) -> ThresholdReport:
     """Integral of log f over [0, x_plus] with its sign classification.
 
     The integrand is smooth and bounded on the interval (f(0) > 0 whenever
@@ -120,32 +117,28 @@ def markov_exponent(
     if abserr > 1e-8:
         raise QuadratureError(f"quadrature error estimate {abserr:.3e} above budget")
 
-    if value < -critical_tol:
+    if value < -CRITICAL_TOL:
         classification = EXTINCTION
-    elif value > critical_tol:
+    elif value > CRITICAL_TOL:
         classification = PERSISTENCE
     else:
         classification = CRITICAL
-    return ThresholdReport(value, classification, float(critical_tol), eq.x_plus)
+    return ThresholdReport(value, classification, CRITICAL_TOL, eq.x_plus)
 
 
-def discrete_markov_exponent(params: ModelParams, capacity_n: int | None = None) -> float:
-    """(1/N) log(p_{i+} / p_0), the finite-capacity exponent.
+def discrete_markov_exponent(params: ModelParams) -> float:
+    """(1/N) log(p_{i+} / p_0), the exponent at the capacity N of params.
 
     Converges to the markov_exponent integral as the capacity grows.
 
     Raises:
         UnimodalProfileError: the profile has no interior mode to anchor i+.
     """
-    return capacity_modes(params, capacity_n)[2]
+    return capacity_modes(params)[2]
 
 
 def limit_distribution_diagnostic(
-    params: ModelParams,
-    n_list,
-    epsilon: float,
-    *,
-    critical_tol: float = DEFAULT_CRITICAL_TOL,
+    params: ModelParams, n_list, epsilon: float
 ) -> ConvergenceDiagnostic:
     """Exact stationary tail masses along a capacity sweep.
 
@@ -161,7 +154,7 @@ def limit_distribution_diagnostic(
             0 < epsilon < x_minus so the tail excludes the extinction
             cluster itself, the persistence branch 0 < epsilon < 1.
     """
-    report = markov_exponent(params, critical_tol=critical_tol)
+    report = markov_exponent(params)
     regime = report.classification
     if regime == CRITICAL:
         warnings.warn(
@@ -181,11 +174,11 @@ def limit_distribution_diagnostic(
     rows = []
     for n in n_list:
         n = int(n)
-        dist, _, exponent = capacity_modes(params, n)
+        dist, _, exponent = capacity_modes(params.with_capacity(n))
         density = np.arange(n + 1) / n
         if regime == EXTINCTION:
             tail = float(dist.probs[density > epsilon].sum())
         else:
             tail = float(dist.probs[np.abs(density - eq.x_plus) > epsilon].sum())
         rows.append((n, tail, exponent))
-    return ConvergenceDiagnostic(tuple(rows), regime, float(epsilon))
+    return ConvergenceDiagnostic(tuple(rows), regime)

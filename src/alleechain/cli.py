@@ -113,18 +113,13 @@ def _resolve_config(args, command: str) -> dict[str, str]:
         raise ValueError("no parameters: pass --preset, --config or both")
 
     allowed = _MODEL_KEYS | set(_COMMAND_KEYS[command])
-    if args.seed is not None:
-        if "seed" not in allowed:
-            raise ValueError(f"--seed does not apply to the {command} command")
-        cfg["seed"] = str(args.seed)
-    if args.n_list is not None:
-        if "n_list" not in allowed:
-            raise ValueError(f"--n-list does not apply to the {command} command")
-        cfg["n_list"] = args.n_list
-    if args.epsilon is not None:
-        if "epsilon" not in allowed:
-            raise ValueError(f"--epsilon does not apply to the {command} command")
-        cfg["epsilon"] = repr(float(args.epsilon))
+    for key in ("seed", "n_list", "epsilon"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in allowed:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to the {command} command")
+        cfg[key] = str(value)  # argparse parsed it; str of an int or float is its repr
 
     unknown = sorted(set(cfg) - allowed)
     if unknown:
@@ -206,10 +201,9 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
     t_end = config_float(cfg, "t_end")
     burn_in = config_float(cfg, "burn_in")
     seed = config_int(cfg, "seed")
-    summary = ssa.ensemble(
-        params, config_int(cfg, "runs"), x0, t_end, seed,
-        burn_in=burn_in, epsilon=config_float(cfg, "epsilon"),
-    )
+    runs = config_int(cfg, "runs")
+    epsilon = config_float(cfg, "epsilon")
+    summary = ssa.ensemble(params, runs, x0, t_end, seed, burn_in=burn_in, epsilon=epsilon)
     with _write_atomic(out_dir / "trajectory.csv") as f:
         summary.first_trajectory.to_csv(f)
 
@@ -223,10 +217,10 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
     _write_json(out_dir / "ensemble.json", {
         "extinction_mass": summary.extinction_mass,
         "persistence_mass": None if math.isnan(persistence) else persistence,
-        "epsilon": summary.epsilon,
-        "seeds": list(summary.seeds),
-        "t_end": summary.t_end,
-        "burn_in": summary.burn_in,
+        "epsilon": epsilon,
+        "seeds": list(range(seed, seed + runs)),
+        "t_end": t_end,
+        "burn_in": burn_in,
     })
 
 
@@ -255,11 +249,7 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    n_list = config_int_list(cfg, "n_list")
-    rows = [
-        (n, round(density * n), density, gap, exponent)
-        for n, density, gap, exponent in stationary.mode_scaling_check(params, n_list)
-    ]
+    rows = stationary.mode_scaling_check(params, config_int_list(cfg, "n_list"))
     with _write_atomic(out_dir / "sweep.csv") as f:
         _csv.write_rows(f, "N,i_plus,mode_density,scaled_gap,discrete_exponent", *zip(*rows))
 

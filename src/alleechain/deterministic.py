@@ -9,6 +9,7 @@ enter a small neighbourhood of an attractor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ class ImmigrationEquilibria:
     no prior assumption about how many roots are positive or stable.
     """
 
-    alpha: float
     roots: tuple[float, ...]
     stability: tuple[str, ...]
 
@@ -92,6 +92,8 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     parameters admit no persistence equilibrium, only the extinction event
     is armed. Reaching t_end without an event yields "undecided".
     """
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 = {x0} outside [0, 1]")
     try:
@@ -166,4 +168,4 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
             stability.append("unstable")
         else:
             stability.append("degenerate")
-    return ImmigrationEquilibria(float(alpha), tuple(roots), tuple(stability))
+    return ImmigrationEquilibria(tuple(roots), tuple(stability))

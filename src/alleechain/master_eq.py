@@ -2,9 +2,10 @@
 
 Builds the tridiagonal generator Q of the birth-death chain and evolves
 p(t) = exp(Qt) p0 by uniformization, which preserves the probability
-simplex by construction. The long-horizon driver witnesses convergence to
-the product-formula stationary distribution from arbitrary starts. Inputs
-are copied, and every distribution returned is a new read-only float array.
+simplex by construction, within a budget of _MAX_TERMS series terms per
+call. The long-horizon driver witnesses convergence to the product-formula
+stationary distribution from arbitrary starts. Inputs are copied, and every
+distribution returned is a new read-only float array.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ _UNIFORMIZATION_MARGIN = 1e-9
 
 #: First horizon converge_to_stationary tries; it doubles from there.
 _INITIAL_HORIZON = 1.0
+
+#: Largest number of uniformization series terms one evolve call may sum.
+_MAX_TERMS = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +59,6 @@ class GeneratorMatrix:
     def dimension(self) -> int:
         return int(self.birth.size)
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return -(self.birth + self.death)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product Q v using only the three diagonals."""
         v = np.asarray(v, dtype=float)
@@ -79,7 +79,7 @@ def _stencil(gen: GeneratorMatrix, v: np.ndarray, out: np.ndarray):
     The sums are taken in one fixed order: diag*v, then the birth inflow
     into out[1:], then the death inflow into out[:-1].
     """
-    diag = gen.diagonal
+    diag = -(gen.birth + gen.death)
     b_lo, d_hi = gen.birth[:-1], gen.death[1:]
     v_lo, v_hi = v[:-1], v[1:]
     out_lo, out_hi = out[:-1], out[1:]
@@ -115,14 +115,7 @@ def _frozen_copy(gen: GeneratorMatrix, p) -> np.ndarray:
     return v
 
 
-def evolve(
-    gen: GeneratorMatrix,
-    p0,
-    t: float,
-    *,
-    truncation_tol: float = 1e-12,
-    max_terms: int = 5_000_000,
-) -> np.ndarray:
+def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12) -> np.ndarray:
     """p(t) = exp(Qt) p0 by uniformization.
 
     p0 is any array-like probability vector over the generator's states; it
@@ -148,7 +141,7 @@ def evolve(
     Raises:
         ValueError: t is negative or not finite, or p0 has the wrong shape.
         ConvergenceBudgetError: the required number of series terms exceeds
-            max_terms.
+            _MAX_TERMS; raised before any term is computed.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
@@ -158,10 +151,10 @@ def evolve(
     if t == 0.0 or lt == 0.0:
         return p
     last = int(stats.poisson.isf(truncation_tol, lt)) + 1
-    if last + 1 > max_terms:
+    if last + 1 > _MAX_TERMS:
         raise ConvergenceBudgetError(
             f"uniformization needs {last + 1} series terms for tolerance "
-            f"{truncation_tol:.1e} at horizon {t:g}, budget is {max_terms}",
+            f"{truncation_tol:.1e} at horizon {t:g}, budget is {_MAX_TERMS}",
             horizon=t,
         )
     k = np.arange(last + 1, dtype=float)

@@ -393,19 +393,11 @@ def params_from_config(mapping) -> ModelParams:
     length N.
     """
     n = config_int(mapping, "N")
-    raw_r1 = str(mapping.get("r1", ""))
-    if "r1" not in mapping:
-        raise ValueError("config is missing required key 'r1'")
-    if "," in raw_r1:
-        try:
-            schedule = ImmigrationSpec(np.array([float(v) for v in raw_r1.split(",")]))
-        except ValueError as exc:
-            raise ValueError(f"config key 'r1' vector invalid: {exc}") from None
-    else:
-        try:
-            schedule = ImmigrationSpec.constant(float(raw_r1), n)
-        except ValueError:
-            raise ValueError(f"config key 'r1' is not a number: {raw_r1!r}") from None
+    r1 = _config_value(
+        mapping, "r1", lambda raw: [float(v) for v in str(raw).split(",")],
+        "a number or a comma list of numbers",
+    )
+    schedule = ImmigrationSpec.constant(r1[0], n) if len(r1) == 1 else ImmigrationSpec(r1)
     return ModelParams(
         lam=config_float(mapping, "lambda"),
         mu=config_float(mapping, "mu"),

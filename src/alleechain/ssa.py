@@ -1,8 +1,9 @@
 """Exact stochastic simulation of the birth-death chain.
 
 Gillespie sampling of individual trajectories, time-weighted occupation
-frequency arrays, and reproducible ensembles whose per-run seeds derive
-from (base_seed + run index) so results never depend on execution order.
+frequency arrays, and reproducible ensembles whose run j uses the seed
+base_seed + j, so results never depend on execution order. The ensemble
+summary does not echo its inputs (seeds, horizon, burn-in, epsilon).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Trajectory:
     states: np.ndarray
     capacity_n: int
     t_end: float
-    seed: int
     absorbed: bool
 
     def to_csv(self, stream) -> None:
@@ -53,10 +53,6 @@ class EnsembleSummary:
     run_frequencies: np.ndarray
     extinction_mass: float
     persistence_mass: float
-    epsilon: float
-    seeds: tuple[int, ...]
-    t_end: float
-    burn_in: float
     first_trajectory: Trajectory
 
 
@@ -90,7 +86,7 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
         times.append(t)
         states.append(i)
     return Trajectory(
-        np.asarray(times), np.asarray(states, dtype=np.int64), n, float(t_end), int(seed), absorbed
+        np.asarray(times), np.asarray(states, dtype=np.int64), n, float(t_end), absorbed
     )
 
 
@@ -125,10 +121,9 @@ def ensemble(
         raise ValueError("n_runs must be >= 1")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    seeds = tuple(int(base_seed) + j for j in range(int(n_runs)))
     rows = np.empty((n_runs, params.capacity_n + 1))
-    for j, seed in enumerate(seeds):
-        traj = simulate(params, x0, t_end, seed)
+    for j in range(n_runs):
+        traj = simulate(params, x0, t_end, int(base_seed) + j)
         rows[j] = occupation_distribution(traj, burn_in)
         if j == 0:
             first = traj
@@ -145,9 +140,5 @@ def ensemble(
         run_frequencies=rows,
         extinction_mass=extinction,
         persistence_mass=persistence,
-        epsilon=float(epsilon),
-        seeds=seeds,
-        t_end=float(t_end),
-        burn_in=float(burn_in),
         first_trajectory=first,
     )

@@ -140,7 +140,8 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     product formula so the two can serve as independent witnesses.
 
     Raises:
-        OracleSolveError: the residual ||Q p||_inf stayed above _ORACLE_RESIDUAL_TOL.
+        OracleSolveError: the residual ||Q p||_inf stayed above _ORACLE_RESIDUAL_TOL,
+            or clipping left p_0 = 0, so no log weight relative to state 0 exists.
     """
     b = np.asarray(birth, dtype=float)
     d = np.asarray(death, dtype=float)
@@ -179,6 +180,8 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
         raise OracleSolveError(
             f"null-space residual {residual_inf:.3e} above tolerance {_ORACLE_RESIDUAL_TOL:.1e}"
         )
+    if p[0] == 0.0:
+        raise OracleSolveError("dense solve clipped p_0 to 0; log weights are undefined")
     with np.errstate(divide="ignore"):
         lw = np.log(p) - np.log(p[0])
     return StationaryDistribution(p, lw, n)
@@ -341,32 +344,28 @@ def solve_mode_cubic(params: ModelParams, r1_at_i: float) -> CubicRoots:
     return CubicRoots(roots[0] * n, roots[1] * n, roots[2] * n)
 
 
-def capacity_modes(
-    params: ModelParams, capacity_n: int | None = None
-) -> tuple[StationaryDistribution, ModeProfile, float]:
+def capacity_modes(params: ModelParams) -> tuple[StationaryDistribution, ModeProfile, float]:
     """Stationary law, mode profile and exponent (1/N) log(p_{i+} / p_0).
 
-    The exponent is read off the log weights, so the normalization never
-    enters. capacity_n resizes params; None keeps its capacity.
+    The exponent is read off the log weights, so the normalization never enters.
 
     Raises:
         UnimodalProfileError: the profile has no interior mode to anchor i+.
     """
-    p = params if capacity_n is None else params.with_capacity(int(capacity_n))
-    dist = psd_product(p)
+    dist = psd_product(params)
     profile = mode_profile(dist)
     if profile.i_plus is None:
         raise UnimodalProfileError(
-            f"no interior mode at capacity {p.capacity_n}; the discrete exponent is undefined"
+            f"no interior mode at capacity {params.capacity_n}; the discrete exponent is undefined"
         )
     lw = dist.log_weights
-    return dist, profile, float(lw[profile.i_plus] - lw[0]) / p.capacity_n
+    return dist, profile, float(lw[profile.i_plus] - lw[0]) / params.capacity_n
 
 
-def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, float, float, float]]:
-    """Sweep capacities: rows (N, i_plus/N, |i_plus/N - x_plus| * N, exponent).
+def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, int, float, float, float]]:
+    """Sweep capacities: rows (N, i_plus, i_plus/N, |i_plus/N - x_plus| * N, exponent).
 
-    The third column staying bounded across a doubling sweep is the finite
+    The fourth column staying bounded across a doubling sweep is the finite
     check that the persistence mode converges to x_plus at rate 1/N; the
     last is the discrete exponent of capacity_modes.
 
@@ -377,7 +376,7 @@ def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, float, fl
     rows = []
     for n in n_list:
         n = int(n)
-        _, profile, exponent = capacity_modes(params, n)
+        _, profile, exponent = capacity_modes(params.with_capacity(n))
         density = profile.i_plus / n
-        rows.append((n, density, abs(density - eq.x_plus) * n, exponent))
+        rows.append((n, profile.i_plus, density, abs(density - eq.x_plus) * n, exponent))
     return rows

@@ -147,7 +147,7 @@ def test_criterion_07_mode_scaling(capsys):
     ok = True
     for label, base in (("a", FIG_A), ("b", FIG_B)):
         rows = mode_scaling_check(make_params(base, 100), [100, 200, 400, 800, 1600])
-        gaps = [r[2] for r in rows]
+        gaps = [r[3] for r in rows]
         bounded = max(gaps) <= 3.0
         # a growth trend would show up as the tail of the sweep drifting up
         no_trend = (gaps[-1] + gaps[-2]) / 2 <= (gaps[0] + gaps[1]) / 2 + 1.0
@@ -161,10 +161,9 @@ def test_criterion_08_discrete_to_continuum_exponent(capsys):
     details = []
     ok = True
     for label, base in (("a", FIG_A), ("b", FIG_B)):
-        p = make_params(base, 100)
-        target = markov_exponent(p).integral_value
+        target = markov_exponent(make_params(base, 100)).integral_value
         gaps = [
-            abs(discrete_markov_exponent(p, n) - target)
+            abs(discrete_markov_exponent(make_params(base, n)) - target)
             for n in (1000, 10_000, 100_000)
         ]
         ok = ok and gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 5e-3

@@ -15,8 +15,10 @@ from alleechain import (
     equilibria,
     limit_distribution_diagnostic,
     markov_exponent,
+    psd_product,
     rate_ratio,
 )
+from alleechain.asymptotics import CRITICAL_TOL
 from alleechain.errors import UnimodalProfileError
 
 from conftest import FIG_A, FIG_B, make_params
@@ -78,10 +80,19 @@ def test_markov_exponent_clock_invariance(fig2a):
     assert markov_exponent(scaled).integral_value == pytest.approx(base, abs=1e-12)
 
 
-def test_markov_exponent_wide_critical_band(fig2a):
-    report = markov_exponent(fig2a, critical_tol=1.0)
+def _near_critical(capacity_n: int) -> ModelParams:
+    # fig2a constants with lam tuned until the integral is -1.1e-17
+    return ModelParams.from_constants(
+        lam=1.4200850477045612, mu=1.0, delta1=0.45, delta2=0.1, delta3=1.45,
+        theta=0.03, capacity_n=capacity_n, r1=0.99,
+    )
+
+
+def test_markov_exponent_critical_classification():
+    report = markov_exponent(_near_critical(5000))
+    assert abs(report.integral_value) <= 1e-15
     assert report.classification == CRITICAL
-    assert report.tolerance == 1.0
+    assert report.tolerance == CRITICAL_TOL == 1e-7
 
 
 def test_markov_exponent_requires_assumptions():
@@ -105,16 +116,15 @@ def test_discrete_exponent_reference_values():
 
 def test_discrete_exponent_capacity_override(fig1a):
     direct = discrete_markov_exponent(make_params(FIG_A, 400))
-    via_override = discrete_markov_exponent(fig1a, 400)
-    assert direct == via_override
+    resized = discrete_markov_exponent(fig1a.with_capacity(400))
+    assert direct == resized
 
 
 def test_discrete_exponent_approaches_integral():
     for base in (FIG_A, FIG_B):
-        p = make_params(base, 100)
         target = markov_exponent(make_params(base, 100)).integral_value
         gaps = [
-            abs(discrete_markov_exponent(p, n) - target)
+            abs(discrete_markov_exponent(make_params(base, n)) - target)
             for n in (1000, 10_000, 100_000)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -132,7 +142,9 @@ def test_diagnostic_extinction_branch(fig2a):
     assert [r[0] for r in diag.rows] == [500, 1000]
     assert diag.rows[0][1] == pytest.approx(0.311977, abs=1e-5)
     assert diag.rows[1][1] == pytest.approx(0.024731, abs=1e-5)
-    assert diag.rows[0][2] == pytest.approx(discrete_markov_exponent(fig2a, 500), abs=1e-14)
+    assert diag.rows[0][2] == pytest.approx(
+        discrete_markov_exponent(fig2a.with_capacity(500)), abs=1e-14
+    )
 
 
 def test_diagnostic_persistence_branch(fig2b):
@@ -152,11 +164,13 @@ def test_diagnostic_epsilon_validation(fig2a, fig2b):
         limit_distribution_diagnostic(fig2b, [500], 1.0)
 
 
-def test_diagnostic_critical_warns_and_falls_back(fig2a):
+def test_diagnostic_critical_warns_and_falls_back():
+    p = _near_critical(500)
     with pytest.warns(RuntimeWarning):
-        diag = limit_distribution_diagnostic(fig2a, [500], 0.05, critical_tol=1.0)
+        diag = limit_distribution_diagnostic(p, [500], 0.05)
     assert diag.regime == EXTINCTION
-    assert diag.rows[0][1] == pytest.approx(0.311977, abs=1e-5)
+    density = np.arange(501) / 500
+    assert diag.rows[0][1] == pytest.approx(psd_product(p).probs[density > 0.05].sum(), abs=1e-15)
 
 
 def test_diagnostic_csv_format(fig2a):

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from alleechain import ThresholdReport, mode_profile, mode_scaling_check, psd_product
-from alleechain.cli import main
+from alleechain import ThresholdReport, errors, mode_profile, mode_scaling_check, psd_product
+from alleechain.cli import _COMMANDS, main
 
 from conftest import FIG_A, make_params
 
@@ -200,6 +206,57 @@ def test_simulate_rejects_non_finite_times(tmp_path, text):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf", "0", "-5"])
+def test_ode_rejects_bad_horizon(tmp_path, capsys, t_end):
+    code, out = _run_with_config(tmp_path, "ode", f"t_end = {t_end}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: t_end must be finite and > 0, got {float(t_end)!r}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("r1, message", [
+    ("-0.5", "immigration entries must be finite and >= 0"),
+    ("abc", "config key 'r1' is not a number or a comma list of numbers: 'abc'"),
+    ("0.5,0.5,0.5", "immigration schedule has length 3, expected capacity_n = 100"),
+])
+def test_r1_messages(tmp_path, capsys, r1, message):
+    code, out = _run_with_config(tmp_path, "psd", f"r1 = {r1}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+_TYPED_ERRORS = [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(error=st.sampled_from(_TYPED_ERRORS), message=st.text(max_size=30))
+def test_typed_errors_map_to_exit_codes(tmp_path, error, message):
+    """ValueError subclasses exit 2 and RuntimeError subclasses exit 3."""
+    assert len(_TYPED_ERRORS) == 7  # every exception class in errors.py
+    assert issubclass(error, ValueError) != issubclass(error, RuntimeError)
+
+    def fail(cfg, params, out_dir):
+        raise error(message)
+
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    stderr = io.StringIO()
+    with mock.patch.dict(_COMMANDS, psd=fail), contextlib.redirect_stderr(stderr):
+        code = main(["psd", "--preset", "fig1a", "--out", str(out)])
+    assert list(out.iterdir()) == []
+    if issubclass(error, ValueError):
+        assert (code, stderr.getvalue()) == (2, f"error: {message}\n")
+    else:
+        assert (code, stderr.getvalue()) == (3, f"numerical failure: {message}\n")
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
 def test_simulate_rejects_bad_epsilon(tmp_path, epsilon):
     out = tmp_path / "out"
@@ -274,5 +331,5 @@ def test_sweep_outputs(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     expected = mode_scaling_check(make_params(FIG_A, 100), [100, 200])
     assert [int(r[0]) for r in rows] == [100, 200]
-    assert [int(r[1]) for r in rows] == [round(e[1] * e[0]) for e in expected]
-    assert float(rows[0][3]) == pytest.approx(expected[0][2], rel=1e-12)
+    assert [int(r[1]) for r in rows] == [e[1] for e in expected]
+    assert float(rows[0][3]) == pytest.approx(expected[0][3], rel=1e-12)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alleechain._cubic import real_roots
 
@@ -23,6 +25,8 @@ def test_one_real_root_complex_pair():
     # (x - 1)(x^2 + 8x + 20): the conjugate pair is dropped
     roots = real_roots(1.0, 7.0, 12.0, -20.0)
     assert roots == pytest.approx([1.0], abs=1e-12)
+    # x^3 - 8: the depressed cubic has p = 0 and q != 0
+    assert real_roots(1.0, 0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-12)
 
 
 def test_triple_root():
@@ -114,3 +118,43 @@ def test_randomized_coefficients_vs_numpy():
         assert got == pytest.approx(expected, abs=1e-7 * max(1.0, *map(abs, expected), 1.0))
         checked += 1
     assert checked > 150
+
+
+#: Roots on a 1/8 grid in [-4, 4] keep every coefficient below exact in
+#: float64, so a drawn double or triple root is one in the coefficients too.
+_GRID = st.integers(-32, 32).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0]),
+    shape=st.sampled_from(["three", "double", "complex pair", "quadratic", "quadratic double"]),
+    r=_GRID,
+    s=_GRID,
+    t=_GRID,
+    im=st.integers(1, 32).map(lambda k: k / 8.0),
+)
+@example(lead=1.0, shape="double", r=-4.0, s=0.0, t=-2.0, im=1.0)
+@example(lead=-3.0, shape="double", r=0.0, s=0.0, t=-3.625, im=1.0)
+@example(lead=0.5, shape="three", r=-3.875, s=-3.875, t=-3.875, im=1.0)
+@example(lead=1.0, shape="quadratic double", r=0.0, s=0.0, t=0.0, im=1.0)
+def test_real_roots_match_numpy_on_repeated_roots(lead, shape, r, s, t, im):
+    """Built from known roots, including double roots and c3 = 0."""
+    if shape == "complex pair":
+        coeffs = lead * np.poly([r, complex(s, im), complex(s, -im)]).real
+        expected = [r]
+    elif shape.startswith("quadratic"):
+        pair = [r, r] if shape == "quadratic double" else [r, s]
+        coeffs = np.concatenate([[0.0], lead * np.poly(pair)])
+        expected = sorted(pair)
+    else:
+        expected = sorted([r, r, t] if shape == "double" else [r, s, t])
+        coeffs = lead * np.poly(expected)
+    multiplicity = max(expected.count(x) for x in expected)
+    tol = {1: 1e-8, 2: 1e-6, 3: 1e-4}[multiplicity]
+
+    got = real_roots(*coeffs)
+    assert len(got) == len(expected)
+    assert got == pytest.approx(expected, abs=tol)
+    from_numpy = sorted(float(z.real) for z in np.roots(coeffs) if abs(z.imag) <= tol)
+    assert got == pytest.approx(from_numpy, abs=tol)

@@ -125,7 +125,6 @@ def test_immigration_rhs_reduces_at_alpha_zero(fig1a):
 def test_immigration_equilibria_alpha_zero_matches_base(fig1b):
     eq = equilibria(fig1b)
     result = immigration_equilibria(fig1b, 0.0)
-    assert result.alpha == 0.0
     assert len(result.roots) == 3
     assert result.roots[0] == pytest.approx(0.0, abs=1e-12)
     assert result.roots[1] == pytest.approx(eq.x_minus, abs=1e-12)

@@ -227,10 +227,11 @@ def test_evolve_long_time_reaches_product_formula():
 
 
 def test_evolve_term_budget_error(fig1a):
+    # t = 1e5 needs 19,019,328 series terms; the budget check comes first
     gen = build_generator(fig1a)
     p0 = np.eye(gen.dimension)[0]
-    with pytest.raises(ConvergenceBudgetError):
-        evolve(gen, p0, 100.0, max_terms=10)
+    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+        evolve(gen, p0, 1e5)
 
 
 def test_converge_from_point_mass():
