@@ -55,16 +55,17 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class ConvergenceDiagnostic:
-    """Capacity sweep rows (N, tail_mass, discrete_exponent).
+    """Capacity sweep rows (N, tail_mass, discrete_exponent) and the report
+    whose classification chose the tail.
 
-    In the extinction regime tail_mass is P[Y_N > epsilon]; in the
-    persistence regime it is P[|Y_N - x_plus| > epsilon], where Y_N is the
-    stationary population density. Both are exact sums of the stationary
-    distribution, not simulation estimates.
+    For an extinction (or critical) report tail_mass is P[Y_N > epsilon];
+    for a persistence report it is P[|Y_N - x_plus| > epsilon], where Y_N is
+    the stationary population density. Both are exact sums of the
+    stationary distribution, not simulation estimates.
     """
 
     rows: tuple[tuple[int, float, float], ...]
-    regime: str
+    report: ThresholdReport
 
     def to_csv(self, stream) -> None:
         _csv.write_rows(stream, "N,tail_mass,discrete_exponent", *zip(*self.rows))
@@ -143,8 +144,8 @@ def limit_distribution_diagnostic(
     """Exact stationary tail masses along a capacity sweep.
 
     The regime (which tail to sum) follows the sign classification of the
-    integral. A critical classification cannot choose a branch; it warns
-    and falls back to the extinction tail.
+    integral, and the result carries that report. A critical classification
+    cannot choose a branch; it warns and falls back to the extinction tail.
 
     Args:
         params: model constants; immigration must be a constant schedule so
@@ -181,4 +182,4 @@ def limit_distribution_diagnostic(
         else:
             tail = float(dist.probs[np.abs(density - eq.x_plus) > epsilon].sum())
         rows.append((n, tail, exponent))
-    return ConvergenceDiagnostic(tuple(rows), regime)
+    return ConvergenceDiagnostic(tuple(rows), report)

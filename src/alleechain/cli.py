@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ from . import _csv, asymptotics, deterministic, master_eq, ssa, stationary
 from .model import (
     CONFIG_KEYS,
     ModelParams,
+    _config_value,
     config_float,
     config_int,
     config_int_list,
@@ -138,16 +138,16 @@ def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    report = asymptotics.markov_exponent(params)
     diagnostic = asymptotics.limit_distribution_diagnostic(
         params, config_int_list(cfg, "n_list"), config_float(cfg, "epsilon")
     )
-    _write_json(out_dir / "threshold.json", report.to_summary())
+    _write_json(out_dir / "threshold.json", diagnostic.report.to_summary())
     with _write_atomic(out_dir / "diagnostic.csv") as f:
         diagnostic.to_csv(f)
 
 
 def _start_vector(label: str, dimension: int) -> np.ndarray:
+    unknown = f"unknown start {label!r}; use delta0, deltaN, uniform or state:<i>"
     if label == "uniform":
         return np.full(dimension, 1.0 / dimension)
     if label == "delta0":
@@ -155,9 +155,12 @@ def _start_vector(label: str, dimension: int) -> np.ndarray:
     elif label == "deltaN":
         state = dimension - 1
     elif label.startswith("state:"):
-        state = int(label.split(":", 1)[1])
+        try:
+            state = int(label.removeprefix("state:"))
+        except ValueError:
+            raise ValueError(unknown) from None
     else:
-        raise ValueError(f"unknown start {label!r}; use delta0, deltaN, uniform or state:<i>")
+        raise ValueError(unknown)
     if not 0 <= state < dimension:
         raise ValueError(f"state {state} outside 0..{dimension - 1}")
     p = np.zeros(dimension)
@@ -168,7 +171,11 @@ def _start_vector(label: str, dimension: int) -> np.ndarray:
 def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     gen = master_eq.build_generator(params)
     p = _start_vector(cfg["start"], gen.dimension)
-    times = [float(v) for v in cfg["times"].split(",") if v.strip()]
+    times = _config_value(
+        cfg, "times", lambda raw: [float(v) for v in raw.split(",") if v.strip()],
+        "a comma list of numbers",
+    )
+    tol, max_horizon = config_float(cfg, "tol"), config_float(cfg, "max_horizon")
     if times:
         if sorted(times) != times or times[0] < 0:
             raise ValueError("times must be nonnegative and ascending")
@@ -182,7 +189,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}
     else:
         final, horizon, achieved_tv = master_eq.converge_to_stationary(
-            gen, p, config_float(cfg, "tol"), max_horizon=config_float(cfg, "max_horizon")
+            gen, p, tol, max_horizon=max_horizon
         )
         with _write_atomic(out_dir / "final.csv") as f:
             _csv.write_rows(f, "state,prob", np.arange(gen.dimension), final)
@@ -213,10 +220,9 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
             f, "state,density,mean_frequency",
             states, states / params.capacity_n, summary.mean_occupation,
         )
-    persistence = summary.persistence_mass  # NaN without x+*; strict JSON writes null
     _write_json(out_dir / "ensemble.json", {
         "extinction_mass": summary.extinction_mass,
-        "persistence_mass": None if math.isnan(persistence) else persistence,
+        "persistence_mass": summary.persistence_mass,
         "epsilon": epsilon,
         "seeds": list(range(seed, seed + runs)),
         "t_end": t_end,
@@ -226,19 +232,20 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
 
 def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     t_end = config_float(cfg, "t_end")
+    grid = config_int(cfg, "grid")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     if cfg["x0"]:
-        traj = deterministic.integrate(params, config_float(cfg, "x0"), t_end)
+        x0 = config_float(cfg, "x0")
+        traj = deterministic.integrate(params, x0, t_end)
         with _write_atomic(out_dir / "ode.csv") as f:
             traj.to_csv(f)
         _write_json(out_dir / "ode_summary.json", {
-            "x0": config_float(cfg, "x0"),
+            "x0": x0,
             "classification": traj.classification,
             "x_plus": traj.x_plus,
         })
     else:
-        grid = config_int(cfg, "grid")
-        if grid < 2:
-            raise ValueError("grid must be >= 2")
         x0s = np.linspace(0.0, 1.0, grid).tolist()
         trajs = [deterministic.integrate(params, x0, t_end) for x0 in x0s]
         with _write_atomic(out_dir / "basin.csv") as f:

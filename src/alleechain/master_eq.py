@@ -38,22 +38,20 @@ class GeneratorMatrix:
     Column i carries the outflow -(b[i] + d[i]) on the diagonal, the birth
     flux b[i] just below it and the death flux d[i] just above it, so that
     the master equation reads dp/dt = Q p for a column probability vector.
-    Only the two rate diagonals are stored.
+    Only the two rate diagonals are stored, as read-only float copies of the
+    array-likes passed in: b[N] and d[0] must be exactly 0, every rate >= 0.
     """
 
     birth: np.ndarray
     death: np.ndarray
 
     def __post_init__(self):
-        self.birth.setflags(write=False)
-        self.death.setflags(write=False)
-
-    @classmethod
-    def from_rates(cls, birth, death) -> "GeneratorMatrix":
-        b, d = validate_rates(birth, death)
+        b, d = validate_rates(self.birth, self.death)
         if d[0] != 0.0:
             raise ValueError("death rate at state 0 must be exactly 0")
-        return cls(b, d)
+        for name, rates in (("birth", b), ("death", d)):
+            rates.setflags(write=False)
+            object.__setattr__(self, name, rates)
 
     @property
     def dimension(self) -> int:
@@ -97,8 +95,7 @@ def _stencil(gen: GeneratorMatrix, v: np.ndarray, out: np.ndarray):
 
 def build_generator(params: ModelParams) -> GeneratorMatrix:
     """Assemble Q from the model's birth and death rates."""
-    b, d = rate_arrays(params)
-    return GeneratorMatrix.from_rates(b, d)
+    return GeneratorMatrix(*rate_arrays(params))
 
 
 def total_variation(p, q) -> float:

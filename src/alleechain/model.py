@@ -21,8 +21,14 @@ import numpy as np
 
 from .errors import AssumptionError
 
+#: (config key, ModelParams field) of the six rate constants, in canonical order.
+_CONSTANT_KEYS = (
+    ("lambda", "lam"), ("mu", "mu"), ("delta1", "delta1"),
+    ("delta2", "delta2"), ("delta3", "delta3"), ("theta", "theta"),
+)
+
 #: Configuration keys understood by params_from_config, in canonical order.
-CONFIG_KEYS = ("lambda", "mu", "delta1", "delta2", "delta3", "theta", "N", "r1")
+CONFIG_KEYS = (*(key for key, _ in _CONSTANT_KEYS), "N", "r1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +165,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EquilibriumPair:
-    """The two positive equilibria of the density balance, with discriminant."""
+    """The two positive equilibria x-* < x+* of the density balance."""
 
     x_minus: float
     x_plus: float
-    discriminant: float
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,6 @@ class AssumptionReport:
     def bistability_holds(self) -> bool:
         return self.threshold_chain and self.density_dependence and self.discriminant_positive
 
-    @property
-    def all_hold(self) -> bool:
-        return self.bistability_holds and self.capacity_interior and self.immigration_bounded
-
 
 def basic_reproduction_ratio(params: ModelParams) -> float:
     """R0 = lambda / mu, the expected offspring per individual lifetime."""
@@ -207,7 +208,8 @@ def balance_coefficients(params: ModelParams) -> tuple[float, float, float]:
         c = theta*(1 + delta3 - R0)
 
     When the bistability conditions hold, all three are positive and
-    b**2 - 4*a*c equals the discriminant reported by equilibria().
+    b**2 - 4*a*c equals, in exact arithmetic, the balance discriminant whose
+    sign check_assumptions reports as discriminant_positive.
     """
     r0 = basic_reproduction_ratio(params)
     a = r0 * params.delta1 + params.delta2
@@ -295,8 +297,8 @@ def equilibria(params: ModelParams) -> EquilibriumPair:
     if not report.bistability_holds:
         detail = "; ".join(m for m in report.messages if m.startswith("bistability"))
         raise AssumptionError(f"equilibria need bistability: {detail}", report)
-    disc, (x_minus, x_plus) = _balance_roots(params)
-    return EquilibriumPair(x_minus=x_minus, x_plus=x_plus, discriminant=disc)
+    _, (x_minus, x_plus) = _balance_roots(params)
+    return EquilibriumPair(x_minus=x_minus, x_plus=x_plus)
 
 
 def per_capita_factors(params: ModelParams, x):
@@ -398,16 +400,8 @@ def params_from_config(mapping) -> ModelParams:
         "a number or a comma list of numbers",
     )
     schedule = ImmigrationSpec.constant(r1[0], n) if len(r1) == 1 else ImmigrationSpec(r1)
-    return ModelParams(
-        lam=config_float(mapping, "lambda"),
-        mu=config_float(mapping, "mu"),
-        delta1=config_float(mapping, "delta1"),
-        delta2=config_float(mapping, "delta2"),
-        delta3=config_float(mapping, "delta3"),
-        theta=config_float(mapping, "theta"),
-        capacity_n=n,
-        immigration=schedule,
-    )
+    constants = {field: config_float(mapping, key) for key, field in _CONSTANT_KEYS}
+    return ModelParams(**constants, capacity_n=n, immigration=schedule)
 
 
 def params_to_config(params: ModelParams) -> dict[str, str]:
@@ -420,13 +414,5 @@ def params_to_config(params: ModelParams) -> dict[str, str]:
         r1 = repr(float(params.immigration.r1[0]))
     else:
         r1 = ",".join(repr(float(v)) for v in params.immigration.r1)
-    return {
-        "lambda": repr(params.lam),
-        "mu": repr(params.mu),
-        "delta1": repr(params.delta1),
-        "delta2": repr(params.delta2),
-        "delta3": repr(params.delta3),
-        "theta": repr(params.theta),
-        "N": str(params.capacity_n),
-        "r1": r1,
-    }
+    config = {key: repr(getattr(params, field)) for key, field in _CONSTANT_KEYS}
+    return {**config, "N": str(params.capacity_n), "r1": r1}

@@ -44,15 +44,15 @@ class EnsembleSummary:
     run_frequencies holds the per-run occupation rows (n_runs x (N+1)) so
     callers can form Monte Carlo standard errors across runs.
     extinction_mass is the pooled mass at densities <= epsilon;
-    persistence_mass the pooled mass within epsilon of x_plus (NaN when the
-    parameters admit no persistence equilibrium). first_trajectory is the
-    path of the first run (seed base_seed).
+    persistence_mass the pooled mass within epsilon of x_plus, or None when
+    the parameters admit no persistence equilibrium (as in OdeTrajectory).
+    first_trajectory is the path of the first run (seed base_seed).
     """
 
     mean_occupation: np.ndarray
     run_frequencies: np.ndarray
     extinction_mass: float
-    persistence_mass: float
+    persistence_mass: float | None
     first_trajectory: Trajectory
 
 
@@ -67,6 +67,8 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
         raise ValueError(f"initial state {x0} outside 0..{n}")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     b, d = rate_arrays(params)
     rng = np.random.default_rng(seed)
     times = [0.0]
@@ -134,7 +136,7 @@ def ensemble(
         x_plus = equilibria(params).x_plus
         persistence = float(mean[np.abs(density - x_plus) <= epsilon].sum())
     except AssumptionError:
-        persistence = float("nan")
+        persistence = None
     return EnsembleSummary(
         mean_occupation=mean,
         run_frequencies=rows,

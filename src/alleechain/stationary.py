@@ -45,23 +45,33 @@ class StationaryDistribution:
     log_weights[i] is log(p_i / p_0), so log_weights[0] == 0. The normalized
     probs are derived from the weights through log-sum-exp; entries whose
     weight sits below the float64 underflow threshold flush to zero in probs
-    while the log weight keeps the information exactly.
+    while the log weight keeps the information exactly. Both are stored as
+    read-only float copies of the vectors passed in, of equal length N + 1;
+    the capacity N is read off that length.
     """
 
     probs: np.ndarray
     log_weights: np.ndarray
-    capacity_n: int
 
     def __post_init__(self):
-        self.probs.setflags(write=False)
-        self.log_weights.setflags(write=False)
+        probs = np.array(self.probs, dtype=float)
+        lw = np.array(self.log_weights, dtype=float)
+        if probs.ndim != 1 or probs.shape != lw.shape or probs.size < 2:
+            raise ValueError("probs and log_weights must be equal-length vectors over states 0..N")
+        for name, values in (("probs", probs), ("log_weights", lw)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    @property
+    def capacity_n(self) -> int:
+        return self.probs.size - 1
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "StationaryDistribution":
-        lw = np.array(log_weights, dtype=float)
+        lw = np.asarray(log_weights, dtype=float)
         probs = np.exp(lw - logsumexp(lw))
         probs /= probs.sum()
-        return cls(probs, lw, lw.size - 1)
+        return cls(probs, lw)
 
     def to_csv(self, stream) -> None:
         """Write rows (state, density, prob, log_weight)."""
@@ -184,7 +194,7 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
         raise OracleSolveError("dense solve clipped p_0 to 0; log weights are undefined")
     with np.errstate(divide="ignore"):
         lw = np.log(p) - np.log(p[0])
-    return StationaryDistribution(p, lw, n)
+    return StationaryDistribution(p, lw)
 
 
 def psd_nullspace_oracle(params: ModelParams) -> StationaryDistribution:

@@ -138,7 +138,7 @@ def test_discrete_exponent_needs_interior_mode():
 
 def test_diagnostic_extinction_branch(fig2a):
     diag = limit_distribution_diagnostic(fig2a, [500, 1000], 0.05)
-    assert diag.regime == EXTINCTION
+    assert diag.report.classification == EXTINCTION
     assert [r[0] for r in diag.rows] == [500, 1000]
     assert diag.rows[0][1] == pytest.approx(0.311977, abs=1e-5)
     assert diag.rows[1][1] == pytest.approx(0.024731, abs=1e-5)
@@ -149,7 +149,7 @@ def test_diagnostic_extinction_branch(fig2a):
 
 def test_diagnostic_persistence_branch(fig2b):
     diag = limit_distribution_diagnostic(fig2b, [500, 1000], 0.05)
-    assert diag.regime == PERSISTENCE
+    assert diag.report.classification == PERSISTENCE
     assert diag.rows[0][1] == pytest.approx(0.250, abs=5e-4)
     assert diag.rows[0][1] > diag.rows[1][1]
 
@@ -168,7 +168,7 @@ def test_diagnostic_critical_warns_and_falls_back():
     p = _near_critical(500)
     with pytest.warns(RuntimeWarning):
         diag = limit_distribution_diagnostic(p, [500], 0.05)
-    assert diag.regime == EXTINCTION
+    assert diag.report.classification == CRITICAL
     density = np.arange(501) / 500
     assert diag.rows[0][1] == pytest.approx(psd_product(p).probs[density > 0.05].sum(), abs=1e-15)
 

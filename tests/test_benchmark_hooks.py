@@ -13,7 +13,9 @@ import types
 from pathlib import Path
 
 import alleechain
-from alleechain import GeneratorMatrix, master_eq
+from alleechain import GeneratorMatrix, master_eq, psd_product
+
+from conftest import FIG_A, make_params
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,11 +43,20 @@ def test_evolve_keeps_the_traced_signature():
     # the tracer reads the horizon as args[2] or kwargs["t"]
     assert list(params)[2] == "t"
     assert params["truncation_tol"].default is not inspect.Parameter.empty
-    gen = GeneratorMatrix.from_rates([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
+    gen = GeneratorMatrix([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
     assert _load_tracing()._evolve_terms(gen, 1.0, None) > 0
 
 
 def test_generator_keeps_rate_and_dimension():
-    gen = GeneratorMatrix.from_rates([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
+    gen = GeneratorMatrix([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
     assert gen.dimension == 3
     assert gen.uniformization_rate() > 4.0  # max of b + d, with a margin
+
+
+def test_stationary_keeps_the_traced_capacity():
+    # the psd_product and to_csv extractors read capacity_n off the distribution
+    dist = psd_product(make_params(FIG_A, 100))
+    assert dist.capacity_n == 100
+    extractors = {name: info for name, _, _, info in _load_tracing().TRACED}
+    assert extractors["stationary.psd_product"]((), {}, dist) == 101
+    assert extractors["stationary.to_csv"]((dist, None), {}, None) == 101

@@ -199,6 +199,30 @@ def test_evolve_rejects_infinite_checkpoint(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("evolve", "times = 1,abc\n", "config key 'times' is not a comma list of numbers: '1,abc'"),
+    ("evolve", "start = state:abc\n",
+     "unknown start 'state:abc'; use delta0, deltaN, uniform or state:<i>"),
+    # checkpoint mode never uses tol or max_horizon, but still parses them
+    ("evolve", "times = 1\ntol = abc\n", "config key 'tol' is not a number: 'abc'"),
+    ("evolve", "times = 1\nmax_horizon = abc\n",
+     "config key 'max_horizon' is not a number: 'abc'"),
+    # a single trajectory never uses the grid, but still checks it
+    ("ode", "x0 = 0.5\ngrid = 1\n", "grid must be >= 2"),
+])
+def test_command_keys_are_checked_in_every_mode(tmp_path, capsys, command, text, message):
+    code, out = _run_with_config(tmp_path, command, text)
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("simulate", "--preset", "fig1a", "--seed", "-2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["t_end = inf\n", "t_end = nan\n", "burn_in = nan\n"])
 def test_simulate_rejects_non_finite_times(tmp_path, text):
     code, out = _run_with_config(tmp_path, "simulate", "runs = 1\n" + text)

@@ -33,7 +33,7 @@ def _dense(gen):
 
 
 def test_two_state_generator_by_hand():
-    gen = GeneratorMatrix.from_rates([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
+    gen = GeneratorMatrix([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
     expected = np.array([
         [-1.0, 1.0, 0.0],
         [1.0, -3.0, 4.0],
@@ -104,7 +104,7 @@ def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_tim
     death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
     birth[-1] = 0.0
     death[0] = 0.0
-    gen = GeneratorMatrix.from_rates(birth, death)
+    gen = GeneratorMatrix(birth, death)
     rate = gen.uniformization_rate()
     assume(rate > 0.0)
     if point_mass:
@@ -132,24 +132,26 @@ def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_tim
 
 def test_generator_rejects_bad_rates():
     with pytest.raises(ValueError):
-        GeneratorMatrix.from_rates([1.0, 1.0], [0.0, 1.0])  # b[N] != 0
+        GeneratorMatrix([1.0, 1.0], [0.0, 1.0])  # b[N] != 0
     with pytest.raises(ValueError):
-        GeneratorMatrix.from_rates([1.0, 0.0], [0.5, 1.0])  # d[0] != 0
+        GeneratorMatrix([1.0, 0.0], [0.5, 1.0])  # d[0] != 0
     with pytest.raises(ValueError):
-        GeneratorMatrix.from_rates([-1.0, 0.0], [0.0, 1.0])
+        GeneratorMatrix([-1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        GeneratorMatrix.from_rates([0.0], [0.0])
+        GeneratorMatrix([0.0], [0.0])
 
 
-def test_from_rates_leaves_caller_arrays_alone():
+def test_generator_leaves_caller_arrays_alone():
     b = np.array([1.0, 2.0, 0.0])
     d = np.array([0.0, 1.0, 4.0])
-    gen = GeneratorMatrix.from_rates(b, d)
+    gen = GeneratorMatrix(b, d)
     assert b.flags.writeable and d.flags.writeable
     assert not gen.birth.flags.writeable and not gen.death.flags.writeable
     b[0] = 7.0
     d[1] = 7.0
     assert gen.birth[0] == 1.0 and gen.death[1] == 1.0
+    listed = GeneratorMatrix([1.0, 2.0, 0.0], [0.0, 1.0, 4.0])
+    assert listed.birth.dtype == float and not listed.birth.flags.writeable
 
 
 def test_uniformization_rate_covers_all_states(fig1b):

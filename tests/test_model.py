@@ -103,7 +103,7 @@ def test_equilibria_are_quadratic_roots(corpus):
             residual = (a * x - b) * x + c
             assert abs(residual) <= 1e-12 * max(abs(a * x * x), abs(b * x), abs(c))
         assert 0.0 < eq.x_minus < eq.x_plus <= 1.0
-        assert eq.discriminant > 0.0
+        assert check_assumptions(p).discriminant_positive
 
 
 def test_equilibria_golden_values():
@@ -122,7 +122,7 @@ def test_check_assumptions_all_hold():
     assert report.discriminant_positive
     assert report.capacity_interior
     assert report.immigration_bounded
-    assert report.bistability_holds and report.all_hold
+    assert report.bistability_holds
     assert report.messages == ()
 
 
@@ -133,7 +133,6 @@ def test_check_assumptions_no_density_dependence():
     )
     report = check_assumptions(p)
     assert not report.density_dependence
-    assert not report.all_hold
     assert any("delta1" in m for m in report.messages)
 
 
@@ -145,7 +144,6 @@ def test_check_assumptions_chain_fails():
     )
     report = check_assumptions(p)
     assert not report.threshold_chain
-    assert not report.all_hold
 
 
 def test_check_assumptions_interior_capacity_fails():
@@ -157,7 +155,6 @@ def test_check_assumptions_interior_capacity_fails():
     report = check_assumptions(p)
     assert report.threshold_chain and report.discriminant_positive
     assert not report.capacity_interior
-    assert not report.all_hold
 
 
 def test_check_assumptions_flags_immigration_excess():
@@ -172,7 +169,6 @@ def test_check_assumptions_flags_immigration_excess():
     )
     report = check_assumptions(p)
     assert not report.immigration_bounded
-    assert not report.all_hold
 
 
 def test_equilibria_raises_with_report():

@@ -68,6 +68,10 @@ def test_input_validation(fig1a):
     for t_end in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             simulate(fig1a, 10, t_end, 0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -2$"):
+        simulate(fig1a, 10, 10.0, -2)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        ensemble(fig1a, 3, 10, 10.0, -1)
 
 
 def test_absorption_without_immigration():
@@ -163,13 +167,13 @@ def test_ensemble_masses(fig1a):
             ensemble(fig1a, 1, 50, 10.0, 0, epsilon=epsilon)
 
 
-def test_ensemble_persistence_mass_nan_without_equilibria():
+def test_ensemble_persistence_mass_none_without_equilibria():
     p = ModelParams.from_constants(
         lam=0.9, mu=1.0, delta1=0.2, delta2=0.0, delta3=1.5,
         theta=0.03, capacity_n=20, r1=0.5,
     )
     summary = ensemble(p, 2, 10, 50.0, 0, burn_in=5.0)
-    assert math.isnan(summary.persistence_mass)
+    assert summary.persistence_mass is None
     assert 0.0 <= summary.extinction_mass <= 1.0
 
 

@@ -286,6 +286,19 @@ def test_from_log_weights_leaves_caller_array_alone():
     assert dist.log_weights[1] == -1.0
 
 
+def test_constructor_copies_and_checks_shapes():
+    probs, lw = np.array([0.5, 0.5]), np.zeros(2)
+    dist = StationaryDistribution(probs, lw)
+    assert dist.capacity_n == 1
+    assert probs.flags.writeable and lw.flags.writeable
+    assert not dist.probs.flags.writeable and not dist.log_weights.flags.writeable
+    probs[0] = 7.0
+    assert dist.probs[0] == 0.5
+    for bad_probs, bad_lw in (([0.5, 0.5], [0.0, 0.0, 0.0]), ([[1.0]], [[0.0]]), ([1.0], [0.0])):
+        with pytest.raises(ValueError):
+            StationaryDistribution(bad_probs, bad_lw)
+
+
 def test_from_rates_leaves_caller_arrays_alone():
     b = np.array([1.0, 2.0, 0.0])
     d = np.array([0.0, 1.0, 4.0])
@@ -359,3 +372,22 @@ def test_csv_roundtrip_is_bit_exact(fig1a):
     lw = np.array([float(line.split(",")[3]) for line in lines[1:]])
     assert np.array_equal(probs, dist.probs)
     assert np.array_equal(lw, dist.log_weights)
+
+
+def test_log_weights_stay_exact_at_a_million_states():
+    """At N = 1e6 almost every prob underflows, but no log weight does."""
+    n = 1_000_000
+    params = make_params(FIG_A, n)
+    dist = psd_product(params)
+    lw = dist.log_weights
+    assert lw[0] == 0.0 and np.all(np.isfinite(lw))
+    assert int(np.count_nonzero(dist.probs == 0.0)) > 0.99 * n
+    profile = mode_profile(dist)
+    assert (profile.i_minus, profile.i_plus) == (104326, 413619)
+    # the cumulative sum drifts from an exactly rounded sum of the same
+    # increments only by its rounding error
+    b, d = rate_arrays(params)
+    increments = np.log(b[:-1]) - np.log(d[1:])
+    for k in (profile.i_minus, profile.i_plus, n):
+        exact = math.fsum(increments[:k])
+        assert abs(lw[k] - exact) <= 1e-12 * abs(exact)
