@@ -176,6 +176,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         "a comma list of numbers",
     )
     tol, max_horizon = config_float(cfg, "tol"), config_float(cfg, "max_horizon")
+    master_eq._check_converge_settings(tol, max_horizon)  # checkpoint mode too
     if times:
         if sorted(times) != times or times[0] < 0:
             raise ValueError("times must be nonnegative and ascending")

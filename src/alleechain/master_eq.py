@@ -6,6 +6,17 @@ simplex by construction, within a budget of _MAX_TERMS series terms per
 call. The long-horizon driver witnesses convergence to the product-formula
 stationary distribution from arbitrary starts. Inputs are copied, and every
 distribution returned is a new read-only float array.
+
+evolve always works on the whole state space and is the exact reference.
+The driver runs each of its legs on a finite state projection (Munsky and
+Khammash 2006) instead: a window of states around the support of the leg's
+start vector, bordered by two absorbing sink states that collect the mass
+the full chain would move out of the window. The sink mass (the leak) is
+the l1 distance of the window's interior from the exact leg, so the
+renormalized leg is within twice its leak, plus the series truncation, of
+the full-space leg. A leg whose leak exceeds _WINDOW_TOL is re-run on a
+wider window, and one whose window reaches the whole space is plain
+evolve.
 """
 
 from __future__ import annotations
@@ -29,6 +40,12 @@ _INITIAL_HORIZON = 1.0
 
 #: Largest number of uniformization series terms one evolve call may sum.
 _MAX_TERMS = 5_000_000
+
+#: States a projection window first adds on each side of the start support.
+_WINDOW_MARGIN = 64
+
+#: Largest sink mass (l1 projection error) a windowed leg may leak.
+_WINDOW_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +191,54 @@ def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12)
     return acc
 
 
+def _windowed_leg(
+    gen: GeneratorMatrix, p: np.ndarray, t: float
+) -> tuple[np.ndarray, int, int, float]:
+    """exp(Qt) p on a finite state projection of the chain.
+
+    The window [lo, hi] is the support of p widened by _WINDOW_MARGIN states
+    on each side. The states lo - 1 and hi + 1, where they exist, become
+    absorbing sinks (both their rates are zeroed), and the leg is evolve on
+    that sub-generator, whose uniformization rate covers the window only.
+    The interior is a lower bound on the exact leg and the sink mass is its
+    l1 distance from it; while that leak exceeds _WINDOW_TOL the margin
+    doubles and the leg is re-run. A window that reaches the whole space is
+    evolve on gen itself, bit for bit.
+
+    Returns (probs, lo, hi, leak): probs is the interior scattered into a
+    new read-only full-length array and renormalized to unit sum.
+    """
+    last = gen.dimension - 1
+    support = np.flatnonzero(p)
+    margin = _WINDOW_MARGIN
+    while support.size:
+        lo, hi = max(int(support[0]) - margin, 0), min(int(support[-1]) + margin, last)
+        if lo == 0 and hi == last:
+            break
+        start, stop = max(lo - 1, 0), min(hi + 2, last + 1)
+        sinks = [0] * (lo > 0) + [stop - start - 1] * (hi < last)
+        birth, death = gen.birth[start:stop].copy(), gen.death[start:stop].copy()
+        birth[sinks] = death[sinks] = 0.0
+        sub = evolve(GeneratorMatrix(birth, death), p[start:stop], t)
+        leak = float(sub[sinks].sum())
+        if leak <= _WINDOW_TOL:
+            probs = np.zeros(gen.dimension)
+            probs[lo:hi + 1] = sub[lo - start:hi + 1 - start]
+            probs /= probs.sum()
+            probs.setflags(write=False)
+            return probs, lo, hi, leak
+        margin *= 2
+    return evolve(gen, p, t), 0, last, 0.0
+
+
+def _check_converge_settings(tol: float, max_horizon: float) -> None:
+    """Raise ValueError unless tol >= 0 and max_horizon > 0, both finite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not (math.isfinite(max_horizon) and max_horizon > 0):
+        raise ValueError(f"max_horizon must be finite and > 0, got {max_horizon!r}")
+
+
 def converge_to_stationary(
     gen: GeneratorMatrix,
     p0,
@@ -189,16 +254,21 @@ def converge_to_stationary(
     to the reference), probs a new read-only array; elapsed is 0 when p0
     already satisfies the tolerance.
 
+    Each leg runs on a finite state projection around the support of its
+    start vector (see _windowed_leg): states outside the window are cut
+    off, with an absorbing sink on each side that collects the mass the
+    leg leaks out of it. In l1 a leg differs from the full-space evolve by
+    at most twice its leak (<= _WINDOW_TOL) plus the series truncation,
+    and a leg whose window is the whole space is the full-space evolve.
+    The returned distance is measured exactly on the returned vector.
+
     Raises:
         ValueError: tol is negative or not finite, or max_horizon is not a
             finite positive number.
         ConvergenceBudgetError: max_horizon was integrated without reaching
             tol; carries the achieved distance and the final distribution.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not (math.isfinite(max_horizon) and max_horizon > 0):
-        raise ValueError(f"max_horizon must be finite and > 0, got {max_horizon!r}")
+    _check_converge_settings(tol, max_horizon)
     target = stationary_from_rates(gen.birth, gen.death).probs
     current = _frozen_copy(gen, p0)
     elapsed = 0.0
@@ -207,7 +277,7 @@ def converge_to_stationary(
         return current, elapsed, tv
     horizon = _INITIAL_HORIZON
     while True:
-        current = evolve(gen, current, horizon)
+        current = _windowed_leg(gen, current, horizon)[0]
         elapsed += horizon
         tv = total_variation(current, target)
         if tv <= tol:

@@ -207,6 +207,8 @@ def test_evolve_rejects_infinite_checkpoint(tmp_path, capsys):
     ("evolve", "times = 1\ntol = abc\n", "config key 'tol' is not a number: 'abc'"),
     ("evolve", "times = 1\nmax_horizon = abc\n",
      "config key 'max_horizon' is not a number: 'abc'"),
+    ("evolve", "times = 1\ntol = nan\n", "tol must be finite and >= 0, got nan"),
+    ("evolve", "times = 1\nmax_horizon = -3\n", "max_horizon must be finite and > 0, got -3.0"),
     # a single trajectory never uses the grid, but still checks it
     ("ode", "x0 = 0.5\ngrid = 1\n", "grid must be >= 2"),
 ])

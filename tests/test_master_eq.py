@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from alleechain import (
     converge_to_stationary,
     evolve,
     psd_product,
+    stationary_from_rates,
     total_variation,
 )
 
+from alleechain import master_eq
 from alleechain.cli import _start_vector
+from alleechain.master_eq import _WINDOW_TOL, _windowed_leg
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -276,6 +281,145 @@ def test_converge_budget_reports_progress():
     assert err.achieved_tv is not None and err.achieved_tv > 1e-12
     assert err.horizon >= 2.0
     assert err.witness.shape == (gen.dimension,) and not err.witness.flags.writeable
+
+
+@contextlib.contextmanager
+def _recorded_legs():
+    """Record every leg converge_to_stationary runs.
+
+    Each record is (start, t, lo, hi, leak, raw): raw is the last evolve
+    output of the leg, that is the sub-generator's vector with the sinks
+    before the interior is renormalized, or the full-space result.
+    """
+    legs = []
+
+    def evolve_and_keep(*args):
+        raws.append(evolve(*args))
+        return raws[-1]
+
+    def leg(gen, p, t):
+        raws.clear()
+        with mock.patch.object(master_eq, "evolve", evolve_and_keep):
+            probs, lo, hi, leak = _windowed_leg(gen, p, t)
+        legs.append((p, t, lo, hi, leak, raws[-1]))
+        return probs, lo, hi, leak
+
+    raws = []
+    with mock.patch.object(master_eq, "_windowed_leg", leg):
+        yield legs
+
+
+def _reference_converge(gen, p0, tol, max_horizon):
+    """converge_to_stationary's doubling legs, each a full-space evolve."""
+    target = stationary_from_rates(gen.birth, gen.death).probs
+    current, elapsed, horizon = np.array(p0, dtype=float), 0.0, 1.0
+    while total_variation(current, target) > tol and elapsed < max_horizon:
+        current = evolve(gen, current, horizon)
+        elapsed += horizon
+        horizon *= 2.0
+    return current, elapsed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, 400),
+    scale=st.floats(0.05, 5.0),
+    # birth over death rate: mass drifts up (> 1) or down (< 1)
+    bias=st.floats(0.2, 5.0),
+    point_mass=st.booleans(),
+    tol=st.sampled_from([1e-2, 1e-5, 1e-8]),
+)
+# a drift of ~25 states per unit time outruns the first margins of the later legs
+@example(seed=3, dimension=400, scale=5.0, bias=5.0, point_mass=True, tol=1e-8)
+@example(seed=4, dimension=300, scale=1.0, bias=0.2, point_mass=True, tol=1e-5)
+def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
+    rng = np.random.default_rng(seed)
+    birth = rng.uniform(0.1, 1.0, dimension) * scale * math.sqrt(bias)
+    death = rng.uniform(0.1, 1.0, dimension) * scale / math.sqrt(bias)
+    birth[-1] = 0.0
+    death[0] = 0.0
+    gen = GeneratorMatrix(birth, death)
+    p0 = np.zeros(dimension)
+    first = int(rng.integers(dimension))
+    if point_mass:
+        p0[first] = 1.0
+    else:
+        bump = slice(first, min(first + 5, dimension))
+        p0[bump] = rng.dirichlet(np.ones(p0[bump].size))
+    max_horizon = 64.0
+
+    with _recorded_legs() as legs:
+        try:
+            probs, horizon, _ = converge_to_stationary(gen, p0, tol, max_horizon=max_horizon)
+        except ConvergenceBudgetError as err:
+            probs, horizon = err.witness, err.horizon
+    expected, expected_horizon = _reference_converge(gen, p0, tol, max_horizon)
+
+    assert horizon == expected_horizon
+    leaks = sum(leak for *_, leak, _ in legs)
+    assert np.abs(probs - expected).max() <= leaks + 2e-12 * len(legs)
+    for start, t, lo, hi, leak, raw in legs:
+        assert 0.0 <= leak <= _WINDOW_TOL
+        # finite state projection: the window's interior never exceeds the
+        # exact leg from the same start, up to rounding slack
+        interior = raw[int(lo > 0):][:hi - lo + 1]
+        assert np.all(interior <= evolve(gen, start, t)[lo:hi + 1] + 2e-12)
+
+
+def test_fig2a_converge_stays_in_small_windows(fig2a):
+    gen = build_generator(fig2a)
+    with _recorded_legs() as legs:
+        probs, horizon, achieved_tv = converge_to_stationary(
+            gen, np.eye(gen.dimension)[0], 1e-8
+        )
+    assert horizon == 31.0 and achieved_tv <= 1e-8
+    assert [t for _, t, *_ in legs] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    for _, _, lo, hi, leak, raw in legs:
+        assert hi - lo + 1 < 400 and raw.size < 400
+        assert leak <= _WINDOW_TOL
+    assert not probs.flags.writeable and probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_windowed_leg_widens_until_the_leak_is_small():
+    # births at rate 50, deaths at 0.5: over t = 2 the mass drifts ~100
+    # states, beyond the first margin, and the leg is re-run wider
+    dimension = 600
+    birth = np.full(dimension, 50.0)
+    death = np.full(dimension, 0.5)
+    birth[-1] = death[0] = 0.0
+    gen = GeneratorMatrix(birth, death)
+    p = np.eye(dimension)[0]
+    attempts = []
+
+    def evolve_and_keep(*args):
+        attempts.append(evolve(*args))
+        return attempts[-1]
+
+    with mock.patch.object(master_eq, "evolve", evolve_and_keep):
+        probs, lo, hi, leak = _windowed_leg(gen, p, 2.0)
+    exact = evolve(gen, p, 2.0)
+    assert lo == 0 and master_eq._WINDOW_MARGIN < hi < dimension - 1
+    assert leak <= _WINDOW_TOL
+    assert np.abs(probs - exact).max() <= leak + 2e-12
+
+    # the rejected first window [0, 64] with its sink at 65: the interior is
+    # a lower bound on the exact leg, and the sink holds at least the exact
+    # mass beyond the window (mass that left may not come back)
+    first = attempts[0]
+    edge = master_eq._WINDOW_MARGIN
+    assert first.size == edge + 2 and len(attempts) >= 2
+    assert np.all(first[:edge + 1] <= exact[:edge + 1] + 2e-12)
+    assert first[-1] >= exact[edge + 1:].sum() - 2e-12
+    assert first[-1] > _WINDOW_TOL
+
+
+def test_windowed_leg_on_the_whole_space_is_evolve(fig1a):
+    gen = build_generator(fig1a)
+    p = np.full(gen.dimension, 1.0 / gen.dimension)
+    probs, lo, hi, leak = _windowed_leg(gen, p, 3.0)
+    assert (lo, hi, leak) == (0, gen.dimension - 1, 0.0)
+    assert probs.tobytes() == evolve(gen, p, 3.0).tobytes()
 
 
 def test_total_variation_known_values():
