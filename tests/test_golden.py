@@ -29,11 +29,11 @@ MANIFEST = Path(__file__).with_name("golden_manifest.json")
 _ALL = ("psd", "threshold", "evolve", "simulate", "ode", "sweep")
 
 #: Manifest key -> (preset, subcommand, config text). The default modes of
-#: every subcommand on fig1a/fig1b and the fast ones on fig2a, plus the
-#: evolve checkpoint mode and the single-trajectory ode mode.
+#: every subcommand on fig1a/fig1b and all but the long simulate on fig2a,
+#: plus the evolve checkpoint mode and the single-trajectory ode mode.
 RUNS = {
     **{f"{p}/{c}": (p, c, "") for p in ("fig1a", "fig1b") for c in _ALL},
-    **{f"fig2a/{c}": ("fig2a", c, "") for c in ("psd", "threshold", "ode", "sweep")},
+    **{f"fig2a/{c}": ("fig2a", c, "") for c in ("psd", "threshold", "evolve", "ode", "sweep")},
     "fig1b/evolve-checkpoints": ("fig1b", "evolve", "start = deltaN\ntimes = 1,10,100,500\n"),
     "fig1a/ode-x0": ("fig1a", "ode", "x0 = 0.5\n"),
 }
