@@ -254,12 +254,10 @@ def converge_to_stationary(
     to the reference), probs a new read-only array; elapsed is 0 when p0
     already satisfies the tolerance.
 
-    Each leg runs on a finite state projection around the support of its
-    start vector (see _windowed_leg): states outside the window are cut
-    off, with an absorbing sink on each side that collects the mass the
-    leg leaks out of it. In l1 a leg differs from the full-space evolve by
-    at most twice its leak (<= _WINDOW_TOL) plus the series truncation,
-    and a leg whose window is the whole space is the full-space evolve.
+    Each leg runs on a window of states around the support of its start
+    vector, bordered by absorbing sinks that collect the mass leaking out
+    (see _windowed_leg). In l1 a leg differs from the full-space evolve by
+    at most twice its leak (<= _WINDOW_TOL) plus the series truncation.
     The returned distance is measured exactly on the returned vector.
 
     Raises:
