@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from .errors import ConvergenceBudgetError
 from .model import ModelParams, rate_arrays
@@ -129,6 +128,20 @@ def _frozen_copy(gen: GeneratorMatrix, p) -> np.ndarray:
     return v
 
 
+def _poisson_isf(q: float, mu: float) -> int:
+    """Smallest k with P(Poisson(mu) > k) <= q, for 0 < q < 1 and mu > 0.
+
+    The same algorithm as scipy.stats.poisson.isf, on the special functions
+    it is built from: pdtrik inverts the distribution function at 1 - q, and
+    one pdtr call settles the rounding of its ceiling. Calling them directly
+    keeps the import of scipy.stats (about half a second) out of the package.
+    """
+    p = 1.0 - q
+    k = math.ceil(pdtrik(p, mu))
+    below = max(k - 1, 0)
+    return below if pdtr(below, mu) >= p else k
+
+
 def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12) -> np.ndarray:
     """p(t) = exp(Qt) p0 by uniformization.
 
@@ -153,18 +166,21 @@ def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12)
     entry, and the final clip maps -0.0 to 0.0.
 
     Raises:
-        ValueError: t is negative or not finite, or p0 has the wrong shape.
+        ValueError: t is negative or not finite, truncation_tol is not in
+            (0, 1), or p0 has the wrong shape.
         ConvergenceBudgetError: the required number of series terms exceeds
             _MAX_TERMS; raised before any term is computed.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+    if not 0.0 < truncation_tol < 1.0:
+        raise ValueError(f"truncation_tol must be in (0, 1), got {truncation_tol!r}")
     p = _frozen_copy(gen, p0)
     rate = gen.uniformization_rate()
     lt = rate * t
     if t == 0.0 or lt == 0.0:
         return p
-    last = int(stats.poisson.isf(truncation_tol, lt)) + 1
+    last = _poisson_isf(truncation_tol, lt) + 1
     if last + 1 > _MAX_TERMS:
         raise ConvergenceBudgetError(
             f"uniformization needs {last + 1} series terms for tolerance "

@@ -17,6 +17,9 @@ from . import _csv
 from .errors import AssumptionError
 from .model import ModelParams, equilibria, rate_arrays
 
+#: Draws of each random stream simulate takes from the generator at a time.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -59,8 +62,12 @@ class EnsembleSummary:
 def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajectory:
     """Exact simulation: exponential holding times, up-move odds b/(b+d).
 
-    Deterministic given (params, x0, t_end, seed). Two random draws per
-    jump in fixed order keep the stream layout stable across runs.
+    Deterministic given (params, x0, t_end, seed). Random numbers come in
+    blocks of _BLOCK: one block of standard exponentials, then one block of
+    uniforms, both from default_rng(seed). Jump k reads the k-th draw of each
+    stream: its holding time is e * (1/(b+d)) in the current state and it
+    moves up when u < b/(b+d). A path that needs more jumps draws the next
+    pair of blocks. The loop itself runs on Python lists and calls no numpy.
     """
     n = params.capacity_n
     if not 0 <= x0 <= n:
@@ -70,34 +77,46 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     b, d = rate_arrays(params)
+    total = b + d
+    dead = total == 0.0
+    total[dead] = 1.0  # placeholder: a path never draws in an absorbing state
+    inv = (1.0 / total).tolist()
+    up = (b / total).tolist()
+    absorbing = dead.tolist()
     rng = np.random.default_rng(seed)
-    times = [0.0]
-    states = [int(x0)]
-    t = 0.0
     i = int(x0)
-    absorbed = False
-    while True:
-        total = b[i] + d[i]
-        if total == 0.0:
-            absorbed = True
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= t_end:
-            break
-        i += 1 if rng.random() < b[i] / total else -1
-        times.append(t)
-        states.append(i)
+    times = [0.0]
+    states = [i]
+    t = 0.0
+    absorbed = absorbing[i]
+    while not absorbed and t < t_end:
+        exps = rng.standard_exponential(_BLOCK).tolist()
+        for e, u in zip(exps, rng.random(_BLOCK).tolist()):
+            t += e * inv[i]
+            if t >= t_end:
+                break
+            i += 1 if u < up[i] else -1
+            times.append(t)
+            states.append(i)
+            if absorbing[i]:
+                absorbed = True
+                break
     return Trajectory(
         np.asarray(times), np.asarray(states, dtype=np.int64), n, float(t_end), absorbed
     )
 
 
-def occupation_distribution(traj: Trajectory, burn_in: float = 0.0) -> np.ndarray:
-    """Time-weighted state frequencies of the post-burn-in path, over 0..N."""
+def _check_burn_in(burn_in: float, t_end: float) -> None:
+    """Raise ValueError unless 0 <= burn_in < t_end (so burn_in is finite)."""
     if not burn_in >= 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
-    if burn_in >= traj.t_end:
-        raise ValueError(f"burn-in {burn_in} leaves no observation window before {traj.t_end}")
+    if burn_in >= t_end:
+        raise ValueError(f"burn-in {burn_in} leaves no observation window before {t_end}")
+
+
+def occupation_distribution(traj: Trajectory, burn_in: float = 0.0) -> np.ndarray:
+    """Time-weighted state frequencies of the post-burn-in path, over 0..N."""
+    _check_burn_in(burn_in, traj.t_end)
     bounds = np.append(traj.times, traj.t_end)
     weights = np.clip(bounds[1:], burn_in, None) - np.clip(bounds[:-1], burn_in, None)
     freq = np.bincount(traj.states, weights=weights, minlength=traj.capacity_n + 1)
@@ -117,12 +136,13 @@ def ensemble(
     """Independent runs with seeds base_seed .. base_seed + n_runs - 1.
 
     Aggregation order is fixed by run index, so the summary is identical no
-    matter how the runs are scheduled.
+    matter how the runs are scheduled. burn_in is checked before any run.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    _check_burn_in(burn_in, t_end)
     rows = np.empty((n_runs, params.capacity_n + 1))
     for j in range(n_runs):
         traj = simulate(params, x0, t_end, int(base_seed) + j)

@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import alleechain
 from alleechain import ThresholdReport, errors, mode_profile, mode_scaling_check, psd_product
+from alleechain import ssa
 from alleechain.cli import _COMMANDS, main
 
 from conftest import FIG_A, make_params
@@ -230,6 +235,26 @@ def test_simulate_rejects_non_finite_times(tmp_path, text):
     code, out = _run_with_config(tmp_path, "simulate", "runs = 1\n" + text)
     assert code == 2
     assert list(out.iterdir()) == []
+
+
+def test_simulate_checks_burn_in_before_any_run(tmp_path, capsys):
+    with mock.patch.object(ssa, "simulate", side_effect=AssertionError("a run started")):
+        code, out = _run_with_config(tmp_path, "simulate", "burn_in = 5000\n")
+    assert (code, capsys.readouterr().err) == (
+        2, "error: burn-in 5000.0 leaves no observation window before 1000.0\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(alleechain.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, alleechain.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("t_end", ["nan", "inf", "0", "-5"])

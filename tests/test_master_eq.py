@@ -27,7 +27,7 @@ from alleechain import (
 
 from alleechain import master_eq
 from alleechain.cli import _start_vector
-from alleechain.master_eq import _WINDOW_TOL, _windowed_leg
+from alleechain.master_eq import _WINDOW_TOL, _poisson_isf, _windowed_leg
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -196,6 +196,25 @@ def test_evolve_rejects_bad_inputs(fig1a):
         evolve(gen, np.eye(5)[0], 1.0)
     with pytest.raises(ValueError):
         evolve(gen, np.eye(gen.dimension)[:2], 1.0)
+    for tol in (0.0, 1.0, -1e-12, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"^truncation_tol must be in \(0, 1\)"):
+            evolve(gen, p0, 1.0, truncation_tol=tol)
+
+
+def test_poisson_isf_matches_scipy_on_a_dense_grid():
+    tols = np.logspace(-15, -6, 91)
+    lts = np.logspace(-6, 8, 561)
+    expected = stats.poisson.isf(tols[:, None], lts[None, :])
+    got = np.array([[_poisson_isf(q, lt) for lt in lts.tolist()] for q in tols.tolist()])
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_tol=st.floats(-15.0, -0.01), log_lt=st.floats(-8.0, 9.0))
+@example(log_tol=-12.0, log_lt=math.log10(25.0))
+def test_poisson_isf_matches_scipy(log_tol, log_lt):
+    tol, lt = 10.0**log_tol, 10.0**log_lt
+    assert _poisson_isf(tol, lt) == int(stats.poisson.isf(tol, lt))
 
 
 def test_evolve_preserves_stationary_distribution():

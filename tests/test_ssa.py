@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from alleechain import (
     simulate,
     total_variation,
 )
+from alleechain import ssa
 from alleechain.model import rate_arrays
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
@@ -41,6 +43,105 @@ def test_same_seed_same_path(params, start, t_end, seed):
     first = ensemble(params, 2, x0, t_end, seed).first_trajectory
     assert first.times.tobytes() == a.times.tobytes()
     assert first.states.tobytes() == a.states.tobytes()
+
+
+def _per_draw_reference(params, x0, t_end, seed, block):
+    """The Gillespie loop read one draw at a time from simulate's stream.
+
+    The stream is blocks of `block` standard exponentials then `block`
+    uniforms from default_rng(seed); the rates come from numpy on every jump.
+    Returns (times, states, absorbed).
+    """
+    b, d = rate_arrays(params)
+    rng = np.random.default_rng(seed)
+    exps = uniforms = np.empty(0)
+    k = 0
+    times, states = [0.0], [x0]
+    t, i = 0.0, x0
+    while b[i] + d[i] > 0.0:
+        if k == exps.size:
+            exps = rng.standard_exponential(block)
+            uniforms = rng.random(block)
+            k = 0
+        total = b[i] + d[i]
+        t += exps[k] * (1.0 / total)
+        if t >= t_end:
+            return np.asarray(times), np.asarray(states), False
+        i += 1 if uniforms[k] < b[i] / total else -1
+        k += 1
+        times.append(t)
+        states.append(i)
+    return np.asarray(times), np.asarray(states), True
+
+
+def _assert_matches_reference(params, x0, t_end, seed, block=ssa._BLOCK):
+    with mock.patch.object(ssa, "_BLOCK", block):
+        traj = simulate(params, x0, t_end, seed)
+    times, states, absorbed = _per_draw_reference(params, x0, t_end, seed, block)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.astype(np.int64).tobytes()
+    assert traj.absorbed == absorbed
+    return traj
+
+
+def _no_immigration():
+    """A subcritical chain with R1 = 0, so state 0 is absorbing."""
+    return ModelParams.from_constants(
+        lam=0.5, mu=1.0, delta1=0.2, delta2=0.1, delta3=0.5,
+        theta=0.05, capacity_n=20, r1=0.0,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=boundary_params(max_capacity=40),
+    start=st.floats(0.0, 1.0),
+    t_end=st.floats(0.1, 20.0),
+    seed=st.integers(0, 2**63 - 1),
+    block=st.sampled_from([1, 2, 3, 7, 16, ssa._BLOCK]),
+)
+def test_blocks_match_per_draw_reference(params, start, t_end, seed, block):
+    _assert_matches_reference(params, round(start * params.capacity_n), t_end, seed, block)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x0=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 8))
+def test_absorption_mid_block_matches_reference(x0, seed, block):
+    _assert_matches_reference(_no_immigration(), x0, 1e6, seed, block)
+
+
+def test_path_spans_several_blocks(fig1a):
+    traj = _assert_matches_reference(fig1a, 50, 250.0, 4)
+    assert traj.times.size > 3 * ssa._BLOCK
+
+
+def test_absorption_from_one_mid_block():
+    traj = _assert_matches_reference(_no_immigration(), 1, 1e6, 3)
+    assert traj.absorbed and traj.states[-1] == 0
+    assert 1 < traj.times.size < ssa._BLOCK  # inside block 0, before its last draw
+
+
+@pytest.mark.parametrize("x0", [0, 100])
+def test_edge_starts_match_reference(fig1b, x0):
+    traj = _assert_matches_reference(fig1b, x0, 5.0, 6)
+    assert traj.states[1] == (1 if x0 == 0 else 99)
+
+
+def test_absorbing_start_draws_nothing():
+    traj = _assert_matches_reference(_no_immigration(), 0, 10.0, 0)
+    assert traj.absorbed and traj.times.tolist() == [0.0] and traj.states.tolist() == [0]
+
+
+def test_horizon_at_and_past_a_block_end(fig1a):
+    """t_end ends the path on the last draw of block 0, or on the first of block 1."""
+    full = simulate(fig1a, 50, 150.0, 9)
+    crossing = float(full.times[ssa._BLOCK])  # the time draw _BLOCK - 1 reaches
+    at_end = _assert_matches_reference(fig1a, 50, crossing, 9)
+    assert at_end.times.size == ssa._BLOCK
+    past_end = _assert_matches_reference(fig1a, 50, math.nextafter(crossing, math.inf), 9)
+    assert past_end.times.size == ssa._BLOCK + 1
+    mid = _assert_matches_reference(fig1a, 50, float(full.times[1000]) + 1e-9, 9)
+    assert mid.times.size == 1001
 
 
 def test_different_seeds_diverge(fig1a):
@@ -74,14 +175,22 @@ def test_input_validation(fig1a):
         ensemble(fig1a, 3, 10, 10.0, -1)
 
 
+@pytest.mark.parametrize("burn_in, message", [
+    (math.nan, r"^burn_in must be >= 0, got nan$"),
+    (-1.0, r"^burn_in must be >= 0, got -1.0$"),
+    (math.inf, r"^burn-in inf leaves no observation window before 10.0$"),
+    (10.0, r"^burn-in 10.0 leaves no observation window before 10.0$"),
+])
+def test_ensemble_checks_burn_in_before_any_run(fig1a, burn_in, message):
+    with mock.patch.object(ssa, "simulate", side_effect=AssertionError("a run started")):
+        with pytest.raises(ValueError, match=message):
+            ensemble(fig1a, 3, 10, 10.0, 0, burn_in=burn_in)
+
+
 def test_absorption_without_immigration():
     """With R1 = 0 the empty state is absorbing and a subcritical chain
     reaches it quickly."""
-    p = ModelParams.from_constants(
-        lam=0.5, mu=1.0, delta1=0.2, delta2=0.1, delta3=0.5,
-        theta=0.05, capacity_n=20, r1=0.0,
-    )
-    traj = simulate(p, 3, 500.0, 11)
+    traj = simulate(_no_immigration(), 3, 500.0, 11)
     assert traj.absorbed
     assert traj.states[-1] == 0
     occ = occupation_distribution(traj)
