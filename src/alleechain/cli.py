@@ -248,12 +248,9 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         })
     else:
         x0s = np.linspace(0.0, 1.0, grid).tolist()
-        trajs = [deterministic.integrate(params, x0, t_end) for x0 in x0s]
+        points = [deterministic._basin_point(params, x0, t_end) for x0 in x0s]
         with _write_atomic(out_dir / "basin.csv") as f:
-            _csv.write_rows(
-                f, "x0,classification,t_final",
-                x0s, [tr.classification for tr in trajs], [float(tr.times[-1]) for tr in trajs],
-            )
+            _csv.write_rows(f, "x0,classification,t_final", x0s, *zip(*points))
 
 
 def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:

@@ -3,8 +3,15 @@
 The mean-field counterpart of the chain: a scalar ODE for the population
 density on [0, 1] with bistable structure (extinction below x-*, carrying
 capacity x+* above), plus the immigration-extended ODE whose equilibria
-solve a cubic. Basin classification integrates trajectories until they
-enter a small neighbourhood of an attractor.
+solve a cubic. A start counts as classified once its trajectory enters a
+small neighbourhood of an attractor. `integrate` follows one trajectory with
+adaptive Runge-Kutta (the single-trajectory mode of `alleechain ode`, and
+the witness for the grid). The basin grid follows no trajectory: the flow is
+scalar, so the sign of f(x0) and the zeros of f name the attractor, and
+separation of variables gives the time to reach its neighbourhood,
+T(x0) = integral of dx / f(x), which adaptive quadrature evaluates. A grid
+point reads "undecided" when T exceeds the horizon or when the flow stops at
+a zero of f that is no armed attractor.
 """
 
 from __future__ import annotations
@@ -13,11 +20,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from . import _csv, _cubic
-from .errors import AssumptionError
-from .model import ModelParams, equilibria, per_capita_factors
+from .errors import AssumptionError, QuadratureError
+from .model import (
+    ModelParams,
+    _balance_roots,
+    balance_coefficients,
+    equilibria,
+    per_capita_factors,
+)
 
 TO_ZERO = "to_zero"
 TO_X_PLUS = "to_x_plus"
@@ -29,6 +42,16 @@ PROXIMITY = 1e-6
 #: Relative and absolute tolerances of the Runge-Kutta integration.
 _RTOL = 1e-10
 _ATOL = 1e-13
+
+#: Absolute and relative tolerances the hitting-time quadrature aims for,
+#: and the relative error estimate it must stay within. Next to an attractor
+#: far above 1, rounding in f keeps QUADPACK from its aim (it reports
+#: roundoff or its subdivision limit) at estimates that grow with x+*, about
+#: 5e-10 at x+* = 27 and 2e-9 at x+* = 1066; the budget stays ten times
+#: inside the 1e-5 at which RK45 event times agree.
+_QUAD_ABS_TOL = 1e-13
+_QUAD_REL_TOL = 1e-12
+_QUAD_BUDGET = 1e-6
 
 #: Step used for the central-difference stability tags.
 _STABILITY_STEP = 1e-7
@@ -84,6 +107,31 @@ def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
     return _net_growth(params, x) + alpha * (1.0 - x)
 
 
+def _check_start(x0: float, t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 = {x0} outside [0, 1]")
+
+
+def _armed_x_plus(params: ModelParams) -> float | None:
+    """x+* when the bistability conditions hold; otherwise None, and only the
+    extinction neighbourhood counts as an attractor."""
+    try:
+        return equilibria(params).x_plus
+    except AssumptionError:
+        return None
+
+
+def _settled(x0: float, x_plus: float | None) -> str | None:
+    """Classification of a start already inside an attractor's neighbourhood."""
+    if x0 <= PROXIMITY:
+        return TO_ZERO
+    if x_plus is not None and abs(x0 - x_plus) <= PROXIMITY:
+        return TO_X_PLUS
+    return None
+
+
 def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTrajectory:
     """Integrate from x0 until the trajectory settles near 0 or x_plus.
 
@@ -92,19 +140,11 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     parameters admit no persistence equilibrium, only the extinction event
     is armed. Reaching t_end without an event yields "undecided".
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 = {x0} outside [0, 1]")
-    try:
-        x_plus = equilibria(params).x_plus
-    except AssumptionError:
-        x_plus = None
-
-    if x0 <= PROXIMITY:
-        return OdeTrajectory(np.zeros(1), np.full(1, x0), TO_ZERO, x_plus)
-    if x_plus is not None and abs(x0 - x_plus) <= PROXIMITY:
-        return OdeTrajectory(np.zeros(1), np.full(1, x0), TO_X_PLUS, x_plus)
+    _check_start(x0, t_end)
+    x_plus = _armed_x_plus(params)
+    settled = _settled(x0, x_plus)
+    if settled is not None:
+        return OdeTrajectory(np.zeros(1), np.full(1, x0), settled, x_plus)
 
     def rhs(_t, y):
         return [ode_rhs(params, max(y[0], 0.0))]
@@ -133,6 +173,83 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     else:
         classification = UNDECIDED
     return OdeTrajectory(sol.t, sol.y[0], classification, x_plus)
+
+
+def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[str, float] | None:
+    """The armed neighbourhood boundary the flow from x0 reaches, with its
+    classification, or None when the flow stops at a zero of f first.
+
+    For x > 0, f(x) = -mu x (a x^2 - b x + c) / (theta + x) with the balance
+    coefficients (a, b, c), so the positive zeros of f are those of the
+    balance quadratic. Downward flow (f(x0) < 0) comes to rest on the upper
+    zero when x0 lies above the vertex b / 2a, and otherwise runs out to 0;
+    upward flow can only end at x+* from below. A start on a zero, the
+    unstable x-* included, does not move.
+    """
+    rate = ode_rhs(params, x0)
+    a, b, _ = balance_coefficients(params)
+    disc, zeros = _balance_roots(params)
+    if zeros is None and disc == 0.0 and a > 0.0:
+        zeros = (b / (2.0 * a),) * 2
+    if rate == 0.0 or (zeros is not None and x0 in zeros):
+        return None
+    if rate > 0.0:
+        if x_plus is not None and x0 < x_plus:
+            return TO_X_PLUS, x_plus - PROXIMITY
+        return None
+    if zeros is not None and zeros[1] > 0.0 and x0 >= b / (2.0 * a):
+        if x_plus is not None:
+            return TO_X_PLUS, x_plus + PROXIMITY
+        return None
+    return TO_ZERO, PROXIMITY
+
+
+def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, float]:
+    """Classification and time of reaching it for one grid start.
+
+    The same outcome `integrate` reaches, from the hitting time of the
+    scalar flow, T = integral of dx / f(x) from x0 to the neighbourhood
+    boundary, by adaptive quadrature instead of a trajectory. A start inside
+    a neighbourhood gives time 0; a flow that stops at an unarmed zero of f,
+    or takes longer than t_end, gives "undecided" at t_end.
+
+    Raises:
+        ValueError: t_end is not finite and positive, or x0 is outside [0, 1].
+        QuadratureError: the quadrature's error estimate exceeds 1e-6 of the
+            hitting time, as it does where rounding in f decides that time:
+            for starts within about 1e-9 (relative) of x-*, and next to an
+            x+* above a few thousand.
+    """
+    _check_start(x0, t_end)
+    x_plus = _armed_x_plus(params)
+    settled = _settled(x0, x_plus)
+    if settled is not None:
+        return settled, 0.0
+    target = _flow_target(params, x0, x_plus)
+    if target is None:
+        return UNDECIDED, float(t_end)
+    classification, boundary = target
+
+    def inverse_rate(x):
+        rate = ode_rhs(params, x)
+        if rate == 0.0:
+            raise QuadratureError(f"f vanishes at {x!r} on the way from x0 = {x0} to {boundary}")
+        return 1.0 / rate
+
+    result = quad(inverse_rate, x0, boundary, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                  full_output=1)
+    hitting_time, abserr = float(result[0]), float(result[1])
+    if hitting_time - abserr > t_end:
+        return UNDECIDED, float(t_end)
+    if not abserr <= _QUAD_BUDGET * hitting_time:
+        reason = result[3].strip().splitlines()[0] if len(result) > 3 else "no message"
+        raise QuadratureError(
+            f"hitting-time quadrature from x0 = {x0} did not converge: error estimate "
+            f"{abserr:.3e} for {hitting_time!r} ({reason})"
+        )
+    if hitting_time > t_end:
+        return UNDECIDED, float(t_end)
+    return classification, hitting_time
 
 
 def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEquilibria:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import alleechain
 from alleechain import ThresholdReport, errors, mode_profile, mode_scaling_check, psd_product
-from alleechain import ssa
+from alleechain import deterministic, ssa
 from alleechain.cli import _COMMANDS, main
 
 from conftest import FIG_A, make_params
@@ -360,6 +360,33 @@ def test_ode_single_trajectory(tmp_path):
     summary = json.loads(read(tmp_path / "ode_summary.json"))
     assert summary["classification"] == "to_x_plus"
     assert read(tmp_path / "ode.csv").splitlines()[0] == "t,density"
+
+
+def test_ode_grid_leaves_rk45_to_single_trajectory(tmp_path):
+    with mock.patch.object(deterministic, "integrate", side_effect=AssertionError("RK45 ran")):
+        assert run("ode", "--preset", "fig1a", "--out", str(tmp_path / "grid")) == 0
+    with mock.patch.object(deterministic, "integrate", wraps=deterministic.integrate) as rk45:
+        code, out = _run_with_config(tmp_path, "ode", "x0 = 0.5\n")
+    assert (code, rk45.call_count) == (0, 1)
+    assert sorted(path.name for path in out.iterdir()) == [
+        "effective_config.cfg", "ode.csv", "ode_summary.json"
+    ]
+
+
+def test_ode_grid_quadrature_failure_exits_3(tmp_path, capsys):
+    # x0 = 0 is already settled; the second grid point is the first to
+    # integrate, and its quadrature reports the subdivision limit
+    failed = (0.5, 0.25, {}, "The maximum number of subdivisions (50) has been achieved.\n  more")
+    out = tmp_path / "out"
+    with mock.patch.object(deterministic, "quad", return_value=failed) as quad:
+        assert run("ode", "--preset", "fig1a", "--out", str(out)) == 3
+    assert quad.call_count == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: hitting-time quadrature from x0 = 0.010101010101010102 did not "
+        "converge: error estimate 2.500e-01 for 0.5 "
+        "(The maximum number of subdivisions (50) has been achieved.)\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_ode_basin_brackets_threshold(tmp_path):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alleechain import (
     TO_X_PLUS,
@@ -19,8 +22,11 @@ from alleechain import (
     integrate,
     ode_rhs,
 )
+from alleechain.deterministic import PROXIMITY, _basin_point
+from alleechain.errors import QuadratureError
+from alleechain.model import _balance_roots
 
-from conftest import FIG_A, FIG_B, make_params
+from conftest import FIG_A, FIG_B, boundary_params, make_params
 
 
 def test_rhs_vanishes_at_equilibria():
@@ -148,3 +154,166 @@ def test_immigration_equilibria_small_alpha(fig1b):
 def test_immigration_equilibria_rejects_negative_alpha(fig1b):
     with pytest.raises(ValueError):
         immigration_equilibria(fig1b, -0.5)
+
+
+def _params(base: dict, **changes) -> ModelParams:
+    return make_params({**base, **changes}, 20)
+
+
+#: R0 below the bistability chain: no positive zero of f, so no x+*.
+_NO_EQUILIBRIA = _params(FIG_A, lam=0.9)
+#: R0 above 1 + delta3: x = 0 repels and f has one positive zero, which is
+#: not armed because the bistability conditions fail (no x-*).
+_NO_X_MINUS = _params(FIG_A, lam=2.6)
+#: Fifty-fold weaker density dependence puts x+* above 1.
+_X_PLUS_ABOVE_ONE = _params(FIG_A, delta1=0.009, delta2=0.002)
+#: Dyadic constants with a zero balance discriminant: x-* = x+* = 0.375.
+_DOUBLE_ROOT = ModelParams.from_constants(
+    lam=2.0, mu=1.0, delta1=0.5, delta2=0.0, delta3=1.5625, theta=0.25, capacity_n=20, r1=0.5,
+)
+#: No density dependence: f is positive above the single zero c / b.
+_NO_DENSITY_DEPENDENCE = _params(FIG_A, delta1=0.0, delta2=0.0)
+
+
+@st.composite
+def basin_cases(draw):
+    """Parameters across the assumption boundaries, a start that is either any
+    density or exactly a zero of the balance quadratic, and a horizon."""
+    params = draw(boundary_params(max_capacity=4))
+    _, zeros = _balance_roots(params)
+    x0 = draw(st.floats(0.0, 1.0))
+    on_zero = [z for z in zeros or () if 0.0 <= z <= 1.0]
+    if on_zero and draw(st.booleans()):
+        x0 = draw(st.sampled_from(on_zero))
+    return params, x0, draw(st.sampled_from([5.0, 60.0, 1000.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=basin_cases())
+@example(case=(_NO_EQUILIBRIA, 0.4, 1000.0))
+@example(case=(_NO_X_MINUS, 0.05, 1000.0))
+@example(case=(_NO_X_MINUS, 0.9, 1000.0))
+@example(case=(_X_PLUS_ABOVE_ONE, 0.5, 1000.0))
+@example(case=(_X_PLUS_ABOVE_ONE, 1.0, 1000.0))
+@example(case=(_X_PLUS_ABOVE_ONE, 0.05, 1000.0))
+@example(case=(_params(FIG_A), equilibria(_params(FIG_A)).x_plus, 1000.0))
+@example(case=(_params(FIG_B), equilibria(_params(FIG_B)).x_minus, 1000.0))
+@example(case=(_DOUBLE_ROOT, 0.2, 1000.0))
+@example(case=(_DOUBLE_ROOT, 0.375, 1000.0))
+@example(case=(_DOUBLE_ROOT, 0.5, 1000.0))
+@example(case=(_NO_DENSITY_DEPENDENCE, 0.05, 1000.0))
+@example(case=(_NO_DENSITY_DEPENDENCE, 0.5, 60.0))
+def test_basin_point_matches_rk45(case):
+    params, x0, t_end = case
+    _, zeros = _balance_roots(params)
+    if zeros is not None and abs(x0 - zeros[0]) <= 1e-6 * zeros[0]:
+        # At and next to the unstable zero x-*, rounding in f decides where
+        # the RK45 trajectory goes (one ulp apart its starts reach either
+        # attractor), and its event time is off by more than the bound;
+        # test_basin_point_on_or_next_to_unstable_zero covers these starts.
+        return
+    if zeros is not None and zeros[1] > 1e3:
+        # Far above 1 the fixed neighbourhood width PROXIMITY nears the
+        # rounding of f and the local error of RK45 (rtol times x+*), so
+        # neither method resolves the hitting time there;
+        # test_basin_point_far_above_one_fails_typed covers it.
+        return
+    if zeros is None and x0 > PROXIMITY and ode_rhs(params, x0) > 0.0:
+        # No zero of f above x0: the exact flow grows without bound and
+        # never classifies, while RK45 follows it until the density
+        # overflows and then does not finish.
+        assert _basin_point(params, x0, t_end) == (UNDECIDED, t_end)
+        return
+    classification, t_final = _basin_point(params, x0, t_end)
+    traj = integrate(params, x0, t_end)
+    rk_time = float(traj.times[-1])
+    if UNDECIDED in (classification, traj.classification) and (
+        max(t_final, rk_time) >= t_end * (1.0 - 1e-5)
+    ):
+        # A hitting time within the tolerance of the horizon may land on
+        # either side of it, so one method may read "undecided" at t_end
+        # where the other classifies just before.
+        return
+    assert classification == traj.classification
+    if t_final != pytest.approx(rk_time, rel=1e-5):
+        # RK45 locates its event on a dense output whose error is relative to
+        # the density, so next to an attractor far above 1 its event time can
+        # miss by more than the bound. The 40-digit value decides then, held
+        # to the 1e-6 error budget of the quadrature (rounding in f near such
+        # an attractor keeps the quadrature itself from 1e-9).
+        exact = _mp_hitting_time(params, x0, _boundary(params, x0, classification))
+        assert abs(rk_time - exact) > 1e-5 * exact
+        assert abs(t_final - exact) <= 1e-6 * exact
+
+
+def test_basin_point_on_or_next_to_unstable_zero():
+    for base in (FIG_A, FIG_B):
+        p = make_params(base, 100)
+        x_minus = equilibria(p).x_minus
+        # the exact flow from a zero of f does not move
+        assert _basin_point(p, x_minus, 1000.0) == (UNDECIDED, 1000.0)
+        # within ~1e-9 (relative) the hitting time depends on rounding in f;
+        # the quadrature then reports its error estimate as a failure, or
+        # classifies by the side of x-* the start is on
+        for rel in (1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12):
+            side = TO_X_PLUS if rel > 0 else TO_ZERO
+            try:
+                classification, t_final = _basin_point(p, x_minus * (1.0 + rel), 1000.0)
+            except QuadratureError as exc:
+                assert abs(rel) < 1e-6 and "did not converge" in str(exc)
+            else:
+                assert classification == side and 0.0 < t_final < 1000.0
+
+
+def test_basin_point_far_above_one_fails_typed():
+    p = _params(FIG_A, lam=1.5, delta1=3.90625e-05, delta2=0.0, delta3=1.0, theta=0.25)
+    assert equilibria(p).x_plus > 8e3
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _basin_point(p, 1.0, 1000.0)
+    # a hitting time beyond the horizon even with its error estimate added
+    # still classifies the start
+    assert _basin_point(p, 1.0, 5.0) == (UNDECIDED, 5.0)
+
+
+def test_basin_point_checks_inputs_first(fig1a):
+    for t_end in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match=f"t_end must be finite and > 0, got {t_end!r}"):
+            _basin_point(fig1a, 0.5, t_end)
+    with pytest.raises(ValueError, match="outside"):
+        _basin_point(fig1a, 1.5, 1000.0)
+
+
+def _mp_hitting_time(params: ModelParams, x0: float, boundary: float) -> float:
+    """Integral of 1/f from x0 to boundary in 40-digit arithmetic, with f
+    written out from the model constants and breakpoints that halve the
+    distance to the boundary, next to which 1/f has its pole."""
+    lam, mu, d1, d2, d3, theta = (
+        mpmath.mpf(v) for v in (
+            params.lam, params.mu, params.delta1, params.delta2, params.delta3, params.theta
+        )
+    )
+
+    def inverse_rate(x):
+        return 1 / (lam * x * (1 - d1 * x) - mu * x * (1 + d2 * x + d3 * theta / (theta + x)))
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(x0), mpmath.mpf(boundary)
+        points = [b - (b - a) / mpmath.mpf(2) ** k for k in range(40)] + [b]
+        return float(mpmath.quad(inverse_rate, points))
+
+
+def _boundary(params: ModelParams, x0: float, classification: str) -> float:
+    """The neighbourhood boundary a classified start reaches."""
+    if classification == TO_ZERO:
+        return PROXIMITY
+    x_plus = equilibria(params).x_plus
+    return x_plus - PROXIMITY if x0 < x_plus else x_plus + PROXIMITY
+
+
+@pytest.mark.parametrize("base", [FIG_A, FIG_B], ids=["fig1a", "fig1b"])
+def test_basin_point_matches_40_digit_quadrature(base):
+    p = make_params(base, 100)
+    for x0 in np.linspace(0.0, 1.0, 100)[1::9].tolist():
+        classification, t_final = _basin_point(p, x0, 1000.0)
+        exact = _mp_hitting_time(p, x0, _boundary(p, x0, classification))
+        assert abs(t_final - exact) <= 1e-9 * exact

@@ -22,7 +22,8 @@ import numpy
 import pytest
 import scipy
 
-from alleechain.cli import main
+from alleechain import integrate, params_from_config
+from alleechain.cli import PRESETS, main
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
@@ -78,6 +79,23 @@ def manifest() -> dict:
 def test_cli_artifacts_byte_identical(manifest, key, tmp_path):
     preset, command, config = RUNS[key]
     assert _artifact_hashes(preset, command, tmp_path / "out", config) == manifest["artifacts"][key]
+
+
+@pytest.mark.parametrize("key", ["fig1a/ode", "fig1b/ode", "fig2a/ode"])
+def test_basin_grid_stays_within_rk45_bound(key, tmp_path):
+    """The basin grids come from the hitting-time quadrature; each row keeps
+    the RK45 classification and its event time within 1e-5 (relative)."""
+    preset, command, config = RUNS[key]
+    assert config == ""
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--out", str(out)]) == 0
+    params = params_from_config(PRESETS[preset])
+    rows = [line.split(",") for line in (out / "basin.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 100
+    for x0, classification, t_final in rows:
+        traj = integrate(params, float(x0), 1000.0)
+        assert classification == traj.classification
+        assert float(t_final) == pytest.approx(float(traj.times[-1]), rel=1e-5)
 
 
 def _capture() -> None:
