@@ -215,10 +215,11 @@ def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, flo
 
     Raises:
         ValueError: t_end is not finite and positive, or x0 is outside [0, 1].
-        QuadratureError: the quadrature's error estimate exceeds 1e-6 of the
-            hitting time, as it does where rounding in f decides that time:
-            for starts within about 1e-9 (relative) of x-*, and next to an
-            x+* above a few thousand.
+        QuadratureError: f rounds to 0 at a quadrature node, or the
+            quadrature's error estimate exceeds 1e-6 of the hitting time. Both
+            happen where rounding in f decides that time: for starts within
+            about 1e-9 (relative) of x-*, next to an x+* above a few thousand,
+            and for parameters within rounding of a double root x-* = x+*.
     """
     _check_start(x0, t_end)
     x_plus = _armed_x_plus(params)
@@ -239,7 +240,7 @@ def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, flo
     result = quad(inverse_rate, x0, boundary, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
                   full_output=1)
     hitting_time, abserr = float(result[0]), float(result[1])
-    if hitting_time - abserr > t_end:
+    if hitting_time - abserr > t_end:  # past the horizon even at the error estimate
         return UNDECIDED, float(t_end)
     if not abserr <= _QUAD_BUDGET * hitting_time:
         reason = result[3].strip().splitlines()[0] if len(result) > 3 else "no message"

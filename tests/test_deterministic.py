@@ -207,6 +207,9 @@ def test_basin_point_matches_rk45(case):
     params, x0, t_end = case
     _, zeros = _balance_roots(params)
     if zeros is not None and abs(x0 - zeros[0]) <= 1e-6 * zeros[0]:
+        if x0 == zeros[0] > PROXIMITY:
+            # the exact flow from a zero of f does not move
+            assert _basin_point(params, x0, t_end) == (UNDECIDED, t_end)
         # At and next to the unstable zero x-*, rounding in f decides where
         # the RK45 trajectory goes (one ulp apart its starts reach either
         # attractor), and its event time is off by more than the bound;
@@ -216,7 +219,7 @@ def test_basin_point_matches_rk45(case):
         # Far above 1 the fixed neighbourhood width PROXIMITY nears the
         # rounding of f and the local error of RK45 (rtol times x+*), so
         # neither method resolves the hitting time there;
-        # test_basin_point_far_above_one_fails_typed covers it.
+        # test_basin_point_fails_typed_where_rounding_decides covers it.
         return
     if zeros is None and x0 > PROXIMITY and ode_rhs(params, x0) > 0.0:
         # No zero of f above x0: the exact flow grows without bound and
@@ -265,7 +268,7 @@ def test_basin_point_on_or_next_to_unstable_zero():
                 assert classification == side and 0.0 < t_final < 1000.0
 
 
-def test_basin_point_far_above_one_fails_typed():
+def test_basin_point_fails_typed_where_rounding_decides():
     p = _params(FIG_A, lam=1.5, delta1=3.90625e-05, delta2=0.0, delta3=1.0, theta=0.25)
     assert equilibria(p).x_plus > 8e3
     with pytest.raises(QuadratureError, match="did not converge"):
@@ -273,6 +276,18 @@ def test_basin_point_far_above_one_fails_typed():
     # a hitting time beyond the horizon even with its error estimate added
     # still classifies the start
     assert _basin_point(p, 1.0, 5.0) == (UNDECIDED, 5.0)
+    # One ulp of delta3 past the double root the balance discriminant is
+    # -2.2e-16: f is below 0 everywhere in exact arithmetic, but rounds to 0
+    # on ~1e-8 around 0.375, where the flow takes ~1e7 time units to pass.
+    p = ModelParams.from_constants(
+        lam=2.0, mu=1.0, delta1=0.5, delta2=0.0, delta3=np.nextafter(1.5625, 2.0), theta=0.25,
+        capacity_n=20, r1=0.5,
+    )
+    assert -3e-16 < _balance_roots(p)[0] < 0.0
+    with pytest.raises(QuadratureError, match="f vanishes at 0.37500"):
+        _basin_point(p, 0.4, 1000.0)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _basin_point(p, 0.6, 1000.0)
 
 
 def test_basin_point_checks_inputs_first(fig1a):
@@ -298,7 +313,7 @@ def _mp_hitting_time(params: ModelParams, x0: float, boundary: float) -> float:
 
     with mpmath.workdps(40):
         a, b = mpmath.mpf(x0), mpmath.mpf(boundary)
-        points = [b - (b - a) / mpmath.mpf(2) ** k for k in range(40)] + [b]
+        points = [b - (b - a) / mpmath.mpf(2) ** k for k in range(24)] + [b]
         return float(mpmath.quad(inverse_rate, points))
 
 
