@@ -184,7 +184,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         with _write_atomic(out_dir / "evolve.csv") as f:
             header, previous = "t,state,prob", 0.0
             for t in times:
-                p = master_eq.evolve(gen, p, t - previous)
+                p = master_eq._leg(gen, p, t - previous)
                 _csv.write_rows(f, header, np.full(gen.dimension, t), states, p)
                 header, previous = None, t
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}

@@ -139,6 +139,15 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     each attractor; classification is read off which event fired. If the
     parameters admit no persistence equilibrium, only the extinction event
     is armed. Reaching t_end without an event yields "undecided".
+
+    A third terminal event, also "undecided", stops a trajectory that rises
+    PROXIMITY past both the density range [0, 1] and the upper root of the
+    balance quadratic. The flow is scalar, so a rising trajectory has met no
+    zero of f between x0 and there, and it meets none above: there f < 0
+    for a > 0, and for a = 0 (no density dependence)
+    f = mu x (b x - c) / (theta + x) rises through its only zero. Such a
+    trajectory grows without bound, and without this event RK45 follows it
+    until the density overflows.
     """
     _check_start(x0, t_end)
     x_plus = _armed_x_plus(params)
@@ -152,9 +161,16 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     def near_zero(_t, y):
         return y[0] - PROXIMITY
 
+    escape = max((1.0, *(_balance_zeros(params) or ()))) + PROXIMITY
+
+    def escaped(_t, y):
+        return y[0] - escape
+
     near_zero.terminal = True
     near_zero.direction = -1
-    events = [near_zero]
+    escaped.terminal = True
+    escaped.direction = 1
+    events = [near_zero, escaped]
     if x_plus is not None:
 
         def near_plus(_t, y):
@@ -168,11 +184,22 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
                     rtol=_RTOL, atol=_ATOL, events=events)
     if sol.t_events[0].size:
         classification = TO_ZERO
-    elif x_plus is not None and sol.t_events[1].size:
+    elif x_plus is not None and sol.t_events[2].size:
         classification = TO_X_PLUS
     else:
         classification = UNDECIDED
     return OdeTrajectory(sol.t, sol.y[0], classification, x_plus)
+
+
+def _balance_zeros(params: ModelParams) -> tuple[float, float] | None:
+    """Roots (x-*, x+*) of the balance quadratic, the double root b / 2a twice
+    when the discriminant is exactly 0, or None when it has no real roots or
+    no slope a (then f has at most one positive zero, see _flow_target)."""
+    a, b, _ = balance_coefficients(params)
+    disc, zeros = _balance_roots(params)
+    if zeros is None and disc == 0.0 and a > 0.0:
+        return (b / (2.0 * a),) * 2
+    return zeros
 
 
 def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[str, float] | None:
@@ -188,9 +215,7 @@ def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[
     """
     rate = ode_rhs(params, x0)
     a, b, _ = balance_coefficients(params)
-    disc, zeros = _balance_roots(params)
-    if zeros is None and disc == 0.0 and a > 0.0:
-        zeros = (b / (2.0 * a),) * 2
+    zeros = _balance_zeros(params)
     if rate == 0.0 or (zeros is not None and x0 in zeros):
         return None
     if rate > 0.0:

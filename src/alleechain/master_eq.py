@@ -7,16 +7,29 @@ call. The long-horizon driver witnesses convergence to the product-formula
 stationary distribution from arbitrary starts. Inputs are copied, and every
 distribution returned is a new read-only float array.
 
-evolve always works on the whole state space and is the exact reference.
-The driver runs each of its legs on a finite state projection (Munsky and
-Khammash 2006) instead: a window of states around the support of the leg's
-start vector, bordered by two absorbing sink states that collect the mass
-the full chain would move out of the window. The sink mass (the leak) is
-the l1 distance of the window's interior from the exact leg, so the
-renormalized leg is within twice its leak, plus the series truncation, of
-the full-space leg. A leg whose leak exceeds _WINDOW_TOL is re-run on a
-wider window, and one whose window reaches the whole space is plain
-evolve.
+evolve always works on the whole state space by uniformization and is the
+exact reference. The legs of the long-horizon driver and the checkpoints of
+`alleechain evolve` take one of two other routes, chosen by the size of the
+chain:
+
+- A chain of at most _DENSE_MAX_STATES states is small enough to hold its
+  propagator exp(Qt) as a dense matrix, computed by scaling and squaring
+  (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
+  all nonnegative, in place of their Pade approximant. A leg is then one
+  matrix-vector product, clipped and renormalized like evolve's result.
+  The driver's horizons double, so after its first leg each propagator is
+  the square of the last one, exp(2Qh) = exp(Qh)^2. Dense legs are refused
+  where evolve would exceed its term budget, so the route never changes
+  which legs succeed.
+- On a larger chain a checkpoint is plain evolve, and each leg of the driver
+  runs on a finite state projection (Munsky and Khammash 2006): a window of
+  states around the support of the leg's start vector, bordered by two
+  absorbing sink states that collect the mass the full chain would move out
+  of the window. The sink mass (the leak) is the l1 distance of the
+  window's interior from the exact leg, so the renormalized leg is within
+  twice its leak, plus the series truncation, of the full-space leg. A leg
+  whose leak exceeds _WINDOW_TOL is re-run on a wider window, and one whose
+  window reaches the whole space is plain evolve.
 """
 
 from __future__ import annotations
@@ -40,11 +53,24 @@ _INITIAL_HORIZON = 1.0
 #: Largest number of uniformization series terms one evolve call may sum.
 _MAX_TERMS = 5_000_000
 
+#: Poisson tail mass evolve discards by default.
+_TRUNCATION_TOL = 1e-12
+
+#: Poisson tail mass the short step of a dense propagator discards: one
+#: rounding unit, so that the truncation adds nothing to its rounding error.
+_ROUNDING_TAIL = float(np.finfo(float).eps)
+
 #: States a projection window first adds on each side of the start support.
 _WINDOW_MARGIN = 64
 
 #: Largest sink mass (l1 projection error) a windowed leg may leak.
 _WINDOW_TOL = 1e-12
+
+#: Largest chain, in states, whose driver legs and checkpoints use the dense
+#: propagator. Its O(n^3) squarings catch up with uniformization between 301
+#: and 401 states on the fig1b checkpoints (t = 1, 10, 100, 500 from N),
+#: while converge legs gain at every measured size (BENCH_12.json).
+_DENSE_MAX_STATES = 301
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,16 +114,18 @@ class GeneratorMatrix:
 def _stencil(gen: GeneratorMatrix, v: np.ndarray, out: np.ndarray):
     """Return a function that writes Q v into out for the current contents of v.
 
-    The diagonal, the rate and vector slice views and one scratch row are
-    made here once, so each call runs five ufuncs and allocates nothing.
-    The sums are taken in one fixed order: diag*v, then the birth inflow
-    into out[1:], then the death inflow into out[:-1].
+    v is one vector or a matrix whose columns are vectors. The diagonal,
+    the rate and vector slice views and one scratch row are made here once,
+    so each call runs five ufuncs and allocates nothing. The sums are taken
+    in one fixed order: diag*v, then the birth inflow into out[1:], then the
+    death inflow into out[:-1].
     """
-    diag = -(gen.birth + gen.death)
-    b_lo, d_hi = gen.birth[:-1], gen.death[1:]
+    rows = (slice(None),) + (None,) * (v.ndim - 1)  # rates act along axis 0
+    diag = -(gen.birth + gen.death)[rows]
+    b_lo, d_hi = gen.birth[:-1][rows], gen.death[1:][rows]
     v_lo, v_hi = v[:-1], v[1:]
     out_lo, out_hi = out[:-1], out[1:]
-    tmp = np.empty(v.size - 1)
+    tmp = np.empty_like(v_lo)
 
     def apply() -> None:
         np.multiply(diag, v, out=out)
@@ -142,7 +170,37 @@ def _poisson_isf(q: float, mu: float) -> int:
     return below if pdtr(below, mu) >= p else k
 
 
-def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12) -> np.ndarray:
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+
+
+def _series_length(lt: float, t: float, truncation_tol: float = _TRUNCATION_TOL) -> int:
+    """Index of the last uniformization term for rate * t = lt > 0.
+
+    Raises ConvergenceBudgetError when the terms 0..last exceed _MAX_TERMS.
+    """
+    last = _poisson_isf(truncation_tol, lt) + 1
+    if last + 1 > _MAX_TERMS:
+        raise ConvergenceBudgetError(
+            f"uniformization needs {last + 1} series terms for tolerance "
+            f"{truncation_tol:.1e} at horizon {t:g}, budget is {_MAX_TERMS}",
+            horizon=t,
+        )
+    return last
+
+
+def _on_simplex(v: np.ndarray) -> np.ndarray:
+    """v clipped at 0 and scaled to unit sum, as a new read-only array."""
+    v = np.clip(v, 0.0, None)
+    v /= v.sum()
+    v.setflags(write=False)
+    return v
+
+
+def evolve(
+    gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = _TRUNCATION_TOL
+) -> np.ndarray:
     """p(t) = exp(Qt) p0 by uniformization.
 
     p0 is any array-like probability vector over the generator's states; it
@@ -171,8 +229,7 @@ def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12)
         ConvergenceBudgetError: the required number of series terms exceeds
             _MAX_TERMS; raised before any term is computed.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+    _check_time(t)
     if not 0.0 < truncation_tol < 1.0:
         raise ValueError(f"truncation_tol must be in (0, 1), got {truncation_tol!r}")
     p = _frozen_copy(gen, p0)
@@ -180,13 +237,17 @@ def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12)
     lt = rate * t
     if t == 0.0 or lt == 0.0:
         return p
-    last = _poisson_isf(truncation_tol, lt) + 1
-    if last + 1 > _MAX_TERMS:
-        raise ConvergenceBudgetError(
-            f"uniformization needs {last + 1} series terms for tolerance "
-            f"{truncation_tol:.1e} at horizon {t:g}, budget is {_MAX_TERMS}",
-            horizon=t,
-        )
+    return _on_simplex(_poisson_mixture(gen, p, lt, _series_length(lt, t, truncation_tol)))
+
+
+def _poisson_mixture(gen: GeneratorMatrix, p: np.ndarray, lt: float, last: int) -> np.ndarray:
+    """The uniformization series of exp(Qt) p for rate * t = lt > 0, summed
+    over the terms 0..last with Poisson weights renormalized to unit sum.
+
+    p is one vector or a matrix whose columns are vectors; it is not written
+    to. The loop allocates nothing per term (see evolve).
+    """
+    rate = gen.uniformization_rate()
     k = np.arange(last + 1, dtype=float)
     log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
     weights = np.exp(log_w - logsumexp(log_w))
@@ -198,12 +259,9 @@ def evolve(gen: GeneratorMatrix, p0, t: float, *, truncation_tol: float = 1e-12)
         apply_q()
         np.divide(qv, rate, out=qv)
         np.add(v, qv, out=v)
-        if w:  # exact-zero weights add nothing (see the docstring)
+        if w:  # exact-zero weights add nothing (see evolve)
             np.multiply(w, v, out=qv)
             np.add(acc, qv, out=acc)
-    acc = np.clip(acc, 0.0, None)
-    acc /= acc.sum()
-    acc.setflags(write=False)
     return acc
 
 
@@ -247,6 +305,54 @@ def _windowed_leg(
     return evolve(gen, p, t), 0, last, 0.0
 
 
+def _dense_propagator(gen: GeneratorMatrix, t: float, half=None) -> np.ndarray:
+    """exp(Qt) as a dense matrix for t > 0, by scaling and squaring.
+
+    With half given as exp(Qt/2) the result is its square. Otherwise
+    exp(Qt) is the 2^s-th power of exp(Qt/2^s), where s is the fewest
+    halvings that bring rate * t/2^s to at most 1; that short step is the
+    uniformization series on the identity, truncated where its tail drops
+    below one rounding unit, and is squared s times. The products run in
+    numpy's own loops (einsum) and not in BLAS, whose matrix products round
+    differently with the number of threads, so the result is the same bits
+    on every host with the same numpy.
+
+    Raises ConvergenceBudgetError where evolve over t would exceed its term
+    budget, so that a leg fails on the dense route exactly where it fails on
+    uniformization.
+    """
+    lt = gen.uniformization_rate() * t
+    _series_length(lt, t)
+    if half is not None:
+        return _product(half, half)
+    halvings = max(math.ceil(math.log2(lt)), 0)
+    step = lt / 2.0**halvings
+    last = _poisson_isf(_ROUNDING_TAIL, step) + 1
+    propagator = _poisson_mixture(gen, np.eye(gen.dimension), step, last)
+    for _ in range(halvings):
+        propagator = _product(propagator, propagator)
+    return propagator
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a matrix a and a matrix or vector b, summed in numpy's own
+    loops in one fixed order, never in BLAS."""
+    return np.einsum("ij,j...->i...", a, b)
+
+
+def _leg(gen: GeneratorMatrix, p, t: float) -> np.ndarray:
+    """exp(Qt) p for one checkpoint: dense on a chain of at most
+    _DENSE_MAX_STATES states, evolve above. Validates like evolve and
+    returns a new read-only array; p itself is copied, never written to."""
+    if gen.dimension > _DENSE_MAX_STATES:
+        return evolve(gen, p, t)
+    _check_time(t)
+    p = _frozen_copy(gen, p)
+    if t == 0.0 or gen.uniformization_rate() * t == 0.0:
+        return p
+    return _on_simplex(_product(_dense_propagator(gen, t), p))
+
+
 def _check_converge_settings(tol: float, max_horizon: float) -> None:
     """Raise ValueError unless tol >= 0 and max_horizon > 0, both finite."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -270,17 +376,22 @@ def converge_to_stationary(
     to the reference), probs a new read-only array; elapsed is 0 when p0
     already satisfies the tolerance.
 
-    Each leg runs on a window of states around the support of its start
-    vector, bordered by absorbing sinks that collect the mass leaking out
-    (see _windowed_leg). In l1 a leg differs from the full-space evolve by
-    at most twice its leak (<= _WINDOW_TOL) plus the series truncation.
-    The returned distance is measured exactly on the returned vector.
+    On a chain of at most _DENSE_MAX_STATES states the first leg applies
+    the dense propagator exp(Q h) and every later leg, twice as long, its
+    square. On a larger chain each leg runs on a window of states around
+    the support of its start vector, bordered by absorbing sinks that
+    collect the mass leaking out (see _windowed_leg); in l1 such a leg
+    differs from the full-space evolve by at most twice its leak
+    (<= _WINDOW_TOL) plus the series truncation. The returned distance is
+    measured exactly on the returned vector.
 
     Raises:
         ValueError: tol is negative or not finite, or max_horizon is not a
             finite positive number.
         ConvergenceBudgetError: max_horizon was integrated without reaching
             tol; carries the achieved distance and the final distribution.
+            Also raised, without them, by a leg evolve could not sum within
+            its term budget, on either route.
     """
     _check_converge_settings(tol, max_horizon)
     target = stationary_from_rates(gen.birth, gen.death).probs
@@ -290,8 +401,13 @@ def converge_to_stationary(
     if tv <= tol:
         return current, elapsed, tv
     horizon = _INITIAL_HORIZON
+    propagator = None
     while True:
-        current = _windowed_leg(gen, current, horizon)[0]
+        if gen.dimension <= _DENSE_MAX_STATES:
+            propagator = _dense_propagator(gen, horizon, propagator)
+            current = _on_simplex(_product(propagator, current))
+        else:
+            current = _windowed_leg(gen, current, horizon)[0]
         elapsed += horizon
         tv = total_variation(current, target)
         if tv <= tol:

@@ -362,6 +362,16 @@ def test_ode_single_trajectory(tmp_path):
     assert read(tmp_path / "ode.csv").splitlines()[0] == "t,density"
 
 
+def test_ode_single_trajectory_stops_an_unbounded_flow(tmp_path):
+    # no density dependence and R0 = 4: the density grows without bound
+    code, out = _run_with_config(
+        tmp_path, "ode", "x0 = 0.5\nlambda = 4\ndelta1 = 0\ndelta2 = 0\n"
+    )
+    assert code == 0
+    assert json.loads(read(out / "ode_summary.json"))["classification"] == "undecided"
+    assert float(read(out / "ode.csv").splitlines()[-1].split(",")[1]) > 1.0
+
+
 def test_ode_grid_leaves_rk45_to_single_trajectory(tmp_path):
     with mock.patch.object(deterministic, "integrate", side_effect=AssertionError("RK45 ran")):
         assert run("ode", "--preset", "fig1a", "--out", str(tmp_path / "grid")) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -223,9 +224,12 @@ def test_basin_point_matches_rk45(case):
         return
     if zeros is None and x0 > PROXIMITY and ode_rhs(params, x0) > 0.0:
         # No zero of f above x0: the exact flow grows without bound and
-        # never classifies, while RK45 follows it until the density
-        # overflows and then does not finish.
+        # never classifies. The grid reads "undecided" at t_end, and RK45
+        # stops at its escape event above the density range (or at t_end).
         assert _basin_point(params, x0, t_end) == (UNDECIDED, t_end)
+        traj = integrate(params, x0, t_end)
+        assert traj.classification == UNDECIDED
+        assert traj.densities[-1] > 1.0 or traj.times[-1] == t_end
         return
     classification, t_final = _basin_point(params, x0, t_end)
     traj = integrate(params, x0, t_end)
@@ -247,6 +251,30 @@ def test_basin_point_matches_rk45(case):
         exact = _mp_hitting_time(params, x0, _boundary(params, x0, classification))
         assert abs(rk_time - exact) > 1e-5 * exact
         assert abs(t_final - exact) <= 1e-6 * exact
+
+
+#: No density dependence and R0 = 4: f > 0 on every x > 0, so the density
+#: grows without bound and e^(3 t) overflows long before t = 1000.
+_RUNAWAY = ModelParams.from_constants(
+    lam=4.0, mu=1.0, delta1=0.0, delta2=0.0, delta3=1.45, theta=0.03, capacity_n=100, r1=0.99,
+)
+
+
+def test_integrate_stops_an_unbounded_flow():
+    start = time.perf_counter()
+    traj = integrate(_RUNAWAY, 0.5, 1000.0)
+    assert time.perf_counter() - start < 1.0
+    assert traj.classification == UNDECIDED
+    assert 1.0 < traj.densities[-1] < 1.0 + 1e-5 and 0.0 < traj.times[-1] < 1.0
+    assert np.all(np.diff(traj.densities) > 0.0)
+    # An unarmed zero of f above 1 (no x-*, so bistability fails) stops the
+    # flow below the escape density: RK45 runs to t_end instead.
+    capped = _params(FIG_A, lam=2.6, delta1=0.009, delta2=0.002)
+    top = _balance_roots(capped)[1][1]
+    assert top > 1.0
+    traj = integrate(capped, 0.5, 200.0)
+    assert traj.classification == UNDECIDED and traj.times[-1] == 200.0
+    assert traj.densities[-1] == pytest.approx(top, rel=1e-8)
 
 
 def test_basin_point_on_or_next_to_unstable_zero():

@@ -17,13 +17,15 @@ import json
 import platform
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy
 import pytest
 import scipy
 
-from alleechain import integrate, params_from_config
+from alleechain import build_generator, integrate, master_eq, params_from_config
 from alleechain.cli import PRESETS, main
+from alleechain.master_eq import _DENSE_MAX_STATES
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
@@ -96,6 +98,28 @@ def test_basin_grid_stays_within_rk45_bound(key, tmp_path):
         traj = integrate(params, float(x0), 1000.0)
         assert classification == traj.classification
         assert float(t_final) == pytest.approx(float(traj.times[-1]), rel=1e-5)
+
+
+@pytest.mark.parametrize("key", ["fig1a/evolve", "fig1b/evolve", "fig1b/evolve-checkpoints"])
+def test_dense_evolve_stays_within_uniformization_bound(key, tmp_path):
+    """On these 101-state chains the converge legs and checkpoints take the
+    dense propagator; each probability stays within 1e-12 of the
+    uniformization route (every chain above the cutoff), and converge mode
+    reaches the same horizon."""
+    preset, command, config = RUNS[key]
+    dense, uniformized = tmp_path / "dense", tmp_path / "uniformized"
+    assert build_generator(params_from_config(PRESETS[preset])).dimension <= _DENSE_MAX_STATES
+    _artifact_hashes(preset, command, dense, config)
+    with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
+        _artifact_hashes(preset, command, uniformized, config)
+    name = "evolve.csv" if "times" in config else "final.csv"
+    # final.csv is (state, prob); evolve.csv stacks one (t, state, prob)
+    # block per checkpoint, so the bound holds per block
+    got, ref = (numpy.loadtxt(d / name, delimiter=",", skiprows=1) for d in (dense, uniformized))
+    assert numpy.array_equal(got[:, :-1], ref[:, :-1])
+    assert numpy.abs(got[:, -1] - ref[:, -1]).max() <= 1e-12
+    summaries = [json.loads((d / "evolve_summary.json").read_text()) for d in (dense, uniformized)]
+    assert summaries[0].get("horizon") == summaries[1].get("horizon")
 
 
 def _capture() -> None:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,7 +31,13 @@ from alleechain import (
 
 from alleechain import master_eq
 from alleechain.cli import _start_vector
-from alleechain.master_eq import _WINDOW_TOL, _poisson_isf, _windowed_leg
+from alleechain.master_eq import (
+    _DENSE_MAX_STATES,
+    _WINDOW_TOL,
+    _leg,
+    _poisson_isf,
+    _windowed_leg,
+)
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -331,7 +341,9 @@ def _recorded_legs():
         legs.append((p, t, lo, hi, leak, outputs[-1]))
         return probs, lo, hi, leak
 
-    with mock.patch.object(master_eq, "_windowed_leg", leg):
+    # every chain takes the windowed route, however small
+    with mock.patch.object(master_eq, "_windowed_leg", leg), \
+            mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
         yield legs
 
 
@@ -362,11 +374,7 @@ def _reference_converge(gen, p0, tol, max_horizon):
 @example(seed=4, dimension=300, scale=50.0, bias=0.2, point_mass=True, tol=1e-5)
 def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
     rng = np.random.default_rng(seed)
-    birth = rng.uniform(0.1, 1.0, dimension) * scale * math.sqrt(bias)
-    death = rng.uniform(0.1, 1.0, dimension) * scale / math.sqrt(bias)
-    birth[-1] = 0.0
-    death[0] = 0.0
-    gen = GeneratorMatrix(birth, death)
+    gen = _drifting_generator(rng, dimension, scale, bias)
     p0 = np.zeros(dimension)
     first = int(rng.integers(dimension))
     if point_mass:
@@ -392,6 +400,135 @@ def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, po
         # exact leg from the same start, up to rounding slack
         interior = raw[int(lo > 0):][:hi - lo + 1]
         assert np.all(interior <= evolve(gen, start, t)[lo:hi + 1] + 2e-12)
+
+
+def _drifting_generator(rng, dimension, scale, bias):
+    """Random birth-death rates whose ratio drifts up (bias > 1) or down."""
+    birth = rng.uniform(0.1, 1.0, dimension) * scale * math.sqrt(bias)
+    death = rng.uniform(0.1, 1.0, dimension) * scale / math.sqrt(bias)
+    birth[-1] = 0.0
+    death[0] = 0.0
+    return GeneratorMatrix(birth, death)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, _DENSE_MAX_STATES),
+    scale=st.floats(0.05, 10.0),
+    bias=st.floats(0.2, 5.0),
+    point_mass=st.booleans(),
+    tol=st.sampled_from([1e-2, 1e-5, 1e-8]),
+)
+@example(seed=5, dimension=_DENSE_MAX_STATES, scale=10.0, bias=5.0, point_mass=True, tol=1e-8)
+@example(seed=6, dimension=2, scale=0.05, bias=0.2, point_mass=False, tol=1e-8)
+def test_dense_converge_matches_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
+    rng = np.random.default_rng(seed)
+    gen = _drifting_generator(rng, dimension, scale, bias)
+    p0 = np.eye(dimension)[int(rng.integers(dimension))] if point_mass else (
+        rng.dirichlet(np.ones(dimension)))
+    before = p0.copy()
+    max_horizon = 64.0
+
+    with mock.patch.object(master_eq, "_windowed_leg", side_effect=AssertionError("windowed")):
+        try:
+            probs, horizon, tv = converge_to_stationary(gen, p0, tol, max_horizon=max_horizon)
+        except ConvergenceBudgetError as err:
+            probs, horizon, tv = err.witness, err.horizon, err.achieved_tv
+    expected, expected_horizon = _reference_converge(gen, p0, tol, max_horizon)
+    target = stationary_from_rates(gen.birth, gen.death).probs
+
+    # a distance within rounding of tol may fall on either side of it
+    expected_tv = total_variation(expected, target)
+    if horizon != expected_horizon:
+        assert abs(tv - tol) <= 1e-12 and abs(expected_tv - tol) <= 1e-12
+        return
+    legs = max(math.log2(horizon + 1.0), 1.0)
+    assert np.abs(probs - expected).max() <= 2e-12 * legs
+    assert tv == total_variation(probs, target)
+    assert np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12
+    assert not probs.flags.writeable and not np.shares_memory(probs, p0)
+    assert np.array_equal(p0, before) and p0.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, _DENSE_MAX_STATES),
+    scale=st.floats(0.01, 10.0),
+    rate_times_t=st.one_of(st.floats(1e-3, 50.0), st.floats(50.0, 3000.0)),
+    point_mass=st.booleans(),
+)
+@example(seed=1, dimension=_DENSE_MAX_STATES, scale=10.0, rate_times_t=3000.0, point_mass=True)
+@example(seed=2, dimension=2, scale=0.01, rate_times_t=1e-3, point_mass=False)
+def test_dense_leg_matches_evolve(seed, dimension, scale, rate_times_t, point_mass):
+    rng = np.random.default_rng(seed)
+    birth = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    birth[-1] = 0.0
+    death[0] = 0.0
+    gen = GeneratorMatrix(birth, death)
+    rate = gen.uniformization_rate()
+    assume(rate > 0.0)
+    if point_mass:
+        p0 = np.eye(dimension)[int(rng.integers(dimension))]
+    else:
+        p0 = rng.dirichlet(np.ones(dimension))
+    before = p0.copy()
+    t = rate_times_t / rate
+
+    with mock.patch.object(master_eq, "evolve", side_effect=AssertionError("uniformization")):
+        out = _leg(gen, p0, t)
+    assert np.abs(out - evolve(gen, p0, t)).max() <= 1e-12
+    # on the simplex, read-only, and the caller's array untouched
+    assert np.all(out >= 0.0) and abs(out.sum() - 1.0) <= 1e-12
+    assert not out.flags.writeable and not np.shares_memory(out, p0)
+    assert np.array_equal(p0, before)
+    assert p0.flags.writeable
+
+
+def test_leg_checks_like_evolve(fig1a):
+    gen = build_generator(fig1a)
+    assert gen.dimension <= _DENSE_MAX_STATES
+    p0 = np.eye(gen.dimension)[10]
+    same = _leg(gen, p0, 0.0)
+    assert np.array_equal(same, p0) and not same.flags.writeable
+    assert not np.shares_memory(same, p0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="evolution time"):
+            _leg(gen, p0, t)
+    with pytest.raises(ValueError):
+        _leg(gen, np.eye(5)[0], 1.0)
+    # the dense route refuses the legs uniformization cannot sum
+    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+        _leg(gen, p0, 1e5)
+    # above the cutoff a leg is evolve, bit for bit
+    with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
+        assert _leg(gen, p0, 3.0).tobytes() == evolve(gen, p0, 3.0).tobytes()
+
+
+def test_dense_leg_bits_do_not_depend_on_blas_threads():
+    # BLAS matrix products round differently with the number of threads;
+    # the dense route stays out of them, so a leg is the same bits either way
+    script = (
+        "import sys, numpy as np\n"
+        "from alleechain import build_generator, params_from_config\n"
+        "from alleechain.cli import PRESETS\n"
+        "from alleechain.master_eq import _leg\n"
+        "gen = build_generator(params_from_config(PRESETS['fig1b']))\n"
+        "p = _leg(gen, np.eye(gen.dimension)[-1], 500.0)\n"
+        "sys.stdout.write(p.tobytes().hex())\n"
+    )
+    src = str(Path(master_eq.__file__).parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_fig2a_converge_stays_in_small_windows(fig2a):
