@@ -141,13 +141,12 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     is armed. Reaching t_end without an event yields "undecided".
 
     A third terminal event, also "undecided", stops a trajectory that rises
-    PROXIMITY past both the density range [0, 1] and the upper root of the
-    balance quadratic. The flow is scalar, so a rising trajectory has met no
-    zero of f between x0 and there, and it meets none above: there f < 0
-    for a > 0, and for a = 0 (no density dependence)
-    f = mu x (b x - c) / (theta + x) rises through its only zero. Such a
-    trajectory grows without bound, and without this event RK45 follows it
-    until the density overflows.
+    PROXIMITY past both 1 and the upper root of the balance quadratic. With
+    density dependence (a > 0) no trajectory gets there, since f < 0 above
+    that root. Without it (a = 0), f = mu x (b x - c) / (theta + x) changes
+    sign at most once, from negative to positive, so a rising trajectory
+    never stops and grows without bound; RK45 would follow it until the
+    density overflows.
     """
     _check_start(x0, t_end)
     x_plus = _armed_x_plus(params)

@@ -305,7 +305,9 @@ def _windowed_leg(
     return evolve(gen, p, t), 0, last, 0.0
 
 
-def _dense_propagator(gen: GeneratorMatrix, t: float, half=None) -> np.ndarray:
+def _dense_propagator(
+    gen: GeneratorMatrix, t: float, half: np.ndarray | None = None
+) -> np.ndarray:
     """exp(Qt) as a dense matrix for t > 0, by scaling and squaring.
 
     With half given as exp(Qt/2) the result is its square. Otherwise
