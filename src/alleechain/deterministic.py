@@ -193,7 +193,7 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
 def _balance_zeros(params: ModelParams) -> tuple[float, float] | None:
     """Roots (x-*, x+*) of the balance quadratic, the double root b / 2a twice
     when the discriminant is exactly 0, or None when it has no real roots or
-    no slope a (then f has at most one positive zero, see _flow_target)."""
+    a = 0 (no density dependence)."""
     a, b, _ = balance_coefficients(params)
     disc, zeros = _balance_roots(params)
     if zeros is None and disc == 0.0 and a > 0.0:

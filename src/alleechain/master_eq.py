@@ -328,9 +328,9 @@ def _dense_propagator(
     if half is not None:
         return _product(half, half)
     halvings = max(math.ceil(math.log2(lt)), 0)
-    step = lt / 2.0**halvings
-    last = _poisson_isf(_ROUNDING_TAIL, step) + 1
-    propagator = _poisson_mixture(gen, np.eye(gen.dimension), step, last)
+    step_lt = lt / 2.0**halvings
+    last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
+    propagator = _poisson_mixture(gen, np.eye(gen.dimension), step_lt, last)
     for _ in range(halvings):
         propagator = _product(propagator, propagator)
     return propagator

@@ -101,6 +101,22 @@ def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
     return acc / acc.sum(), weights
 
 
+def _sparse_generator(rng, dimension, scale):
+    """Random rates up to scale, about one in ten of them exactly zero."""
+    birth = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
+    birth[-1] = 0.0
+    death[0] = 0.0
+    return GeneratorMatrix(birth, death)
+
+
+def _random_start(rng, dimension, point_mass):
+    """A point mass at a random state, or a random law spread over all states."""
+    if point_mass:
+        return np.eye(dimension)[int(rng.integers(dimension))]
+    return rng.dirichlet(np.ones(dimension))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -115,17 +131,10 @@ def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
 @example(seed=2, dimension=2, scale=0.01, rate_times_t=1e-3, point_mass=False)
 def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_times_t, point_mass):
     rng = np.random.default_rng(seed)
-    birth = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
-    death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
-    birth[-1] = 0.0
-    death[0] = 0.0
-    gen = GeneratorMatrix(birth, death)
+    gen = _sparse_generator(rng, dimension, scale)
     rate = gen.uniformization_rate()
     assume(rate > 0.0)
-    if point_mass:
-        p0 = np.eye(dimension)[int(rng.integers(dimension))]
-    else:
-        p0 = rng.dirichlet(np.ones(dimension))
+    p0 = _random_start(rng, dimension, point_mass)
     before = p0.copy()
     t = rate_times_t / rate
 
@@ -425,8 +434,7 @@ def _drifting_generator(rng, dimension, scale, bias):
 def test_dense_converge_matches_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
     rng = np.random.default_rng(seed)
     gen = _drifting_generator(rng, dimension, scale, bias)
-    p0 = np.eye(dimension)[int(rng.integers(dimension))] if point_mass else (
-        rng.dirichlet(np.ones(dimension)))
+    p0 = _random_start(rng, dimension, point_mass)
     before = p0.copy()
     max_horizon = 64.0
 
@@ -463,17 +471,10 @@ def test_dense_converge_matches_full_space_legs(seed, dimension, scale, bias, po
 @example(seed=2, dimension=2, scale=0.01, rate_times_t=1e-3, point_mass=False)
 def test_dense_leg_matches_evolve(seed, dimension, scale, rate_times_t, point_mass):
     rng = np.random.default_rng(seed)
-    birth = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
-    death = rng.uniform(0.0, scale, dimension) * (rng.random(dimension) < 0.9)
-    birth[-1] = 0.0
-    death[0] = 0.0
-    gen = GeneratorMatrix(birth, death)
+    gen = _sparse_generator(rng, dimension, scale)
     rate = gen.uniformization_rate()
     assume(rate > 0.0)
-    if point_mass:
-        p0 = np.eye(dimension)[int(rng.integers(dimension))]
-    else:
-        p0 = rng.dirichlet(np.ones(dimension))
+    p0 = _random_start(rng, dimension, point_mass)
     before = p0.copy()
     t = rate_times_t / rate
 
