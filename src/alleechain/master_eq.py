@@ -8,7 +8,7 @@ stationary distribution from arbitrary starts. Inputs are copied, and every
 distribution returned is a new read-only float array.
 
 evolve always works on the whole state space by uniformization and is the
-exact reference. The legs of the long-horizon driver and the checkpoints of
+exact reference. The legs of converge_to_stationary and the checkpoints of
 `alleechain evolve` take one of two other routes, chosen by the size of the
 chain:
 
@@ -17,11 +17,11 @@ chain:
   (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
   all nonnegative, in place of their Pade approximant. A leg is then one
   matrix-vector product, clipped and renormalized like evolve's result.
-  The driver's horizons double, so after its first leg each propagator is
+  The converge horizons double, so after the first leg each propagator is
   the square of the last one, exp(2Qh) = exp(Qh)^2. Dense legs are refused
   where evolve would exceed its term budget, so the route never changes
   which legs succeed.
-- On a larger chain a checkpoint is plain evolve, and each leg of the driver
+- On a larger chain a checkpoint is plain evolve, and each converge leg
   runs on a finite state projection (Munsky and Khammash 2006): a window of
   states around the support of the leg's start vector, bordered by two
   absorbing sink states that collect the mass the full chain would move out
@@ -66,7 +66,7 @@ _WINDOW_MARGIN = 64
 #: Largest sink mass (l1 projection error) a windowed leg may leak.
 _WINDOW_TOL = 1e-12
 
-#: Largest chain, in states, whose driver legs and checkpoints use the dense
+#: Largest chain, in states, whose converge legs and checkpoints use the dense
 #: propagator. Its O(n^3) squarings catch up with uniformization between 301
 #: and 401 states on the fig1b checkpoints (t = 1, 10, 100, 500 from N),
 #: while converge legs gain at every measured size (BENCH_12.json).
