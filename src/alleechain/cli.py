@@ -178,15 +178,11 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     tol, max_horizon = config_float(cfg, "tol"), config_float(cfg, "max_horizon")
     master_eq._check_converge_settings(tol, max_horizon)  # checkpoint mode too
     if times:
-        if sorted(times) != times or times[0] < 0:
-            raise ValueError("times must be nonnegative and ascending")
         states = np.arange(gen.dimension)
         with _write_atomic(out_dir / "evolve.csv") as f:
-            header, previous = "t,state,prob", 0.0
-            for t in times:
-                p = master_eq._leg(gen, p, t - previous)
-                _csv.write_rows(f, header, np.full(gen.dimension, t), states, p)
-                header, previous = None, t
+            f.write("t,state,prob\n")
+            for t, probs in zip(times, master_eq._checkpoints(gen, p, times)):
+                _csv.write_rows(f, None, np.full(gen.dimension, t), states, probs)
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}
     else:
         final, horizon, achieved_tv = master_eq.converge_to_stationary(

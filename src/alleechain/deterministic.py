@@ -23,12 +23,12 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import _csv, _cubic
-from .errors import AssumptionError, QuadratureError
+from .errors import QuadratureError
 from .model import (
     ModelParams,
+    _armed_x_plus,
     _balance_roots,
     balance_coefficients,
-    equilibria,
     per_capita_factors,
 )
 
@@ -114,15 +114,6 @@ def _check_start(x0: float, t_end: float) -> None:
         raise ValueError(f"x0 = {x0} outside [0, 1]")
 
 
-def _armed_x_plus(params: ModelParams) -> float | None:
-    """x+* when the bistability conditions hold; otherwise None, and only the
-    extinction neighbourhood counts as an attractor."""
-    try:
-        return equilibria(params).x_plus
-    except AssumptionError:
-        return None
-
-
 def _settled(x0: float, x_plus: float | None) -> str | None:
     """Classification of a start already inside an attractor's neighbourhood."""
     if x0 <= PROXIMITY:
@@ -160,7 +151,7 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     def near_zero(_t, y):
         return y[0] - PROXIMITY
 
-    escape = max((1.0, *(_balance_zeros(params) or ()))) + PROXIMITY
+    escape = max((1.0, *(_balance_roots(params)[1] or ()))) + PROXIMITY
 
     def escaped(_t, y):
         return y[0] - escape
@@ -190,17 +181,6 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     return OdeTrajectory(sol.t, sol.y[0], classification, x_plus)
 
 
-def _balance_zeros(params: ModelParams) -> tuple[float, float] | None:
-    """Roots (x-*, x+*) of the balance quadratic, the double root b / 2a twice
-    when the discriminant is exactly 0, or None when it has no real roots or
-    a = 0 (no density dependence)."""
-    a, b, _ = balance_coefficients(params)
-    disc, zeros = _balance_roots(params)
-    if zeros is None and disc == 0.0 and a > 0.0:
-        return (b / (2.0 * a),) * 2
-    return zeros
-
-
 def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[str, float] | None:
     """The armed neighbourhood boundary the flow from x0 reaches, with its
     classification, or None when the flow stops at a zero of f first.
@@ -214,7 +194,7 @@ def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[
     """
     rate = ode_rhs(params, x0)
     a, b, _ = balance_coefficients(params)
-    zeros = _balance_zeros(params)
+    _, zeros = _balance_roots(params)
     if rate == 0.0 or (zeros is not None and x0 in zeros):
         return None
     if rate > 0.0:

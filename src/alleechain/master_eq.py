@@ -17,10 +17,12 @@ chain:
   (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
   all nonnegative, in place of their Pade approximant. A leg is then one
   matrix-vector product, clipped and renormalized like evolve's result.
-  The converge horizons double, so after the first leg each propagator is
-  the square of the last one, exp(2Qh) = exp(Qh)^2. Dense legs are refused
-  where evolve would exceed its term budget, so the route never changes
-  which legs succeed.
+  A leg as long as the last reuses its propagator, and one twice as long
+  squares it, exp(2Qh) = exp(Qh)^2: so do the doubling converge legs, and
+  an evenly spaced checkpoint grid computes one propagator. Other steps pay
+  a full scaling and squaring, so distinct short checkpoint steps can be
+  slower than uniformization. Dense legs are refused where evolve would
+  exceed its term budget, so the route never changes which legs succeed.
 - On a larger chain a checkpoint is plain evolve, and each converge leg
   runs on a finite state projection (Munsky and Khammash 2006): a window of
   states around the support of the leg's start vector, bordered by two
@@ -35,6 +37,7 @@ chain:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,15 +309,17 @@ def _windowed_leg(
 
 
 def _dense_propagator(
-    gen: GeneratorMatrix, t: float, half: np.ndarray | None = None
+    gen: GeneratorMatrix, t: float, previous: tuple[float, np.ndarray] | None = None
 ) -> np.ndarray:
     """exp(Qt) as a dense matrix for t > 0, by scaling and squaring.
 
-    With half given as exp(Qt/2) the result is its square. Otherwise
+    previous is the last leg's (step, exp(Q step)): t equal to that step
+    reuses its propagator, and t twice that step squares it. Otherwise
     exp(Qt) is the 2^s-th power of exp(Qt/2^s), where s is the fewest
     halvings that bring rate * t/2^s to at most 1; that short step is the
     uniformization series on the identity, truncated where its tail drops
-    below one rounding unit, and is squared s times. The products run in
+    below one rounding unit, and is squared s times (so the square of a
+    step that needed a halving is these same bits). The products run in
     numpy's own loops (einsum) and not in BLAS, whose matrix products round
     differently with the number of threads, so the result is the same bits
     on every host with the same numpy.
@@ -325,8 +330,12 @@ def _dense_propagator(
     """
     lt = gen.uniformization_rate() * t
     _series_length(lt, t)
-    if half is not None:
-        return _product(half, half)
+    if previous is not None:
+        step, propagator = previous
+        if t == step:
+            return propagator
+        if t == 2.0 * step:
+            return _product(propagator, propagator)
     halvings = max(math.ceil(math.log2(lt)), 0)
     step_lt = lt / 2.0**halvings
     last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
@@ -342,17 +351,27 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j...->i...", a, b)
 
 
-def _leg(gen: GeneratorMatrix, p, t: float) -> np.ndarray:
-    """exp(Qt) p for one checkpoint: dense on a chain of at most
-    _DENSE_MAX_STATES states, evolve above. Validates like evolve and
-    returns a new read-only array; p itself is copied, never written to."""
-    if gen.dimension > _DENSE_MAX_STATES:
-        return evolve(gen, p, t)
-    _check_time(t)
-    p = _frozen_copy(gen, p)
-    if t == 0.0 or gen.uniformization_rate() * t == 0.0:
-        return p
-    return _on_simplex(_product(_dense_propagator(gen, t), p))
+def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.ndarray]:
+    """Yield exp(Qt) p0 as a new read-only array for each t of times, one leg
+    per step: dense on a chain of at most _DENSE_MAX_STATES states (see
+    _dense_propagator), evolve above. Raises ValueError before the first leg
+    unless times are nonnegative and ascending; each leg validates its step
+    and p0 like evolve."""
+    if sorted(times) != times or (times and times[0] < 0):
+        raise ValueError("times must be nonnegative and ascending")
+    p = _frozen_copy(gen, p0)
+    elapsed, previous = 0.0, None
+    for t in times:
+        step = t - elapsed
+        if gen.dimension > _DENSE_MAX_STATES:
+            p = evolve(gen, p, step)
+        else:
+            _check_time(step)
+            if gen.uniformization_rate() * step != 0.0:
+                previous = step, _dense_propagator(gen, step, previous)
+                p = _on_simplex(_product(previous[1], p))
+        elapsed = t
+        yield p
 
 
 def _check_converge_settings(tol: float, max_horizon: float) -> None:
@@ -403,11 +422,11 @@ def converge_to_stationary(
     if tv <= tol:
         return current, elapsed, tv
     horizon = _INITIAL_HORIZON
-    propagator = None
+    previous = None
     while True:
         if gen.dimension <= _DENSE_MAX_STATES:
-            propagator = _dense_propagator(gen, horizon, propagator)
-            current = _on_simplex(_product(propagator, current))
+            previous = horizon, _dense_propagator(gen, horizon, previous)
+            current = _on_simplex(_product(previous[1], current))
         else:
             current = _windowed_leg(gen, current, horizon)[0]
         elapsed += horizon

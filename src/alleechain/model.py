@@ -219,8 +219,8 @@ def balance_coefficients(params: ModelParams) -> tuple[float, float, float]:
 
 
 def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | None]:
-    """Discriminant and roots (x-*, x+*) of the balance quadratic, or None
-    for the roots unless the discriminant and the slope a are positive.
+    """Discriminant and roots (x-*, x+*) of the balance quadratic, or None for
+    the roots unless the discriminant is >= 0 (0 gives b / 2a twice) and a > 0.
 
     (1 - R0 - theta*a)**2 - 4*theta*delta3*a equals b**2 - 4*a*c only in
     exact arithmetic; the reported equilibria are pinned to these bits.
@@ -228,7 +228,7 @@ def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | No
     r0 = basic_reproduction_ratio(params)
     a, b, _ = balance_coefficients(params)
     disc = (1.0 - r0 - params.theta * a) ** 2 - 4.0 * params.theta * params.delta3 * a
-    if not (disc > 0.0 and a > 0.0):
+    if not (disc >= 0.0 and a > 0.0):
         return disc, None
     root = math.sqrt(disc)
     return disc, ((b - root) / (2.0 * a), (b + root) / (2.0 * a))
@@ -265,7 +265,7 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
     if not disc_ok:
         messages.append(f"bistability needs a positive balance discriminant, got {disc:.6g}")
 
-    if roots is not None:
+    if disc_ok and roots is not None:
         x_plus = roots[1]
         interior = x_plus <= 1.0
         if not interior:
@@ -297,8 +297,14 @@ def equilibria(params: ModelParams) -> EquilibriumPair:
     if not report.bistability_holds:
         detail = "; ".join(m for m in report.messages if m.startswith("bistability"))
         raise AssumptionError(f"equilibria need bistability: {detail}", report)
-    _, (x_minus, x_plus) = _balance_roots(params)
-    return EquilibriumPair(x_minus=x_minus, x_plus=x_plus)
+    return EquilibriumPair(*_balance_roots(params)[1])
+
+
+def _armed_x_plus(params: ModelParams) -> float | None:
+    """x+*, the persistence attractor, when bistability holds; else None."""
+    if not check_assumptions(params).bistability_holds:
+        return None
+    return _balance_roots(params)[1][1]
 
 
 def per_capita_factors(params: ModelParams, x):

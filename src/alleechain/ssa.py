@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
-from .errors import AssumptionError
-from .model import ModelParams, equilibria, rate_arrays
+from .model import ModelParams, _armed_x_plus, rate_arrays
 
 #: Draws of each random stream simulate takes from the generator at a time.
 _BLOCK = 4096
@@ -152,11 +151,10 @@ def ensemble(
     mean = rows.mean(axis=0)
     density = np.arange(params.capacity_n + 1) / params.capacity_n
     extinction = float(mean[density <= epsilon].sum())
-    try:
-        x_plus = equilibria(params).x_plus
+    x_plus = _armed_x_plus(params)
+    persistence = None
+    if x_plus is not None:
         persistence = float(mean[np.abs(density - x_plus) <= epsilon].sum())
-    except AssumptionError:
-        persistence = None
     return EnsembleSummary(
         mean_occupation=mean,
         run_frequencies=rows,

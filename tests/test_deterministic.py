@@ -17,6 +17,7 @@ from alleechain import (
     TO_ZERO,
     UNDECIDED,
     ModelParams,
+    check_assumptions,
     equilibria,
     immigration_equilibria,
     immigration_ode_rhs,
@@ -176,6 +177,18 @@ _DOUBLE_ROOT = ModelParams.from_constants(
 _NO_DENSITY_DEPENDENCE = _params(FIG_A, delta1=0.0, delta2=0.0)
 
 
+def test_double_root_is_a_zero_but_fails_bistability():
+    # a zero discriminant gives the double root b / 2a twice; the assumption
+    # report still reads it as no positive discriminant and no x+*
+    assert _balance_roots(_DOUBLE_ROOT) == (0.0, (0.375, 0.375))
+    report = check_assumptions(_DOUBLE_ROOT)
+    assert not report.discriminant_positive and not report.capacity_interior
+    assert report.messages == (
+        "bistability needs a positive balance discriminant, got 0",
+        "interior capacity not evaluable: the positive equilibria do not exist",
+    )
+
+
 @st.composite
 def basin_cases(draw):
     """Parameters across the assumption boundaries, a start that is either any
@@ -211,6 +224,10 @@ def test_basin_point_matches_rk45(case):
         if x0 == zeros[0] > PROXIMITY:
             # the exact flow from a zero of f does not move
             assert _basin_point(params, x0, t_end) == (UNDECIDED, t_end)
+            if zeros[0] == zeros[1]:
+                # f is 0 at the double root, so RK45 does not move either
+                traj = integrate(params, x0, t_end)
+                assert traj.classification == UNDECIDED and traj.times[-1] == t_end
         # At and next to the unstable zero x-*, rounding in f decides where
         # the RK45 trajectory goes (one ulp apart its starts reach either
         # attractor), and its event time is off by more than the bound;

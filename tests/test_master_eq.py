@@ -34,7 +34,8 @@ from alleechain.cli import _start_vector
 from alleechain.master_eq import (
     _DENSE_MAX_STATES,
     _WINDOW_TOL,
-    _leg,
+    _checkpoints,
+    _dense_propagator,
     _poisson_isf,
     _windowed_leg,
 )
@@ -479,7 +480,7 @@ def test_dense_leg_matches_evolve(seed, dimension, scale, rate_times_t, point_ma
     t = rate_times_t / rate
 
     with mock.patch.object(master_eq, "evolve", side_effect=AssertionError("uniformization")):
-        out = _leg(gen, p0, t)
+        (out,) = _checkpoints(gen, p0, [t])
     assert np.abs(out - evolve(gen, p0, t)).max() <= 1e-12
     # on the simplex, read-only, and the caller's array untouched
     assert np.all(out >= 0.0) and abs(out.sum() - 1.0) <= 1e-12
@@ -492,20 +493,62 @@ def test_leg_checks_like_evolve(fig1a):
     gen = build_generator(fig1a)
     assert gen.dimension <= _DENSE_MAX_STATES
     p0 = np.eye(gen.dimension)[10]
-    same = _leg(gen, p0, 0.0)
-    assert np.array_equal(same, p0) and not same.flags.writeable
-    assert not np.shares_memory(same, p0)
-    for t in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="evolution time"):
-            _leg(gen, p0, t)
-    with pytest.raises(ValueError):
-        _leg(gen, np.eye(5)[0], 1.0)
-    # the dense route refuses the legs uniformization cannot sum
-    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
-        _leg(gen, p0, 1e5)
-    # above the cutoff a leg is evolve, bit for bit
+    for cutoff in (_DENSE_MAX_STATES, 0):  # the dense route, then evolve
+        with mock.patch.object(master_eq, "_DENSE_MAX_STATES", cutoff):
+            (same,) = _checkpoints(gen, p0, [0.0])
+            assert np.array_equal(same, p0) and not same.flags.writeable
+            assert not np.shares_memory(same, p0)
+            for t in (math.nan, math.inf):
+                for times in ([t], [1.0, t]):
+                    with pytest.raises(ValueError, match="evolution time"):
+                        list(_checkpoints(gen, p0, times))
+            # a negative step needs negative or descending times, refused
+            # before the first leg
+            for times in ([-1.0], [2.0, 1.0]):
+                with pytest.raises(ValueError, match="nonnegative and ascending"):
+                    next(_checkpoints(gen, p0, times))
+            with pytest.raises(ValueError, match="does not fit"):
+                list(_checkpoints(gen, np.eye(5)[0], [1.0]))
+            # the dense route refuses the legs uniformization cannot sum
+            with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+                list(_checkpoints(gen, p0, [1e5]))
+    # above the cutoff each leg is evolve, bit for bit
     with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
-        assert _leg(gen, p0, 3.0).tobytes() == evolve(gen, p0, 3.0).tobytes()
+        first, second = _checkpoints(gen, p0, [1.0, 3.0])
+    assert first.tobytes() == evolve(gen, p0, 1.0).tobytes()
+    assert second.tobytes() == evolve(gen, first, 2.0).tobytes()
+
+
+def test_equal_checkpoint_steps_share_one_propagator(fig1a):
+    gen = build_generator(fig1a)
+    p0 = np.eye(gen.dimension)[-1]
+    times = [float(k) for k in range(1, 101)]
+    with mock.patch.object(
+        master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
+    ) as series:
+        out = list(_checkpoints(gen, p0, times))
+    assert series.call_count == 1 and len(out) == len(times)
+
+
+def test_reused_and_squared_checkpoint_legs_match_fresh_ones(fig1a):
+    # steps 0.5, 0.5 (reused), 1 (squared), 0.5, 0.5 (reused), 1 (squared),
+    # 0 (no leg), 4 (fresh); every step needs a halving at this rate, so a
+    # square is the same bits as a fresh scaling and squaring
+    gen = build_generator(fig1a)
+    assert gen.uniformization_rate() * 0.5 > 2.0
+    p0 = np.eye(gen.dimension)[-1]
+    times = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 4.0, 8.0]
+    with mock.patch.object(
+        master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
+    ) as series:
+        out = list(_checkpoints(gen, p0, times))
+    assert series.call_count == 3
+    p, elapsed = master_eq._frozen_copy(gen, p0), 0.0
+    for t, got in zip(times, out, strict=True):
+        if t > elapsed:
+            p = master_eq._on_simplex(master_eq._product(_dense_propagator(gen, t - elapsed), p))
+        elapsed = t
+        assert got.tobytes() == p.tobytes()
 
 
 def test_dense_leg_bits_do_not_depend_on_blas_threads():
@@ -515,9 +558,9 @@ def test_dense_leg_bits_do_not_depend_on_blas_threads():
         "import sys, numpy as np\n"
         "from alleechain import build_generator, params_from_config\n"
         "from alleechain.cli import PRESETS\n"
-        "from alleechain.master_eq import _leg\n"
+        "from alleechain.master_eq import _checkpoints\n"
         "gen = build_generator(params_from_config(PRESETS['fig1b']))\n"
-        "p = _leg(gen, np.eye(gen.dimension)[-1], 500.0)\n"
+        "(p,) = _checkpoints(gen, np.eye(gen.dimension)[-1], [500.0])\n"
         "sys.stdout.write(p.tobytes().hex())\n"
     )
     src = str(Path(master_eq.__file__).parents[1])
