@@ -180,7 +180,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     if times:
         states = np.arange(gen.dimension)
         with _write_atomic(out_dir / "evolve.csv") as f:
-            f.write("t,state,prob\n")
+            _csv.write_rows(f, "t,state,prob")
             for t, probs in zip(times, master_eq._checkpoints(gen, p, times)):
                 _csv.write_rows(f, None, np.full(gen.dimension, t), states, probs)
         summary = {"start": cfg["start"], "checkpoints": times, "mode": "checkpoints"}

@@ -17,10 +17,9 @@ chain:
   (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
   all nonnegative, in place of their Pade approximant. A leg is then one
   matrix-vector product, clipped and renormalized like evolve's result.
-  A leg as long as the last reuses its propagator, and one twice as long
-  squares it, exp(2Qh) = exp(Qh)^2: so do the doubling converge legs, and
-  an evenly spaced checkpoint grid computes one propagator. Other steps pay
-  a full scaling and squaring, so distinct short checkpoint steps can be
+  The converge horizons double, so after the first leg each propagator is
+  the square of the last one, exp(2Qh) = exp(Qh)^2. Every checkpoint step
+  pays a full scaling and squaring, so many short checkpoint steps can be
   slower than uniformization. Dense legs are refused where evolve would
   exceed its term budget, so the route never changes which legs succeed.
 - On a larger chain a checkpoint is plain evolve, and each converge leg
@@ -313,16 +312,15 @@ def _dense_propagator(
 ) -> np.ndarray:
     """exp(Qt) as a dense matrix for t > 0, by scaling and squaring.
 
-    previous is the last leg's (step, exp(Q step)): t equal to that step
-    reuses its propagator, and t twice that step squares it. Otherwise
-    exp(Qt) is the 2^s-th power of exp(Qt/2^s), where s is the fewest
-    halvings that bring rate * t/2^s to at most 1; that short step is the
-    uniformization series on the identity, truncated where its tail drops
-    below one rounding unit, and is squared s times (so the square of a
-    step that needed a halving is these same bits). The products run in
-    numpy's own loops (einsum) and not in BLAS, whose matrix products round
-    differently with the number of threads, so the result is the same bits
-    on every host with the same numpy.
+    previous is the last converge leg's (step, exp(Q step)), and t twice
+    that step squares it. Otherwise exp(Qt) is the 2^s-th power of
+    exp(Qt/2^s), where s is the fewest halvings that bring rate * t/2^s to
+    at most 1; that short step is the uniformization series on the
+    identity, truncated where its tail drops below one rounding unit, and is
+    squared s times. The products run in numpy's own loops (einsum) and not
+    in BLAS, whose matrix products round differently with the number of
+    threads, so the result is the same bits on every host with the same
+    numpy.
 
     Raises ConvergenceBudgetError where evolve over t would exceed its term
     budget, so that a leg fails on the dense route exactly where it fails on
@@ -330,12 +328,8 @@ def _dense_propagator(
     """
     lt = gen.uniformization_rate() * t
     _series_length(lt, t)
-    if previous is not None:
-        step, propagator = previous
-        if t == step:
-            return propagator
-        if t == 2.0 * step:
-            return _product(propagator, propagator)
+    if previous is not None and t == 2.0 * previous[0]:
+        return _product(previous[1], previous[1])
     halvings = max(math.ceil(math.log2(lt)), 0)
     step_lt = lt / 2.0**halvings
     last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
@@ -360,7 +354,7 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
     if sorted(times) != times or (times and times[0] < 0):
         raise ValueError("times must be nonnegative and ascending")
     p = _frozen_copy(gen, p0)
-    elapsed, previous = 0.0, None
+    elapsed = 0.0
     for t in times:
         step = t - elapsed
         if gen.dimension > _DENSE_MAX_STATES:
@@ -368,8 +362,7 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
         else:
             _check_time(step)
             if gen.uniformization_rate() * step != 0.0:
-                previous = step, _dense_propagator(gen, step, previous)
-                p = _on_simplex(_product(previous[1], p))
+                p = _on_simplex(_product(_dense_propagator(gen, step), p))
         elapsed = t
         yield p
 

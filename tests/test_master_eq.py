@@ -519,36 +519,23 @@ def test_leg_checks_like_evolve(fig1a):
     assert second.tobytes() == evolve(gen, first, 2.0).tobytes()
 
 
-def test_equal_checkpoint_steps_share_one_propagator(fig1a):
+def test_checkpoint_legs_match_fresh_propagators(fig1a):
+    # repeated, doubled and zero steps, both short of one halving
+    # (rate * step <= 0.5) and past several: every leg is a fresh scaling
+    # and squaring, the same bits as one _dense_propagator per step
     gen = build_generator(fig1a)
     p0 = np.eye(gen.dimension)[-1]
-    times = [float(k) for k in range(1, 101)]
-    with mock.patch.object(
-        master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
-    ) as series:
+    short = 0.25 / gen.uniformization_rate()
+    for unit in (short, 0.5):
+        times = [unit * k for k in (1, 2, 4, 5, 6, 8, 8, 16)]
         out = list(_checkpoints(gen, p0, times))
-    assert series.call_count == 1 and len(out) == len(times)
-
-
-def test_reused_and_squared_checkpoint_legs_match_fresh_ones(fig1a):
-    # steps 0.5, 0.5 (reused), 1 (squared), 0.5, 0.5 (reused), 1 (squared),
-    # 0 (no leg), 4 (fresh); every step needs a halving at this rate, so a
-    # square is the same bits as a fresh scaling and squaring
-    gen = build_generator(fig1a)
-    assert gen.uniformization_rate() * 0.5 > 2.0
-    p0 = np.eye(gen.dimension)[-1]
-    times = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 4.0, 8.0]
-    with mock.patch.object(
-        master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
-    ) as series:
-        out = list(_checkpoints(gen, p0, times))
-    assert series.call_count == 3
-    p, elapsed = master_eq._frozen_copy(gen, p0), 0.0
-    for t, got in zip(times, out, strict=True):
-        if t > elapsed:
-            p = master_eq._on_simplex(master_eq._product(_dense_propagator(gen, t - elapsed), p))
-        elapsed = t
-        assert got.tobytes() == p.tobytes()
+        p, elapsed = master_eq._frozen_copy(gen, p0), 0.0
+        for t, got in zip(times, out, strict=True):
+            if t > elapsed:
+                fresh = _dense_propagator(gen, t - elapsed)
+                p = master_eq._on_simplex(master_eq._product(fresh, p))
+            elapsed = t
+            assert got.tobytes() == p.tobytes()
 
 
 def test_dense_leg_bits_do_not_depend_on_blas_threads():
