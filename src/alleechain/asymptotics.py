@@ -22,6 +22,7 @@ from . import _csv
 from .errors import AssumptionError, QuadratureError
 from .model import (
     ModelParams,
+    _within,
     basic_reproduction_ratio,
     check_assumptions,
     equilibria,
@@ -58,10 +59,10 @@ class ConvergenceDiagnostic:
     """Capacity sweep rows (N, tail_mass, discrete_exponent) and the report
     whose classification chose the tail.
 
-    For an extinction (or critical) report tail_mass is P[Y_N > epsilon];
-    for a persistence report it is P[|Y_N - x_plus| > epsilon], where Y_N is
-    the stationary population density. Both are exact sums of the
-    stationary distribution, not simulation estimates.
+    tail_mass is P[|Y_N - centre| > epsilon] for the stationary density Y_N,
+    outside the ensemble masses' epsilon-window (model._within) around 0 for
+    an extinction (or critical) report and around x_plus for a persistence
+    one: an exact sum of the stationary law, not a simulation estimate.
     """
 
     rows: tuple[tuple[int, float, float], ...]
@@ -172,14 +173,10 @@ def limit_distribution_diagnostic(
     if regime == PERSISTENCE and not 0.0 < epsilon < 1.0:
         raise ValueError("persistence-branch epsilon must lie in (0, 1)")
 
+    centre = 0.0 if regime == EXTINCTION else eq.x_plus
     rows = []
     for n in n_list:
-        n = int(n)
         dist, _, exponent = capacity_modes(params.with_capacity(n))
-        density = np.arange(n + 1) / n
-        if regime == EXTINCTION:
-            tail = float(dist.probs[density > epsilon].sum())
-        else:
-            tail = float(dist.probs[np.abs(density - eq.x_plus) > epsilon].sum())
-        rows.append((n, tail, exponent))
+        tail = float(dist.probs[~_within(dist.capacity_n, centre, epsilon)].sum())
+        rows.append((dist.capacity_n, tail, exponent))
     return ConvergenceDiagnostic(tuple(rows), report)

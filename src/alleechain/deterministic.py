@@ -53,9 +53,6 @@ _QUAD_ABS_TOL = 1e-13
 _QUAD_REL_TOL = 1e-12
 _QUAD_BUDGET = 1e-6
 
-#: Step used for the central-difference stability tags.
-_STABILITY_STEP = 1e-7
-
 
 @dataclass(frozen=True, eq=False)
 class OdeTrajectory:
@@ -75,9 +72,9 @@ class ImmigrationEquilibria:
     """Real equilibria of the immigration ODE with numerical stability tags.
 
     roots are sorted ascending; stability[k] is "stable", "unstable" or
-    "degenerate" from the sign of the central-difference derivative of the
-    right-hand side at roots[k]. The tags report what the numbers say, with
-    no prior assumption about how many roots are positive or stable.
+    "degenerate" from the sign of the derivative of the right-hand side at
+    roots[k]. The tags report what the numbers say, with no prior assumption
+    about how many roots are positive or stable.
     """
 
     roots: tuple[float, ...]
@@ -99,8 +96,8 @@ def ode_rhs(params: ModelParams, x: float) -> float:
 def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
     """The density ODE with a constant immigration stream alpha (1 - x).
 
-    Accepts the negative densities the stability probe samples around a
-    negative equilibrium; theta > 0 keeps the expression finite there.
+    Accepts negative densities, where the immigration cubic has a root; the
+    expression has a pole at x = -theta.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -260,34 +257,32 @@ def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, flo
 def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEquilibria:
     """Real roots of the immigration equilibrium cubic, with stability tags.
 
-    Clearing the mate-limitation denominator from the equilibrium condition
-    gives
+    Clearing the mate-limitation denominator from the right-hand side g gives
+    (theta + x) g(x) = -P(x), with the balance coefficients (a, b, c) in
 
-        (lam d1 + mu d2) x^3 + [theta (lam d1 + mu d2) + alpha + mu - lam] x^2
-        + [theta (mu d3 + alpha + mu - lam) - alpha] x - alpha theta = 0.
+        P(x) = mu x (a x^2 - b x + c) + alpha (x - 1)(x + theta).
 
     At alpha = 0 the roots are exactly {0, x-*, x+*}. The leading
     coefficient vanishes only without density dependence, in which case the
     remaining quadratic (or linear) equation is solved instead.
+
+    At a root r, g'(r) = -P'(r) / (theta + r): negative is "stable",
+    positive "unstable". A repeated root, one with P'(r) = 0, or one that
+    rounds onto the pole -theta is "degenerate".
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    lam, mu = params.lam, params.mu
-    c3 = lam * params.delta1 + mu * params.delta2
-    c2 = params.theta * c3 + alpha + mu - lam
-    c1 = params.theta * (mu * params.delta3 + alpha + mu - lam) - alpha
-    c0 = -alpha * params.theta
-    roots = _cubic.real_roots(c3, c2, c1, c0)
+    a, b, c = balance_coefficients(params)
+    mu, theta = params.mu, params.theta
+    c3, c2, c1 = mu * a, alpha - mu * b, mu * c + alpha * (theta - 1.0)
+    roots = _cubic.real_roots(c3, c2, c1, -alpha * theta)
     stability = []
     for r in roots:
-        lo = r - _STABILITY_STEP
-        hi = r + _STABILITY_STEP
-        slope = (immigration_ode_rhs(params, alpha, hi)
-                 - immigration_ode_rhs(params, alpha, lo)) / (hi - lo)
-        if slope < -1e-10:
-            stability.append("stable")
-        elif slope > 1e-10:
-            stability.append("unstable")
-        else:
+        p_slope = (3.0 * c3 * r + 2.0 * c2) * r + c1
+        if roots.count(r) > 1 or p_slope == 0.0 or r == -theta:
             stability.append("degenerate")
+        elif (p_slope > 0.0) == (r > -theta):  # g'(r) < 0
+            stability.append("stable")
+        else:
+            stability.append("unstable")
     return ImmigrationEquilibria(tuple(roots), tuple(stability))

@@ -159,7 +159,7 @@ class ModelParams:
             raise ValueError("cannot resize a state-dependent immigration schedule")
         return ModelParams.from_constants(
             self.lam, self.mu, self.delta1, self.delta2, self.delta3,
-            self.theta, int(capacity_n), float(self.immigration.r1[0]),
+            self.theta, capacity_n, float(self.immigration.r1[0]),
         )
 
 
@@ -305,6 +305,12 @@ def _armed_x_plus(params: ModelParams) -> float | None:
     if not check_assumptions(params).bistability_holds:
         return None
     return _balance_roots(params)[1][1]
+
+
+def _within(capacity_n: int, centre: float, epsilon: float) -> np.ndarray:
+    """Mask of the states i in 0..N with |i/N - centre| <= epsilon: the one
+    epsilon-window of the ensemble masses and the stationary tails."""
+    return np.abs(np.arange(capacity_n + 1) / capacity_n - centre) <= epsilon
 
 
 def per_capita_factors(params: ModelParams, x):

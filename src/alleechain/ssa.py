@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
-from .model import ModelParams, _armed_x_plus, rate_arrays
+from .model import ModelParams, _armed_x_plus, _within, rate_arrays
 
 #: Draws of each random stream simulate takes from the generator at a time.
 _BLOCK = 4096
@@ -45,8 +45,8 @@ class EnsembleSummary:
 
     run_frequencies holds the per-run occupation rows (n_runs x (N+1)) so
     callers can form Monte Carlo standard errors across runs.
-    extinction_mass is the pooled mass at densities <= epsilon;
-    persistence_mass the pooled mass within epsilon of x_plus, or None when
+    extinction_mass and persistence_mass are the pooled masses in the
+    epsilon-windows (model._within) around 0 and x_plus, the latter None when
     the parameters admit no persistence equilibrium (as in OdeTrajectory).
     first_trajectory is the path of the first run (seed base_seed).
     """
@@ -149,12 +149,11 @@ def ensemble(
         if j == 0:
             first = traj
     mean = rows.mean(axis=0)
-    density = np.arange(params.capacity_n + 1) / params.capacity_n
-    extinction = float(mean[density <= epsilon].sum())
+    extinction = float(mean[_within(params.capacity_n, 0.0, epsilon)].sum())
     x_plus = _armed_x_plus(params)
     persistence = None
     if x_plus is not None:
-        persistence = float(mean[np.abs(density - x_plus) <= epsilon].sum())
+        persistence = float(mean[_within(params.capacity_n, x_plus, epsilon)].sum())
     return EnsembleSummary(
         mean_occupation=mean,
         run_frequencies=rows,

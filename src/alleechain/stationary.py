@@ -384,9 +384,9 @@ def mode_scaling_check(params: ModelParams, n_list) -> list[tuple[int, int, floa
     """
     eq = equilibria(params)
     rows = []
-    for n in n_list:
-        n = int(n)
-        _, profile, exponent = capacity_modes(params.with_capacity(n))
+    for capacity in n_list:
+        dist, profile, exponent = capacity_modes(params.with_capacity(capacity))
+        n = dist.capacity_n
         density = profile.i_plus / n
         rows.append((n, profile.i_plus, density, abs(density - eq.x_plus) * n, exponent))
     return rows
