@@ -93,14 +93,18 @@ def ode_rhs(params: ModelParams, x: float) -> float:
     return _net_growth(params, x)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+
+
 def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
     """The density ODE with a constant immigration stream alpha (1 - x).
 
     Accepts negative densities, where the immigration cubic has a root; the
     expression has a pole at x = -theta.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     return _net_growth(params, x) + alpha * (1.0 - x)
 
 
@@ -269,9 +273,11 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
     At a root r, g'(r) = -P'(r) / (theta + r): negative is "stable",
     positive "unstable". A repeated root, one with P'(r) = 0, or one that
     rounds onto the pole -theta is "degenerate".
+
+    Raises:
+        ValueError: alpha is negative or not finite.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     a, b, c = balance_coefficients(params)
     mu, theta = params.mu, params.theta
     c3, c2, c1 = mu * a, alpha - mu * b, mu * c + alpha * (theta - 1.0)

@@ -74,6 +74,11 @@ class ImmigrationSpec:
         return int(self.r1.size)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All model constants plus the per-state immigration schedule.
@@ -118,7 +123,7 @@ class ModelParams:
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
         n = self.capacity_n
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)) or n < 2:
+        if not _is_integer(n) or n < 2:
             raise ValueError(f"capacity_n must be an integer >= 2, got {n!r}")
         object.__setattr__(self, "capacity_n", int(n))
         if not isinstance(self.immigration, ImmigrationSpec):
@@ -142,7 +147,7 @@ class ModelParams:
         r1: float,
     ) -> "ModelParams":
         """Build params with a constant immigration schedule R_1i = r1."""
-        if not (isinstance(capacity_n, (int, np.integer)) and not isinstance(capacity_n, bool)):
+        if not _is_integer(capacity_n):
             raise ValueError(f"capacity_n must be an integer, got {capacity_n!r}")
         return cls(
             lam, mu, delta1, delta2, delta3, theta, int(capacity_n),
