@@ -11,7 +11,10 @@ scalar, so the sign of f(x0) and the zeros of f name the attractor, and
 separation of variables gives the time to reach its neighbourhood,
 T(x0) = integral of dx / f(x), which adaptive quadrature evaluates. A grid
 point reads "undecided" when T exceeds the horizon or when the flow stops at
-a zero of f that is no armed attractor.
+a zero of f that is no armed attractor. With an inflow alpha (1 - x) the
+right-hand side g has (theta + x) g(x) = -P(x) for a cubic P in the balance
+coefficients; its roots are the equilibria, and g'(r) = -P'(r) / (theta + r)
+at a root r decides their stability (`immigration_equilibria`).
 """
 
 from __future__ import annotations
@@ -271,8 +274,8 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
     remaining quadratic (or linear) equation is solved instead.
 
     At a root r, g'(r) = -P'(r) / (theta + r): negative is "stable",
-    positive "unstable". A repeated root, one with P'(r) = 0, or one that
-    rounds onto the pole -theta is "degenerate".
+    positive "unstable". A repeated root, or one with P'(r) = 0, is
+    "degenerate".
 
     Raises:
         ValueError: alpha is negative or not finite.
@@ -285,7 +288,7 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
     stability = []
     for r in roots:
         p_slope = (3.0 * c3 * r + 2.0 * c2) * r + c1
-        if roots.count(r) > 1 or p_slope == 0.0 or r == -theta:
+        if roots.count(r) > 1 or p_slope == 0.0:
             stability.append("degenerate")
         elif (p_slope > 0.0) == (r > -theta):  # g'(r) < 0
             stability.append("stable")

@@ -164,6 +164,11 @@ def test_diagnostic_epsilon_validation(fig2a, fig2b):
         limit_distribution_diagnostic(fig2b, [500], 1.0)
 
 
+def test_diagnostic_rejects_a_non_integer_capacity(fig2a):
+    with pytest.raises(ValueError, match=r"^capacity_n must be an integer, got 500\.5$"):
+        limit_distribution_diagnostic(fig2a, [500.5], 0.05)
+
+
 def test_diagnostic_critical_warns_and_falls_back():
     p = _near_critical(500)
     with pytest.warns(RuntimeWarning):

@@ -67,6 +67,17 @@ def test_tiny_leading_quadratic_is_stable():
     assert max(roots, key=abs) == pytest.approx(1e12, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="the depressed cubic's discriminant is within its rounding "
+                   "of 0, so real_roots returns 0.125 twice for the pair 0 and 0.25")
+def test_root_far_above_a_close_pair():
+    # x (a x^2 - b x + c) with a = 1.8e-9: the immigration cubic at alpha = 0
+    # with delta1 = 1.2e-9, whose roots are 0, x-* = 0.25 and x+* = 2.8e8
+    coeffs = (1.7881393434393545e-09, -0.49999999970197684, 0.12499999996274708, 0.0)
+    expected = _np_real_roots(coeffs)
+    assert len(expected) == 3
+    assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
 def test_scale_invariance():
     base = real_roots(1.0, 2.0, -40.0, 64.0)
     scaled = real_roots(-7.5, -15.0, 300.0, -480.0)

@@ -9,7 +9,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alleechain import (
@@ -26,7 +26,7 @@ from alleechain import (
 )
 from alleechain.deterministic import PROXIMITY, _basin_point
 from alleechain.errors import QuadratureError
-from alleechain.model import _balance_roots
+from alleechain.model import _balance_roots, balance_coefficients
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
 
@@ -158,6 +158,15 @@ def test_immigration_equilibria_rejects_negative_alpha(fig1b):
         immigration_equilibria(fig1b, -0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_immigration_rejects_non_finite_alpha(fig1b, alpha):
+    message = rf"^alpha must be finite and >= 0, got {alpha!r}$"
+    with pytest.raises(ValueError, match=message):
+        immigration_equilibria(fig1b, alpha)
+    with pytest.raises(ValueError, match=message):
+        immigration_ode_rhs(fig1b, alpha, 0.5)
+
+
 def _params(base: dict, **changes) -> ModelParams:
     return make_params({**base, **changes}, 20)
 
@@ -175,6 +184,62 @@ _DOUBLE_ROOT = ModelParams.from_constants(
 )
 #: No density dependence: f is positive above the single zero c / b.
 _NO_DENSITY_DEPENDENCE = _params(FIG_A, delta1=0.0, delta2=0.0)
+#: With inflow _NEAR_POLE_ALPHA the middle immigration equilibrium lies
+#: 4.6e-8 below the pole at -theta, closer than a 1e-7 difference step.
+_NEAR_POLE = ModelParams.from_constants(
+    lam=2.390927921963878, mu=0.5440708728877259, delta1=0.9511226121689359,
+    delta2=0.7926683289662201, delta3=0.01040142064467407, theta=0.002675142332468703,
+    capacity_n=20, r1=0.5,
+)
+_NEAR_POLE_ALPHA = 0.8792942777511609
+
+
+def _mp_slope(params: ModelParams, alpha: float, x: float) -> float:
+    """50-digit numerical derivative of the immigration right-hand side at x."""
+    with mpmath.workdps(50):
+        lam, mu, d1, d2, d3, theta, inflow = (mpmath.mpf(v) for v in (
+            params.lam, params.mu, params.delta1, params.delta2, params.delta3,
+            params.theta, alpha,
+        ))
+
+        def rhs(y):
+            return (lam * y * (1 - d1 * y) - mu * y * (1 + d2 * y + d3 * theta / (theta + y))
+                    + inflow * (1 - y))
+
+        return float(mpmath.diff(rhs, mpmath.mpf(x)))
+
+
+def test_root_next_to_the_pole_is_stable():
+    result = immigration_equilibria(_NEAR_POLE, _NEAR_POLE_ALPHA)
+    assert result.stability == ("unstable", "stable", "stable")
+    middle = result.roots[1]
+    assert -_NEAR_POLE.theta - 1e-7 < middle < -_NEAR_POLE.theta
+    assert _mp_slope(_NEAR_POLE, _NEAR_POLE_ALPHA, middle) < -1e7
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=boundary_params(max_capacity=4),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 5.0)))
+@example(params=_NEAR_POLE, alpha=_NEAR_POLE_ALPHA)
+@example(params=_DOUBLE_ROOT, alpha=0.0)
+@example(params=_NO_DENSITY_DEPENDENCE, alpha=0.1)
+@example(params=_X_PLUS_ABOVE_ONE, alpha=0.01)
+def test_stability_tags_follow_the_exact_derivative(params, alpha):
+    # Below a = 1e-4 (x+* beyond ~1e4) the depressed cubic of real_roots
+    # overflows or merges x-* with 0 (test_cubic.test_root_far_above_a_close_pair).
+    a = balance_coefficients(params)[0]
+    assume(a == 0.0 or a >= 1e-4)
+    result = immigration_equilibria(params, alpha)
+    for root, tag in zip(result.roots, result.stability):
+        slope = _mp_slope(params, alpha, root)
+        if abs(slope) >= 1e-6:
+            assert tag == ("stable" if slope < 0 else "unstable"), (root, slope)
+
+
+def test_double_root_tags_degenerate():
+    result = immigration_equilibria(_DOUBLE_ROOT, 0.0)
+    assert result.roots == (0.0, 0.375, 0.375)
+    assert result.stability == ("stable", "degenerate", "degenerate")
 
 
 def test_double_root_is_a_zero_but_fails_bistability():

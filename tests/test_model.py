@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alleechain import (
     AssumptionError,
@@ -17,7 +19,7 @@ from alleechain import (
     parse_config,
     rate_arrays,
 )
-from alleechain.model import balance_coefficients
+from alleechain.model import _within, balance_coefficients
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -227,6 +229,25 @@ def test_with_capacity_resizes_constant_schedule():
     )
     with pytest.raises(ValueError):
         varying.with_capacity(10)
+
+
+@pytest.mark.parametrize("capacity", [250.9, 250.0])
+def test_with_capacity_rejects_a_non_integer_capacity(capacity):
+    with pytest.raises(ValueError, match=rf"^capacity_n must be an integer, got {capacity!r}$"):
+        make_params(FIG_A, 100).with_capacity(capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 5000), epsilon=st.floats(0.0, 1.0), x_plus=st.floats(0.0, 2.0))
+def test_within_is_the_density_window(n, epsilon, x_plus):
+    # the masks and tails the ensemble and the diagnostic once built by hand
+    density = np.arange(n + 1) / n
+    around_zero = _within(n, 0.0, epsilon)
+    around_x_plus = _within(n, x_plus, epsilon)
+    assert np.array_equal(around_zero, density <= epsilon)
+    assert np.array_equal(~around_zero, density > epsilon)
+    assert np.array_equal(around_x_plus, np.abs(density - x_plus) <= epsilon)
+    assert np.array_equal(~around_x_plus, np.abs(density - x_plus) > epsilon)
 
 
 def test_parse_config_basics():

@@ -175,6 +175,33 @@ def test_input_validation(fig1a):
         ensemble(fig1a, 3, 10, 10.0, -1)
 
 
+@pytest.mark.parametrize("x0, seed, message", [
+    (2.7, 0, r"^x0 must be an integer state in 0\.\.100, got 2\.7$"),
+    (True, 0, r"^x0 must be an integer state in 0\.\.100, got True$"),
+    (10, 2.5, r"^seed must be an integer, got 2\.5$"),
+    (10, True, r"^seed must be an integer, got True$"),
+])
+def test_simulate_rejects_a_non_integer_start_or_seed(fig1a, x0, seed, message):
+    with pytest.raises(ValueError, match=message):
+        simulate(fig1a, x0, 10.0, seed)
+
+
+@pytest.mark.parametrize("base_seed", [2.5, True])
+def test_ensemble_rejects_a_non_integer_base_seed(fig1a, base_seed):
+    with mock.patch.object(ssa, "simulate", side_effect=AssertionError("a run started")):
+        with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {base_seed}$"):
+            ensemble(fig1a, 3, 10, 10.0, base_seed)
+
+
+def test_numpy_integer_start_and_seeds_are_accepted(fig1a):
+    traj = simulate(fig1a, np.int64(10), 10.0, np.int64(3))
+    plain = simulate(fig1a, 10, 10.0, 3)
+    assert np.array_equal(traj.times, plain.times)
+    assert np.array_equal(traj.states, plain.states)
+    summary = ensemble(fig1a, 2, np.int32(10), 10.0, np.uint8(3))
+    assert np.array_equal(summary.run_frequencies, ensemble(fig1a, 2, 10, 10.0, 3).run_frequencies)
+
+
 @pytest.mark.parametrize("burn_in, message", [
     (math.nan, r"^burn_in must be >= 0, got nan$"),
     (-1.0, r"^burn_in must be >= 0, got -1.0$"),

@@ -361,6 +361,11 @@ def test_mode_scaling_rows():
     assert [r[4] for r in rows] == exponents
 
 
+def test_mode_scaling_check_rejects_a_non_integer_capacity():
+    with pytest.raises(ValueError, match=r"^capacity_n must be an integer, got 100\.5$"):
+        mode_scaling_check(make_params(FIG_A, 100), [100.5])
+
+
 def test_csv_roundtrip_is_bit_exact(fig1a):
     dist = psd_product(fig1a)
     buf = io.StringIO()
