@@ -148,7 +148,7 @@ def ensemble(
     _check_burn_in(burn_in, t_end)
     rows = np.empty((n_runs, params.capacity_n + 1))
     for j in range(n_runs):
-        traj = simulate(params, x0, t_end, base_seed + j)
+        traj = simulate(params, x0, t_end, int(base_seed) + j)
         rows[j] = occupation_distribution(traj, burn_in)
         if j == 0:
             first = traj
