@@ -246,15 +246,25 @@ def test_simulate_checks_burn_in_before_any_run(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def _loaded_by_cli_import(module: str) -> str:
+    """Whether a fresh `import alleechain.cli` loads module, as printed: "True" or "False"."""
     src = str(Path(alleechain.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, alleechain.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, alleechain.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert _loaded_by_cli_import("scipy.stats") == "False"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # the CSV writer forks its helper with os.fork, never through a pool
+    assert _loaded_by_cli_import("multiprocessing") == "False"
 
 
 @pytest.mark.parametrize("t_end", ["nan", "inf", "0", "-5"])

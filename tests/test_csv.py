@@ -1,14 +1,24 @@
-"""The CSV row writer: legacy repr rows, exact float round trips, chunking."""
+"""The CSV row writer: legacy repr rows, exact float round trips, chunking,
+and the forked helper that formats every other chunk of a large table."""
 
 from __future__ import annotations
 
+import contextlib
 import io
+import math
+import os
+import signal
+import threading
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alleechain._csv import _CHUNK, write_rows
+from alleechain import _csv
+from alleechain._csv import _CHUNK, _FORK_MIN_ROWS, write_rows
+from alleechain.cli import _write_atomic
 
 #: Every finite float64 and both infinities, with the edge cases hypothesis
 #: reaches for (subnormals, +-0.0, the extreme exponents) drawn often.
@@ -74,3 +84,208 @@ def test_empty_columns_and_appended_rows():
     write_rows(buf, "t,p", [0.5], [1.0])
     write_rows(buf, None, [1.5], [2.0])
     assert buf.getvalue() == "t,p\n0.5,1.0\n1.5,2.0\n"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that blocks (on a pipe or a wait) instead of hanging it,
+    and one that leaves a child behind, reaped or running."""
+    def expire(signum, frame):
+        raise TimeoutError("still blocked after 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def two_processes(chunk: int = _CHUNK, min_rows: int = 0):
+    """Take the forked-helper path on a two-CPU affinity, whatever the host has.
+
+    Yields the pids forked, so a test can tell that the helper really ran.
+    """
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(_csv, "_CHUNK", chunk), \
+            mock.patch.object(_csv, "_FORK_MIN_ROWS", min_rows), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", fork):
+        yield forks
+
+
+def never_forks():
+    def fork():
+        pytest.fail("write_rows forked a helper")
+
+    return mock.patch.object(os, "fork", fork)
+
+
+def serial_text(header, *columns) -> str:
+    with mock.patch.object(_csv, "_FORK_MIN_ROWS", math.inf):
+        return written(header, *columns)
+
+
+#: Values the float formatting must keep exact across the pipe.
+edge_floats = st.sampled_from([
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308,
+    0.0, -0.0, math.inf, -math.inf, 1e16, -1e16, 1e-5, 1.7976931348623157e308,
+])
+#: Labels: any text without a separator, lone surrogates included; str()
+#: writes them as they are.
+labels = st.text(st.characters(blacklist_characters=",\r\n"), max_size=5)
+
+
+@st.composite
+def tables(draw):
+    """A chunk size and rows of k*chunk - 1, k*chunk or k*chunk + 1 rows of
+    (int64, float, edge-heavy float, label)."""
+    chunk = draw(st.sampled_from([1, 2, 3, 8]))
+    rows = max(0, draw(st.integers(1, 5)) * chunk + draw(st.sampled_from([-1, 0, 1])))
+    row = st.tuples(int64s, finite_or_inf, st.one_of(edge_floats, finite_or_inf), labels)
+    return chunk, draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def table_columns(rows):
+    return (
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=float),
+        [r[2] for r in rows],
+        [r[3] for r in rows],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=tables(), append=st.booleans())
+@example(table=(2, [(k, -0.0, 5e-324, "x") for k in range(5)]), append=False)  # 3 chunks
+@example(table=(3, [(k, 1e16, 1e-5, "\udc80") for k in range(9)]), append=True)
+def test_two_processes_write_the_serial_bytes(table, append):
+    chunk, rows = table
+    columns = table_columns(rows)
+    expected = serial_text("i,a,b,label", *columns)
+    assert expected == "i,a,b,label\n" + "".join(f"{i},{a!r},{b!r},{s}\n" for i, a, b, s in rows)
+    with two_processes(chunk) as forks:
+        if append:
+            buf = io.StringIO()
+            write_rows(buf, "i,a,b,label")
+            half = len(rows) // 2
+            write_rows(buf, None, *(c[:half] for c in columns))
+            write_rows(buf, None, *(c[half:] for c in columns))
+            text = buf.getvalue()
+        else:
+            text = written("i,a,b,label", *columns)
+    assert forks
+    assert text == expected
+
+
+@pytest.mark.parametrize("rows", [
+    2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK, 4 * _CHUNK + 1,
+])
+def test_chunk_boundaries_through_a_file(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    states = np.arange(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    expected = serial_text("state,value", states, values)
+    path = tmp_path / "out.csv"
+    with two_processes(min_rows=_FORK_MIN_ROWS) as forks:
+        with _write_atomic(path) as f:
+            write_rows(f, "state,value", states, values)
+    assert len(forks) == (rows >= _FORK_MIN_ROWS)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_a_failing_helper_raises_and_leaves_no_file(tmp_path):
+    parent = os.getpid()
+    real_format = _csv._format
+
+    def format_in_parent_only(line, columns, start):
+        if os.getpid() != parent:
+            raise MemoryError("helper out of memory")
+        return real_format(line, columns, start)
+
+    path = tmp_path / "out.csv"
+    with two_processes(chunk=4) as forks, \
+            mock.patch.object(_csv, "_format", format_in_parent_only):
+        with pytest.raises(ChildProcessError, match="ended before chunk 1"):
+            with _write_atomic(path) as f:
+                write_rows(f, "state", np.arange(40))
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_helper_exit_status_is_checked(tmp_path):
+    real_exit = os._exit
+    path = tmp_path / "out.csv"
+    # the helper sends every frame, then exits non-zero
+    with two_processes(chunk=4) as forks, \
+            mock.patch.object(os, "_exit", lambda status: real_exit(7)):
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            with _write_atomic(path) as f:
+                write_rows(f, "state", np.arange(40))
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+class FullDisk(io.StringIO):
+    def write(self, text):
+        if self.tell() > 0:  # the header goes through, the first chunk does not
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_a_parent_write_error_still_reaps_a_blocked_helper():
+    # four full chunks: each frame overfills the pipe, so the helper is
+    # blocked on it when the parent gives up
+    states = np.arange(4 * _CHUNK)
+    with two_processes() as forks:
+        with pytest.raises(OSError, match="No space left"):
+            write_rows(FullDisk(), "state,value", states, states / 7.0)
+    assert len(forks) == 1
+
+
+@pytest.fixture
+def idle_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    yield
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_one_cpu_never_forks():
+    states = np.arange(3 * _CHUNK)
+    with mock.patch.object(os, "sched_getaffinity", return_value={0}), never_forks():
+        assert written("s", states) == "s\n" + "".join(f"{i}\n" for i in range(3 * _CHUNK))
+
+
+def test_a_live_thread_never_forks(idle_thread):
+    states = np.arange(3 * _CHUNK)
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), never_forks():
+        assert written("s", states) == "s\n" + "".join(f"{i}\n" for i in range(3 * _CHUNK))
+
+
+def test_a_short_table_never_forks():
+    states = np.arange(_FORK_MIN_ROWS - 1)
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), never_forks():
+        assert written("s", states) == "s\n" + "".join(f"{i}\n" for i in states.tolist())
+
+
+def test_no_fork_means_serial(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    states = np.arange(3 * _CHUNK)
+    assert written("s", states) == "s\n" + "".join(f"{i}\n" for i in range(3 * _CHUNK))

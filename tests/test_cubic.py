@@ -67,8 +67,6 @@ def test_tiny_leading_quadratic_is_stable():
     assert max(roots, key=abs) == pytest.approx(1e12, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="the depressed cubic's discriminant is within its rounding "
-                   "of 0, so real_roots returns 0.125 twice for the pair 0 and 0.25")
 def test_root_far_above_a_close_pair():
     # x (a x^2 - b x + c) with a = 1.8e-9: the immigration cubic at alpha = 0
     # with delta1 = 1.2e-9, whose roots are 0, x-* = 0.25 and x+* = 2.8e8
@@ -76,6 +74,41 @@ def test_root_far_above_a_close_pair():
     expected = _np_real_roots(coeffs)
     assert len(expected) == 3
     assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0]),
+    r=st.integers(-32, 32).map(lambda k: k / 8.0),
+    gap=st.integers(1, 32).map(lambda k: k / 8.0),
+    exponent=st.integers(4, 300),
+    sign=st.sampled_from([-1.0, 1.0]),
+    complex_pair=st.booleans(),
+)
+@example(lead=1.0, r=0.0, gap=0.25, exponent=300, sign=1.0, complex_pair=False)
+@example(lead=-3.0, r=-4.0, gap=4.0, exponent=300, sign=-1.0, complex_pair=False)
+def test_a_far_root_leaves_the_pair_at_its_own_scale(lead, r, gap, exponent, sign, complex_pair):
+    """A root up to 1e300 away: no overflow, and the pair r, r + gap (or the
+    complex pair r +- i*gap) below it is resolved, not merged."""
+    big = sign * 10.0 ** exponent
+    # lead * (x - big) * (x**2 - total*x + product), rounded coefficient by coefficient
+    if complex_pair:
+        total, product = 2.0 * r, r * r + gap * gap
+        expected = [big]
+    else:
+        total, product = 2.0 * r + gap, r * (r + gap)
+        expected = sorted([r, r + gap, big])
+    coeffs = (lead, -lead * (big + total), lead * (big * total + product), -lead * big * product)
+    got = real_roots(*coeffs)
+    assert len(got) == len(expected)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
+def test_a_root_beyond_the_float_range_is_left_out():
+    # (x - 1)(x - 2) times (5e-324 x + 1): the third root is -2e323
+    assert real_roots(5e-324, 1.0, -3.0, 2.0) == pytest.approx([1.0, 2.0], abs=1e-12)
+    # x**3 * 5e-324 - 1: its one real root is 1.3e108, inside the range
+    assert real_roots(5e-324, 0.0, 0.0, -1.0) == pytest.approx([5e-324 ** (-1.0 / 3.0)], rel=1e-12)
 
 
 def test_scale_invariance():

@@ -9,7 +9,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alleechain import (
@@ -26,7 +26,7 @@ from alleechain import (
 )
 from alleechain.deterministic import PROXIMITY, _basin_point
 from alleechain.errors import QuadratureError
-from alleechain.model import _balance_roots, balance_coefficients
+from alleechain.model import _balance_roots
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
 
@@ -153,6 +153,17 @@ def test_immigration_equilibria_small_alpha(fig1b):
         assert abs(immigration_ode_rhs(fig1b, 0.001, r)) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [1e20, 1e100, 1e300])
+def test_immigration_equilibria_at_huge_inflow(fig1b, alpha):
+    # P(x) / alpha -> (x - 1)(x + theta), plus a root near -alpha / (mu a)
+    a = fig1b.mu * (fig1b.lam / fig1b.mu * fig1b.delta1 + fig1b.delta2)
+    result = immigration_equilibria(fig1b, alpha)
+    assert result.roots == pytest.approx([-alpha / a, -fig1b.theta, 1.0], rel=1e-9, abs=1e-9)
+    # the middle root sits closer to the pole at -theta than its rounding,
+    # so only the outer two have a tag that the arithmetic can decide
+    assert (result.stability[0], result.stability[2]) == ("unstable", "stable")
+
+
 def test_immigration_equilibria_rejects_negative_alpha(fig1b):
     with pytest.raises(ValueError):
         immigration_equilibria(fig1b, -0.5)
@@ -192,6 +203,12 @@ _NEAR_POLE = ModelParams.from_constants(
     capacity_n=20, r1=0.5,
 )
 _NEAR_POLE_ALPHA = 0.8792942777511609
+#: A subnormal delta1 puts the largest immigration equilibrium near -6e306,
+#: where c1 / c3 of the cubic alone would overflow.
+_SUBNORMAL_DENSITY = ModelParams.from_constants(
+    lam=1.0, mu=1.0, delta1=4.4501477170144e-311, delta2=0.0, delta3=1.0, theta=0.25,
+    capacity_n=2, r1=1.0,
+)
 
 
 def _mp_slope(params: ModelParams, alpha: float, x: float) -> float:
@@ -224,11 +241,8 @@ def test_root_next_to_the_pole_is_stable():
 @example(params=_DOUBLE_ROOT, alpha=0.0)
 @example(params=_NO_DENSITY_DEPENDENCE, alpha=0.1)
 @example(params=_X_PLUS_ABOVE_ONE, alpha=0.01)
+@example(params=_SUBNORMAL_DENSITY, alpha=0.00028232407062447147)
 def test_stability_tags_follow_the_exact_derivative(params, alpha):
-    # Below a = 1e-4 (x+* beyond ~1e4) the depressed cubic of real_roots
-    # overflows or merges x-* with 0 (test_cubic.test_root_far_above_a_close_pair).
-    a = balance_coefficients(params)[0]
-    assume(a == 0.0 or a >= 1e-4)
     result = immigration_equilibria(params, alpha)
     for root, tag in zip(result.roots, result.stability):
         slope = _mp_slope(params, alpha, root)
