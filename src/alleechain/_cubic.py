@@ -24,6 +24,20 @@ def _newton_polish(coeffs, deriv, x):
     return x - step
 
 
+def _newton_converged(coeffs, deriv, x):
+    # Newton steps while each lowers |f|. One step from a closed form that
+    # is accurate only to the cubic's scale lands within the rounding of f
+    # there; the next runs at the root's own scale.
+    fx = abs(_eval(coeffs, x))
+    while fx:
+        nxt = _newton_polish(coeffs, deriv, x)
+        f_nxt = abs(_eval(coeffs, nxt))
+        if not f_nxt < fx:  # also stops on a NaN
+            break
+        x, fx = nxt, f_nxt
+    return x
+
+
 def _exponent_near(x: float) -> int:
     # k with x / 2 < 2**k <= x (0 for x = 0): scaling by 2**k is exact.
     return math.frexp(x)[1] - 1 if x else 0
@@ -56,8 +70,11 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     polished by a Newton step and divided out, and the quadratic left gives
     the other two at their own scale, so a pair far below the largest root
     is not merged. A double root larger than the simple one keeps its closed
-    form, unpolished, where f' = 0 defeats Newton. Degenerate leading
-    coefficients fall back to the quadratic / linear closed forms.
+    form, unpolished, where f' = 0 defeats Newton. Cardano's one real root,
+    which may lie far below a complex pair and so carry the closed form's
+    error at the pair's scale, takes Newton steps for as long as they lower
+    |f|. Degenerate leading coefficients fall back to the quadratic /
+    linear closed forms.
 
     Multiple roots are returned with multiplicity. Raises ValueError for the
     identically-zero polynomial (every x is a root).
@@ -101,7 +118,7 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         root = math.sqrt(disc)
         u = math.copysign(abs(-half_q + root) ** (1.0 / 3.0), -half_q + root)
         v = math.copysign(abs(-half_q - root) ** (1.0 / 3.0), -half_q - root)
-        return [_newton_polish(coeffs, deriv, (u + v - shift) * scale)]
+        return [_newton_converged(coeffs, deriv, (u + v - shift) * scale)]
     if disc < 0.0:
         # Three distinct real roots; p < 0 is guaranteed here.
         m = 2.0 * math.sqrt(-third_p)

@@ -13,7 +13,8 @@ both (the config overrides the preset, command-line flags override both).
 Every run writes the fully resolved configuration next to its outputs, so
 any result can be reproduced byte for byte from the emitted file alone.
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure.
+failure or I/O failure (an OSError, such as a full disk, an output path
+under a regular file or a CSV formatting helper that failed).
 """
 
 from __future__ import annotations
@@ -301,6 +302,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
         return 3
     return 0
 

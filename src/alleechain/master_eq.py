@@ -8,29 +8,32 @@ stationary distribution from arbitrary starts. Inputs are copied, and every
 distribution returned is a new read-only float array.
 
 evolve always works on the whole state space by uniformization and is the
-exact reference. The legs of converge_to_stationary and the checkpoints of
-`alleechain evolve` take one of two other routes, chosen by the size of the
-chain:
+exact reference. _checkpoints is the one loop over the legs of
+`alleechain evolve`: its checkpoints, and the doubling horizons of
+converge_to_stationary. A leg takes one of two other routes, chosen by the
+size of the chain:
 
 - A chain of at most _DENSE_MAX_STATES states is small enough to hold its
   propagator exp(Qt) as a dense matrix, computed by scaling and squaring
   (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
   all nonnegative, in place of their Pade approximant. A leg is then one
   matrix-vector product, clipped and renormalized like evolve's result.
-  The converge horizons double, so after the first leg each propagator is
-  the square of the last one, exp(2Qh) = exp(Qh)^2. Every checkpoint step
-  pays a full scaling and squaring, so many short checkpoint steps can be
-  slower than uniformization. Dense legs are refused where evolve would
-  exceed its term budget, so the route never changes which legs succeed.
-- On a larger chain a checkpoint is plain evolve, and each converge leg
-  runs on a finite state projection (Munsky and Khammash 2006): a window of
-  states around the support of the leg's start vector, bordered by two
-  absorbing sink states that collect the mass the full chain would move out
-  of the window. The sink mass (the leak) is the l1 distance of the
-  window's interior from the exact leg, so the renormalized leg is within
-  twice its leak, plus the series truncation, of the full-space leg. A leg
-  whose leak exceeds _WINDOW_TOL is re-run on a wider window, and one whose
-  window reaches the whole space is plain evolve.
+  The last leg's propagator is kept: a leg of the same step reuses it, and
+  a leg of twice the step squares it, exp(2Qh) = exp(Qh)^2, where a fresh
+  build would square the same base once more; any other step builds a
+  fresh one. Dense legs are refused where evolve would exceed its term
+  budget, so the route never changes which legs succeed.
+- On a larger chain each leg runs on a finite state projection (Munsky and
+  Khammash 2006): a window of states around the support of the leg's start
+  vector, bordered by two absorbing sink states that collect the mass the
+  full chain would move out of the window. The sink mass (the leak) is the
+  l1 distance of the window's interior from the exact leg, so the
+  renormalized leg is within twice its leak, plus the series truncation, of
+  the full-space leg. A leg whose leak exceeds _WINDOW_TOL is re-run on a
+  wider window, and one whose window reaches the whole space is plain
+  evolve.
+
+A zero step, on either route, leaves the vector as it is.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .stationary import stationary_from_rates, validate_rates
 #: Strict sub-stochasticity margin applied to the uniformization rate.
 _UNIFORMIZATION_MARGIN = 1e-9
 
-#: First horizon converge_to_stationary tries; it doubles from there.
+#: First leg of converge_to_stationary; every later leg is twice the last.
 _INITIAL_HORIZON = 1.0
 
 #: Largest number of uniformization series terms one evolve call may sum.
@@ -312,25 +315,31 @@ def _dense_propagator(
 ) -> np.ndarray:
     """exp(Qt) as a dense matrix for t > 0, by scaling and squaring.
 
-    previous is the last converge leg's (step, exp(Q step)), and t twice
-    that step squares it. Otherwise exp(Qt) is the 2^s-th power of
-    exp(Qt/2^s), where s is the fewest halvings that bring rate * t/2^s to
-    at most 1; that short step is the uniformization series on the
-    identity, truncated where its tail drops below one rounding unit, and is
-    squared s times. The products run in numpy's own loops (einsum) and not
-    in BLAS, whose matrix products round differently with the number of
-    threads, so the result is the same bits on every host with the same
-    numpy.
+    exp(Qt) is the 2^s-th power of exp(Qt/2^s), where s is the fewest
+    halvings that bring rate * t/2^s to at most 1; that short step is the
+    uniformization series on the identity, truncated where its tail drops
+    below one rounding unit, and is squared s times. previous is the last
+    leg's (step, exp(Q step)): a step equal to it returns that propagator,
+    and twice it squares the propagator when s >= 1, that is when
+    rate * step > 0.5, the last squaring the fresh build would make. The
+    products run in numpy's own loops (einsum) and not in BLAS, whose
+    matrix products round differently with the number of threads, so the
+    result is the same bits on every host with the same numpy.
 
-    Raises ConvergenceBudgetError where evolve over t would exceed its term
-    budget, so that a leg fails on the dense route exactly where it fails on
-    uniformization.
+    Raises ConvergenceBudgetError, before any reuse, where evolve over t
+    would exceed its term budget, so that a leg fails on the dense route
+    exactly where it fails on uniformization.
     """
     lt = gen.uniformization_rate() * t
     _series_length(lt, t)
-    if previous is not None and t == 2.0 * previous[0]:
-        return _product(previous[1], previous[1])
-    halvings = max(math.ceil(math.log2(lt)), 0)
+    mantissa, exponent = math.frexp(lt)  # ceil(log2(lt)), exactly
+    halvings = max(exponent - (mantissa == 0.5), 0)
+    if previous is not None:
+        step, propagator = previous
+        if t == step:
+            return propagator
+        if t == 2.0 * step and halvings:
+            return _product(propagator, propagator)
     step_lt = lt / 2.0**halvings
     last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
     propagator = _poisson_mixture(gen, np.eye(gen.dimension), step_lt, last)
@@ -347,22 +356,26 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.ndarray]:
     """Yield exp(Qt) p0 as a new read-only array for each t of times, one leg
-    per step: dense on a chain of at most _DENSE_MAX_STATES states (see
-    _dense_propagator), evolve above. Raises ValueError before the first leg
-    unless times are nonnegative and ascending; each leg validates its step
-    and p0 like evolve."""
+    per step: dense on a chain of at most _DENSE_MAX_STATES states, passing
+    each propagator on to the next leg (see _dense_propagator), and on a
+    projection window above (see _windowed_leg). Raises ValueError before
+    the first leg unless times are nonnegative and ascending; each leg
+    validates its step and p0 like evolve."""
     if sorted(times) != times or (times and times[0] < 0):
         raise ValueError("times must be nonnegative and ascending")
     p = _frozen_copy(gen, p0)
+    rate = gen.uniformization_rate()
+    previous = None
     elapsed = 0.0
     for t in times:
         step = t - elapsed
-        if gen.dimension > _DENSE_MAX_STATES:
-            p = evolve(gen, p, step)
-        else:
-            _check_time(step)
-            if gen.uniformization_rate() * step != 0.0:
-                p = _on_simplex(_product(_dense_propagator(gen, step), p))
+        _check_time(step)
+        if rate * step != 0.0:
+            if gen.dimension <= _DENSE_MAX_STATES:
+                previous = step, _dense_propagator(gen, step, previous)
+                p = _on_simplex(_product(previous[1], p))
+            else:
+                p = _windowed_leg(gen, p, step)[0]
         elapsed = t
         yield p
 
@@ -382,7 +395,7 @@ def converge_to_stationary(
     *,
     max_horizon: float = 1e6,
 ) -> tuple[np.ndarray, float, float]:
-    """Evolve over doubling horizons until within tol of the stationary law.
+    """Evolve over doubling legs until within tol of the stationary law.
 
     The reference distribution is computed from the generator's own rates by
     the product formula, so synthetic generators work the same as
@@ -390,14 +403,16 @@ def converge_to_stationary(
     to the reference), probs a new read-only array; elapsed is 0 when p0
     already satisfies the tolerance.
 
-    On a chain of at most _DENSE_MAX_STATES states the first leg applies
-    the dense propagator exp(Q h) and every later leg, twice as long, its
-    square. On a larger chain each leg runs on a window of states around
-    the support of its start vector, bordered by absorbing sinks that
-    collect the mass leaking out (see _windowed_leg); in l1 such a leg
-    differs from the full-space evolve by at most twice its leak
-    (<= _WINDOW_TOL) plus the series truncation. The returned distance is
-    measured exactly on the returned vector.
+    The legs are _checkpoints at the elapsed times 1, 3, 7, ..., each twice
+    as long as the last, up to the first at or beyond max_horizon. On a
+    chain of at most _DENSE_MAX_STATES states each leg's dense propagator is
+    the square of the last one wherever that is the bits of a fresh build.
+    On a larger chain each leg runs on a window of states around the
+    support of its start vector, bordered by absorbing sinks that collect
+    the mass leaking out (see _windowed_leg); in l1 such a leg differs from
+    the full-space evolve by at most twice its leak (<= _WINDOW_TOL) plus
+    the series truncation. The returned distance is measured exactly on
+    the returned vector.
 
     Raises:
         ValueError: tol is negative or not finite, or max_horizon is not a
@@ -410,28 +425,19 @@ def converge_to_stationary(
     _check_converge_settings(tol, max_horizon)
     target = stationary_from_rates(gen.birth, gen.death).probs
     current = _frozen_copy(gen, p0)
-    elapsed = 0.0
     tv = total_variation(current, target)
     if tv <= tol:
-        return current, elapsed, tv
-    horizon = _INITIAL_HORIZON
-    previous = None
-    while True:
-        if gen.dimension <= _DENSE_MAX_STATES:
-            previous = horizon, _dense_propagator(gen, horizon, previous)
-            current = _on_simplex(_product(previous[1], current))
-        else:
-            current = _windowed_leg(gen, current, horizon)[0]
-        elapsed += horizon
+        return current, 0.0, tv
+    times = [_INITIAL_HORIZON]
+    while times[-1] < max_horizon:
+        times.append(2.0 * times[-1] + _INITIAL_HORIZON)
+    for elapsed, current in zip(times, _checkpoints(gen, current, times)):
         tv = total_variation(current, target)
         if tv <= tol:
             return current, elapsed, tv
-        if elapsed >= max_horizon:
-            raise ConvergenceBudgetError(
-                f"met {tv:.3e} total variation after horizon {elapsed:g}, "
-                f"needed {tol:.1e}",
-                achieved_tv=tv,
-                horizon=elapsed,
-                witness=current,
-            )
-        horizon *= 2.0
+    raise ConvergenceBudgetError(
+        f"met {tv:.3e} total variation after horizon {elapsed:g}, needed {tol:.1e}",
+        achieved_tv=tv,
+        horizon=elapsed,
+        witness=current,
+    )

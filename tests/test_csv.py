@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from alleechain import _csv
 from alleechain._csv import _CHUNK, _FORK_MIN_ROWS, write_rows
-from alleechain.cli import _write_atomic
+from alleechain.cli import _write_atomic, main
 
 #: Every finite float64 and both infinities, with the edge cases hypothesis
 #: reaches for (subnormals, +-0.0, the extreme exponents) drawn often.
@@ -236,6 +236,37 @@ def test_a_helper_exit_status_is_checked(tmp_path):
                 write_rows(f, "state", np.arange(40))
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_helper_in_psd_exits_3_and_leaves_no_file(tmp_path, capsys):
+    # N = 32768: psd.csv has 32769 rows, enough for the helper
+    config = tmp_path / "large.cfg"
+    config.write_text("N = 32768\n")
+    out = tmp_path / "out"
+    parent = os.getpid()
+    real_format = _csv._format
+
+    def format_in_parent_only(line, columns, start):
+        if os.getpid() != parent:
+            raise MemoryError("helper out of memory")
+        return real_format(line, columns, start)
+
+    with two_processes(min_rows=_FORK_MIN_ROWS) as forks, \
+            mock.patch.object(_csv, "_format", format_in_parent_only):
+        code = main(["psd", "--preset", "fig1a", "--config", str(config), "--out", str(out)])
+    assert code == 3 and len(forks) == 1
+    assert capsys.readouterr().err == (
+        "I/O failure: CSV formatting helper ended before chunk 1\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_an_out_path_under_a_regular_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["psd", "--preset", "fig1a", "--out", str(blocker / "sub")]) == 3
+    assert capsys.readouterr().err.startswith("I/O failure: [Errno 20] Not a directory")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
 class FullDisk(io.StringIO):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,17 @@ def test_one_real_root_complex_pair():
     assert roots == pytest.approx([1.0], abs=1e-12)
     # x^3 - 8: the depressed cubic has p = 0 and q != 0
     assert real_roots(1.0, 0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-12)
+
+
+def test_one_real_root_far_below_a_complex_pair():
+    # the complex pair has modulus ~6e8 and the real root is ~2.4e-20: the
+    # closed form carries an error at the pair's scale, which Newton removes
+    coeffs = (1.068e-8, -1.915e-9, 4.385e9, -1.060e-10)
+    (root,) = real_roots(*coeffs)
+    x = Fraction(root)
+    value = sum(Fraction(c) * x ** (3 - k) for k, c in enumerate(coeffs))
+    size = sum(abs(Fraction(c)) * abs(x) ** (3 - k) for k, c in enumerate(coeffs))
+    assert abs(value) / size <= 1e-12
 
 
 def test_triple_root():

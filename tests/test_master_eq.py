@@ -385,13 +385,7 @@ def _reference_converge(gen, p0, tol, max_horizon):
 def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
     rng = np.random.default_rng(seed)
     gen = _drifting_generator(rng, dimension, scale, bias)
-    p0 = np.zeros(dimension)
-    first = int(rng.integers(dimension))
-    if point_mass:
-        p0[first] = 1.0
-    else:
-        bump = slice(first, min(first + 5, dimension))
-        p0[bump] = rng.dirichlet(np.ones(p0[bump].size))
+    p0 = _bump_start(rng, dimension, point_mass)
     max_horizon = 64.0
 
     with _recorded_legs() as legs:
@@ -410,6 +404,19 @@ def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, po
         # exact leg from the same start, up to rounding slack
         interior = raw[int(lo > 0):][:hi - lo + 1]
         assert np.all(interior <= evolve(gen, start, t)[lo:hi + 1] + 2e-12)
+
+
+def _bump_start(rng, dimension, point_mass):
+    """A point mass at a random state, or a random law on up to five states
+    from there, so that a projection window is narrower than the chain."""
+    p0 = np.zeros(dimension)
+    first = int(rng.integers(dimension))
+    if point_mass:
+        p0[first] = 1.0
+    else:
+        bump = slice(first, min(first + 5, dimension))
+        p0[bump] = rng.dirichlet(np.ones(p0[bump].size))
+    return p0
 
 
 def _drifting_generator(rng, dimension, scale, bias):
@@ -493,7 +500,8 @@ def test_leg_checks_like_evolve(fig1a):
     gen = build_generator(fig1a)
     assert gen.dimension <= _DENSE_MAX_STATES
     p0 = np.eye(gen.dimension)[10]
-    for cutoff in (_DENSE_MAX_STATES, 0):  # the dense route, then evolve
+    # the dense route, then the window [0, 74] with its sink at 75
+    for cutoff, terms in ((_DENSE_MAX_STATES, 19019328), (0, 15329038)):
         with mock.patch.object(master_eq, "_DENSE_MAX_STATES", cutoff):
             (same,) = _checkpoints(gen, p0, [0.0])
             assert np.array_equal(same, p0) and not same.flags.writeable
@@ -509,14 +517,61 @@ def test_leg_checks_like_evolve(fig1a):
                     next(_checkpoints(gen, p0, times))
             with pytest.raises(ValueError, match="does not fit"):
                 list(_checkpoints(gen, np.eye(5)[0], [1.0]))
-            # the dense route refuses the legs uniformization cannot sum
-            with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+            # both routes refuse the legs uniformization cannot sum on the
+            # states they evolve: the dense one those of the whole chain
+            with pytest.raises(ConvergenceBudgetError, match=f"needs {terms} series terms"):
                 list(_checkpoints(gen, p0, [1e5]))
-    # above the cutoff each leg is evolve, bit for bit
+    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+        evolve(gen, p0, 1e5)
+    # above the cutoff each leg is _windowed_leg, bit for bit
     with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
-        first, second = _checkpoints(gen, p0, [1.0, 3.0])
-    assert first.tobytes() == evolve(gen, p0, 1.0).tobytes()
-    assert second.tobytes() == evolve(gen, first, 2.0).tobytes()
+        first, second, third = _checkpoints(gen, p0, [1.0, 3.0, 3.0])
+    assert first.tobytes() == _windowed_leg(gen, p0, 1.0)[0].tobytes()
+    assert second.tobytes() == _windowed_leg(gen, first, 2.0)[0].tobytes()
+    assert third is second
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, 400),
+    scale=st.floats(0.05, 50.0),
+    bias=st.floats(0.2, 5.0),
+    point_mass=st.booleans(),
+    # steps between checkpoints, zero steps included
+    steps=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=6),
+)
+@example(seed=3, dimension=400, scale=50.0, bias=5.0, point_mass=True, steps=[1.0, 0.0, 2.0])
+def test_windowed_checkpoints_match_full_space_legs(seed, dimension, scale, bias, point_mass, steps):
+    rng = np.random.default_rng(seed)
+    gen = _drifting_generator(rng, dimension, scale, bias)
+    p0 = _bump_start(rng, dimension, point_mass)
+    times = np.cumsum(steps).tolist()
+
+    with _recorded_legs() as legs:
+        out = list(_checkpoints(gen, p0, times))
+    assert len(out) == len(times) and len(legs) == sum(step > 0.0 for step in steps)
+
+    expected, elapsed, done = master_eq._frozen_copy(gen, p0), 0.0, 0
+    for t, got in zip(times, out, strict=True):
+        if t > elapsed:
+            expected = evolve(gen, expected, t - elapsed)
+            done += 1
+        elapsed = t
+        leaks = sum(leak for *_, leak, _ in legs[:done])
+        assert np.abs(got - expected).max() <= leaks + 2e-12 * done
+        assert not got.flags.writeable and abs(got.sum() - 1.0) <= 1e-12
+    assert all(0.0 <= leak <= _WINDOW_TOL for *_, leak, _ in legs)
+
+
+def test_equal_checkpoint_steps_build_one_propagator(fig1a):
+    gen = build_generator(fig1a)
+    times = [float(k) for k in range(1, 101)]
+    with mock.patch.object(
+        master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
+    ) as series:
+        out = list(_checkpoints(gen, np.eye(gen.dimension)[-1], times))
+    assert series.call_count == 1 and len(out) == 100
 
 
 def test_checkpoint_legs_match_fresh_propagators(fig1a):
@@ -536,6 +591,21 @@ def test_checkpoint_legs_match_fresh_propagators(fig1a):
                 p = master_eq._on_simplex(master_eq._product(fresh, p))
             elapsed = t
             assert got.tobytes() == p.tobytes()
+
+
+def test_a_doubled_step_past_a_power_of_two_squares_like_a_fresh_build(fig1a):
+    # rate * step = 128 (1 + 2 eps): math.log2 rounds rate * 2 step to 8.0
+    # and rate * step up past 7, so its ceiling would count 8 halvings for
+    # both, and squaring the shorter leg's propagator would square a
+    # different base than a fresh build
+    gen = build_generator(fig1a)
+    rate = gen.uniformization_rate()
+    step = 128.0 / rate
+    while math.ceil(math.log2(rate * (2.0 * step))) != math.ceil(math.log2(rate * step)):
+        step = math.nextafter(step, math.inf)
+    assert rate * step == 128.0 * (1.0 + 2.0 * np.finfo(float).eps)
+    squared = _dense_propagator(gen, 2.0 * step, (step, _dense_propagator(gen, step)))
+    assert squared.tobytes() == _dense_propagator(gen, 2.0 * step).tobytes()
 
 
 def test_dense_leg_bits_do_not_depend_on_blas_threads():

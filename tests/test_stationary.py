@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from scipy.special import logsumexp
 
+import alleechain
 from alleechain import (
     ComplexRootError,
     DegenerateDistributionError,
@@ -163,6 +168,29 @@ def test_oracle_rejects_clipped_p0():
     )
     with pytest.raises(OracleSolveError, match="clipped p_0"):
         psd_nullspace_oracle(p)
+
+
+def test_oracle_rejects_clipped_p0_on_any_blas_thread_count():
+    # the dense solve leaves p_0 at rounding noise that differs with the
+    # number of BLAS threads (1.97e-34 on one, -1.28e-34 on two); either way
+    # it is below what the solve resolves
+    script = (
+        "from alleechain import ModelParams, OracleSolveError, psd_nullspace_oracle\n"
+        "p = ModelParams.from_constants(lam=1.81, mu=0.547, delta1=0.0, delta2=0.0,\n"
+        "    delta3=1.88, theta=0.267, capacity_n=212, r1=0.68)\n"
+        "try:\n"
+        "    psd_nullspace_oracle(p)\n"
+        "except OracleSolveError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(alleechain.__file__).parents[1])
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads},
+        ).stdout
+        assert "clipped p_0" in out, (threads, out)
 
 
 def test_oracle_residual_is_tiny():
