@@ -18,11 +18,11 @@ size of the chain:
   (Al-Mohy and Higham 2009) with the uniformization series, whose terms are
   all nonnegative, in place of their Pade approximant. A leg is then one
   matrix-vector product, clipped and renormalized like evolve's result.
-  The last leg's propagator is kept: a leg of the same step reuses it, and
-  a leg of twice the step squares it, exp(2Qh) = exp(Qh)^2, where a fresh
-  build would square the same base once more; any other step builds a
-  fresh one. Dense legs are refused where evolve would exceed its term
-  budget, so the route never changes which legs succeed.
+  The last leg's propagator is kept: a leg of twice the step squares it,
+  exp(2Qh) = exp(Qh)^2, where a fresh build would square the same base once
+  more; any other step builds a fresh one, so many short steps can be
+  slower than uniformization. Dense legs are refused where evolve would
+  exceed its term budget, so the route never changes which legs succeed.
 - On a larger chain each leg runs on a finite state projection (Munsky and
   Khammash 2006): a window of states around the support of the leg's start
   vector, bordered by two absorbing sink states that collect the mass the
@@ -319,27 +319,23 @@ def _dense_propagator(
     halvings that bring rate * t/2^s to at most 1; that short step is the
     uniformization series on the identity, truncated where its tail drops
     below one rounding unit, and is squared s times. previous is the last
-    leg's (step, exp(Q step)): a step equal to it returns that propagator,
-    and twice it squares the propagator when s >= 1, that is when
-    rate * step > 0.5, the last squaring the fresh build would make. The
-    products run in numpy's own loops (einsum) and not in BLAS, whose
-    matrix products round differently with the number of threads, so the
-    result is the same bits on every host with the same numpy.
+    leg's (step, exp(Q step)): twice that step squares the propagator when
+    s >= 1, that is when rate * step > 0.5, the last squaring the fresh
+    build would make. The products run in numpy's own loops (einsum) and
+    not in BLAS, whose matrix products round differently with the number of
+    threads, so the result is the same bits on every host with the same
+    numpy.
 
-    Raises ConvergenceBudgetError, before any reuse, where evolve over t
-    would exceed its term budget, so that a leg fails on the dense route
-    exactly where it fails on uniformization.
+    Raises ConvergenceBudgetError, before any squaring of previous, where
+    evolve over t would exceed its term budget, so that a leg fails on the
+    dense route exactly where it fails on uniformization.
     """
     lt = gen.uniformization_rate() * t
     _series_length(lt, t)
     mantissa, exponent = math.frexp(lt)  # ceil(log2(lt)), exactly
     halvings = max(exponent - (mantissa == 0.5), 0)
-    if previous is not None:
-        step, propagator = previous
-        if t == step:
-            return propagator
-        if t == 2.0 * step and halvings:
-            return _product(propagator, propagator)
+    if previous is not None and t == 2.0 * previous[0] and halvings:
+        return _product(previous[1], previous[1])
     step_lt = lt / 2.0**halvings
     last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
     propagator = _poisson_mixture(gen, np.eye(gen.dimension), step_lt, last)
@@ -355,10 +351,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.ndarray]:
-    """Yield exp(Qt) p0 as a new read-only array for each t of times, one leg
+    """Yield exp(Qt) p0 as a read-only array for each t of times, one leg
     per step: dense on a chain of at most _DENSE_MAX_STATES states, passing
     each propagator on to the next leg (see _dense_propagator), and on a
-    projection window above (see _windowed_leg). Raises ValueError before
+    projection window above (see _windowed_leg). A step of zero yields the
+    previous checkpoint's array itself (a frozen copy of p0 before the
+    first leg); every other step yields a new one. Raises ValueError before
     the first leg unless times are nonnegative and ascending; each leg
     validates its step and p0 like evolve."""
     if sorted(times) != times or (times and times[0] < 0):

@@ -151,8 +151,9 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
 
     Raises:
         OracleSolveError: the residual ||Q p||_inf stayed above _ORACLE_RESIDUAL_TOL,
-            or p_0 is below what the solve resolves (clipping may have left it
-            0), so no log weight relative to state 0 exists.
+            or p_0 is no larger than the first-order bound on its own error,
+            sum_j |(M^-1)_0j| |r_j| over the refined residual r (clipping may
+            have left it 0), so no log weight relative to state 0 exists.
     """
     b = np.asarray(birth, dtype=float)
     d = np.asarray(death, dtype=float)
@@ -180,17 +181,16 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
         raise OracleSolveError(f"bordered system is singular: {exc}") from exc
     m_wide = m.astype(np.longdouble)
     rhs_wide = rhs.astype(np.longdouble)
+    residual = rhs_wide - m_wide @ p.astype(np.longdouble)
     for _ in range(_ORACLE_REFINE_STEPS):
+        p = p + np.linalg.solve(m, residual.astype(float))
         residual = rhs_wide - m_wide @ p.astype(np.longdouble)
-        correction = np.linalg.solve(m, residual.astype(float))
-        p = p + correction
-    # Where the exact p_0 is far smaller, the refined solve leaves rounding
-    # noise there of up to about 10 eps^2 of the largest entry (seen on
-    # hypothesis-drawn parameters with BLAS on one and on two threads), and
-    # the last pass may still move it by more than its size; a p_0 within
-    # either is not resolved.
-    eps = np.finfo(float).eps
-    unresolved_p0 = p[0] <= abs(correction[0]) + 16.0 * eps * eps * np.abs(p).max()
+    # To first order p_0 is off by (M^-1 residual)_0, so by at most
+    # sum_j |(M^-1)_0j| |residual_j|; a p_0 no larger than that is not
+    # resolved. Row 0 comes from the inverse: a solve of M^T y = e_0 left it
+    # too noisy, so that p_0 values 15 nats off passed on random parameters.
+    p0_error = np.abs(np.linalg.inv(m)[0]).astype(np.longdouble) @ np.abs(residual)
+    unresolved_p0 = p[0] <= p0_error
 
     p = np.clip(p, 0.0, None)
     p /= p.sum()

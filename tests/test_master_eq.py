@@ -564,14 +564,17 @@ def test_windowed_checkpoints_match_full_space_legs(seed, dimension, scale, bias
     assert all(0.0 <= leak <= _WINDOW_TOL for *_, leak, _ in legs)
 
 
-def test_equal_checkpoint_steps_build_one_propagator(fig1a):
+def test_doubling_checkpoint_steps_build_one_propagator(fig1a):
+    # steps 1, 2, 4, ..., 64: every leg after the first squares the last
+    # propagator, since rate * 1 > 0.5 needs a halving
     gen = build_generator(fig1a)
-    times = [float(k) for k in range(1, 101)]
+    assert gen.uniformization_rate() > 0.5
+    times = [2.0**k - 1.0 for k in range(1, 8)]
     with mock.patch.object(
         master_eq, "_poisson_mixture", wraps=master_eq._poisson_mixture
     ) as series:
         out = list(_checkpoints(gen, np.eye(gen.dimension)[-1], times))
-    assert series.call_count == 1 and len(out) == 100
+    assert series.call_count == 1 and len(out) == 7
 
 
 def test_checkpoint_legs_match_fresh_propagators(fig1a):

@@ -142,8 +142,9 @@ def test_product_matches_oracle_across_assumption_bounds(params):
     it solves, with the residual taken in long double.
 
     Where the exact p_0 is far below float resolution the dense solve may
-    clip it to 0 and raise instead: 164 of 4000 draws did, each with a
-    product-formula p_0 of at most 3.3e-32.
+    not resolve it, and the oracle raises instead: 388 of 4000 draws did
+    with BLAS on one thread and 390 on two, each with a product-formula p_0
+    of at most 9.2e-29. Others were resolved down to a p_0 of 9.7e-79.
     """
     report = check_assumptions(params)
     event(f"bistable={report.bistability_holds}, interior={report.capacity_interior}")
