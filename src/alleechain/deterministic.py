@@ -19,7 +19,6 @@ at a root r decides their stability (`immigration_equilibria`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .model import (
     ModelParams,
     _armed_x_plus,
     _balance_roots,
+    _check_finite,
     balance_coefficients,
     per_capita_factors,
 )
@@ -96,24 +96,18 @@ def ode_rhs(params: ModelParams, x: float) -> float:
     return _net_growth(params, x)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-
-
 def immigration_ode_rhs(params: ModelParams, alpha: float, x: float) -> float:
     """The density ODE with a constant immigration stream alpha (1 - x).
 
     Accepts negative densities, where the immigration cubic has a root; the
     expression has a pole at x = -theta.
     """
-    _check_alpha(alpha)
+    _check_finite("alpha", alpha)
     return _net_growth(params, x) + alpha * (1.0 - x)
 
 
 def _check_start(x0: float, t_end: float) -> None:
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    _check_finite("t_end", t_end, positive=True)
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 = {x0} outside [0, 1]")
 
@@ -280,7 +274,7 @@ def immigration_equilibria(params: ModelParams, alpha: float) -> ImmigrationEqui
     Raises:
         ValueError: alpha is negative or not finite.
     """
-    _check_alpha(alpha)
+    _check_finite("alpha", alpha)
     a, b, c = balance_coefficients(params)
     mu, theta = params.mu, params.theta
     c3, c2, c1 = mu * a, alpha - mu * b, mu * c + alpha * (theta - 1.0)

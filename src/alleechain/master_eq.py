@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from .errors import ConvergenceBudgetError
-from .model import ModelParams, rate_arrays
+from .model import ModelParams, _check_finite, rate_arrays
 from .stationary import stationary_from_rates, validate_rates
 
 #: Strict sub-stochasticity margin applied to the uniformization rate.
@@ -175,11 +175,6 @@ def _poisson_isf(q: float, mu: float) -> int:
     return below if pdtr(below, mu) >= p else k
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
-
-
 def _series_length(lt: float, t: float, truncation_tol: float = _TRUNCATION_TOL) -> int:
     """Index of the last uniformization term for rate * t = lt > 0.
 
@@ -234,7 +229,7 @@ def evolve(
         ConvergenceBudgetError: the required number of series terms exceeds
             _MAX_TERMS; raised before any term is computed.
     """
-    _check_time(t)
+    _check_finite("evolution time", t)
     if not 0.0 < truncation_tol < 1.0:
         raise ValueError(f"truncation_tol must be in (0, 1), got {truncation_tol!r}")
     p = _frozen_copy(gen, p0)
@@ -367,7 +362,7 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
     elapsed = 0.0
     for t in times:
         step = t - elapsed
-        _check_time(step)
+        _check_finite("evolution time", step)
         if rate * step != 0.0:
             if gen.dimension <= _DENSE_MAX_STATES:
                 previous = step, _dense_propagator(gen, step, previous)
@@ -380,10 +375,8 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
 
 def _check_converge_settings(tol: float, max_horizon: float) -> None:
     """Raise ValueError unless tol >= 0 and max_horizon > 0, both finite."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not (math.isfinite(max_horizon) and max_horizon > 0):
-        raise ValueError(f"max_horizon must be finite and > 0, got {max_horizon!r}")
+    _check_finite("tol", tol)
+    _check_finite("max_horizon", max_horizon, positive=True)
 
 
 def converge_to_stationary(

@@ -51,8 +51,7 @@ class ImmigrationSpec:
         arr = np.asarray(self.r1, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("immigration schedule must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("immigration entries must be finite and >= 0")
+        _check_finite_entries("immigration entries", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "r1", arr)
 
@@ -74,9 +73,29 @@ class ImmigrationSpec:
         return int(self.r1.size)
 
 
+def _check_finite(name: str, value, *, positive: bool = False) -> None:
+    """Raise ValueError unless the number value is finite and >= 0 (> 0
+    when positive); name leads the message."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+
+
+def _check_finite_entries(name: str, *arrays: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the float arrays is finite and
+    >= 0; name leads the message."""
+    if not all(np.isfinite(v).all() and (v >= 0).all() for v in arrays):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError unless value is a Python or numpy integer, not a bool."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +166,7 @@ class ModelParams:
         r1: float,
     ) -> "ModelParams":
         """Build params with a constant immigration schedule R_1i = r1."""
-        if not _is_integer(capacity_n):
-            raise ValueError(f"capacity_n must be an integer, got {capacity_n!r}")
+        _check_integer("capacity_n", capacity_n)
         return cls(
             lam, mu, delta1, delta2, delta3, theta, int(capacity_n),
             ImmigrationSpec.constant(r1, int(capacity_n)),

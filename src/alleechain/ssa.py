@@ -8,13 +8,14 @@ summary does not echo its inputs (seeds, horizon, burn-in, epsilon).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csv
-from .model import ModelParams, _armed_x_plus, _is_integer, _within, rate_arrays
+from .model import (
+    ModelParams, _armed_x_plus, _check_finite, _check_integer, _is_integer, _within, rate_arrays,
+)
 
 #: Draws of each random stream simulate takes from the generator at a time.
 _BLOCK = 4096
@@ -71,10 +72,8 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     n = params.capacity_n
     if not (_is_integer(x0) and 0 <= x0 <= n):
         raise ValueError(f"x0 must be an integer state in 0..{n}, got {x0!r}")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_finite("t_end", t_end, positive=True)
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     b, d = rate_arrays(params)
@@ -141,10 +140,8 @@ def ensemble(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if not _is_integer(base_seed):
-        raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    _check_integer("base_seed", base_seed)
+    _check_finite("epsilon", epsilon)
     _check_burn_in(burn_in, t_end)
     rows = np.empty((n_runs, params.capacity_n + 1))
     for j in range(n_runs):
