@@ -13,8 +13,10 @@ both (the config overrides the preset, command-line flags override both).
 Every run writes the fully resolved configuration next to its outputs, so
 any result can be reproduced byte for byte from the emitted file alone.
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure or I/O failure (an OSError, such as a full disk, an output path
-under a regular file or a CSV formatting helper that failed).
+failure (a RuntimeError or an ArithmeticError, such as a float overflow),
+memory failure (a MemoryError, such as an array too large to allocate) or
+I/O failure (an OSError, such as a full disk, an output path under a
+regular file or a CSV formatting helper that failed).
 """
 
 from __future__ import annotations
@@ -300,8 +302,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

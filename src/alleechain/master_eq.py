@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from .errors import ConvergenceBudgetError
-from .model import ModelParams, _check_finite, rate_arrays
+from .model import ModelParams, _check_finite, _check_finite_entries, rate_arrays
 from .stationary import stationary_from_rates, validate_rates
 
 #: Strict sub-stochasticity margin applied to the uniformization rate.
@@ -153,10 +153,13 @@ def total_variation(p, q) -> float:
 
 
 def _frozen_copy(gen: GeneratorMatrix, p) -> np.ndarray:
-    """A new read-only float array holding p, checked against the generator."""
+    """A new read-only float array holding p, checked against the generator:
+    one entry per state, each finite and >= 0, with a finite positive sum."""
     v = np.array(p, dtype=float)
     if v.shape != (gen.dimension,):
         raise ValueError(f"distribution of shape {v.shape} does not fit {gen.dimension} states")
+    _check_finite_entries("distribution entries", v)
+    _check_finite("distribution sum", float(v.sum()), positive=True)
     v.setflags(write=False)
     return v
 
@@ -225,7 +228,7 @@ def evolve(
 
     Raises:
         ValueError: t is negative or not finite, truncation_tol is not in
-            (0, 1), or p0 has the wrong shape.
+            (0, 1), or p0 is no start vector (see _frozen_copy).
         ConvergenceBudgetError: the required number of series terms exceeds
             _MAX_TERMS; raised before any term is computed.
     """
@@ -352,8 +355,9 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
     projection window above (see _windowed_leg). A step of zero yields the
     previous checkpoint's array itself (a frozen copy of p0 before the
     first leg); every other step yields a new one. Raises ValueError before
-    the first leg unless times are nonnegative and ascending; each leg
-    validates its step and p0 like evolve."""
+    the first leg unless times are nonnegative and ascending and p0 is a
+    start vector (see _frozen_copy); each leg validates its step like
+    evolve."""
     if sorted(times) != times or (times and times[0] < 0):
         raise ValueError("times must be nonnegative and ascending")
     p = _frozen_copy(gen, p0)
@@ -406,8 +410,9 @@ def converge_to_stationary(
     the returned vector.
 
     Raises:
-        ValueError: tol is negative or not finite, or max_horizon is not a
-            finite positive number.
+        ValueError: tol is negative or not finite, max_horizon is not a
+            finite positive number, or p0 is no start vector (see
+            _frozen_copy); raised before any leg.
         ConvergenceBudgetError: max_horizon was integrated without reaching
             tol; carries the achieved distance and the final distribution.
             Also raised, without them, by a leg evolve could not sum within

@@ -352,14 +352,21 @@ def rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
     Returns:
         Pair of float arrays of length N + 1 with b[N] = 0 and d[0] = 0.
+
+    Raises:
+        ValueError: a rate overflows the float range (finite constants as
+            large as 1e308 do), so no rate may reach the chain unchecked.
     """
     n = params.capacity_n
     i = np.arange(n + 1, dtype=float)
     fb, fd = per_capita_factors(params, i / n)
     r1 = np.concatenate([params.immigration.r1, [0.0]])
-    b = params.lam * i * fb + (params.mu / n) * r1 * (n - i)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        b = params.lam * i * fb + (params.mu / n) * r1 * (n - i)
+        d = params.mu * i * fd
     b[n] = 0.0
-    return b, params.mu * i * fd
+    _check_finite_entries("rates", b, d)
+    return b, d
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,10 @@ def ensemble(
     """Independent runs with seeds base_seed .. base_seed + n_runs - 1.
 
     Aggregation order is fixed by run index, so the summary is identical no
-    matter how the runs are scheduled. burn_in is checked before any run.
+    matter how the runs are scheduled. n_runs, base_seed, epsilon and
+    burn_in are checked before any run.
     """
+    _check_integer("n_runs", n_runs)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     _check_integer("base_seed", base_seed)

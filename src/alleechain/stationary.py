@@ -28,6 +28,7 @@ from .errors import (
 )
 from .model import (
     ModelParams,
+    _check_finite_entries,
     balance_coefficients,
     basic_reproduction_ratio,
     equilibria,
@@ -83,13 +84,13 @@ class StationaryDistribution:
 
 
 def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh float copies of rates b[0..N], d[0..N]: equal shapes, >= 0, b[N] = 0."""
+    """Fresh float copies of rates b[0..N], d[0..N]: equal shapes, finite and
+    >= 0, b[N] = 0."""
     b = np.array(birth, dtype=float)
     d = np.array(death, dtype=float)
     if b.ndim != 1 or b.shape != d.shape or b.size < 2:
         raise ValueError("birth and death must be equal-length vectors over states 0..N")
-    if np.any(b < 0) or np.any(d < 0):
-        raise ValueError("rates must be nonnegative")
+    _check_finite_entries("rates", b, d)
     if b[-1] != 0.0:
         raise ValueError("birth rate at capacity must be exactly 0")
     return b, d
@@ -105,8 +106,8 @@ def stationary_from_rates(birth, death) -> StationaryDistribution:
     Raises:
         DegenerateDistributionError: b[0] = 0, so state 0 is absorbing and
             all stationary mass collapses onto it.
-        ValueError: malformed rates (shape mismatch, negative entries, a
-            zero interior birth or death rate that disconnects the chain).
+        ValueError: malformed rates (shape mismatch, negative or non-finite
+            entries, a zero interior birth or death rate that disconnects the chain).
     """
     b, d = validate_rates(birth, death)
     if b[0] == 0.0:

@@ -318,6 +318,23 @@ def test_typed_errors_map_to_exit_codes(tmp_path, error, message):
         assert (code, stderr.getvalue()) == (3, f"numerical failure: {message}\n")
 
 
+@pytest.mark.parametrize("error, prefix", [
+    # numpy's error for psd at N = 100000000000
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)"),
+     "out of memory"),
+    (OverflowError(34, "Numerical result out of range"), "numerical failure"),
+], ids=["memory", "overflow"])
+def test_memory_and_arithmetic_errors_exit_3(tmp_path, capsys, error, prefix):
+    def fail(cfg, params, out_dir):
+        raise error
+
+    out = tmp_path / "out"
+    with mock.patch.dict(_COMMANDS, psd=fail):
+        assert run("psd", "--preset", "fig1a", "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
 def test_simulate_rejects_bad_epsilon(tmp_path, epsilon):
     out = tmp_path / "out"

@@ -269,6 +269,25 @@ def test_an_out_path_under_a_regular_file_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, code", [
+    # the rates overflow to inf: psd wrote nan probabilities, simulate let
+    # no time pass and never ended, evolve failed on a NaN horizon
+    ("psd", 2), ("simulate", 2), ("evolve", 2),
+    # the balance discriminant overflows in float arithmetic
+    ("ode", 3), ("threshold", 3), ("sweep", 3),
+])
+def test_overflowing_rates_fail_fast_and_write_nothing(tmp_path, capsys, command, code):
+    config = tmp_path / "huge.cfg"
+    config.write_text("lambda = 1e308\n")
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig1a", "--config", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err == {
+        2: "error: rates must be finite and >= 0\n",
+        3: "numerical failure: (34, 'Numerical result out of range')\n",
+    }[code]
+    assert list(out.iterdir()) == []
+
+
 class FullDisk(io.StringIO):
     def write(self, text):
         if self.tell() > 0:  # the header goes through, the first chunk does not

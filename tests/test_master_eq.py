@@ -221,6 +221,36 @@ def test_evolve_rejects_bad_inputs(fig1a):
             evolve(gen, p0, 1.0, truncation_tol=tol)
 
 
+_ENTRIES = r"^distribution entries must be finite and >= 0$"
+
+
+@pytest.mark.parametrize("capacity", [100, 5000])  # the dense and the windowed route
+@pytest.mark.parametrize("head, message", [
+    ([1.0, math.nan], _ENTRIES),
+    ([-0.5, 1.5], _ENTRIES),
+    ([], r"^distribution sum must be finite and > 0, got 0\.0$"),
+], ids=["nan", "negative", "zero"])
+def test_bad_starts_are_refused_before_any_leg(capacity, head, message):
+    # evolve returned NaN from the NaN and the zero start and [-0.5, 1.5, ...]
+    # at t = 0; converge_to_stationary from the NaN start on fig2a ran on
+    gen = build_generator(make_params(FIG_A, capacity))
+    p0 = np.zeros(gen.dimension)
+    p0[:len(head)] = head
+    before = p0.copy()
+    leg = mock.Mock(side_effect=AssertionError("a leg ran"))
+    with mock.patch.multiple(
+        master_eq, _poisson_mixture=leg, _dense_propagator=leg, _windowed_leg=leg
+    ):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match=message):
+                evolve(gen, p0, t)
+        with pytest.raises(ValueError, match=message):
+            next(_checkpoints(gen, p0, [0.0, 1.0]))
+        with pytest.raises(ValueError, match=message):
+            converge_to_stationary(gen, p0, 1e-8)
+    assert np.array_equal(p0, before, equal_nan=True) and p0.flags.writeable
+
+
 def test_poisson_isf_matches_scipy_on_a_dense_grid():
     tols = np.logspace(-15, -6, 91)
     lts = np.logspace(-6, 8, 561)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,17 @@ def test_boundary_rates():
     assert d[0] == 0.0
     # immigration alone feeds the empty state: b(0) = mu * R1 * (N - 0) / N
     assert b[0] == pytest.approx(0.99, abs=1e-15)
+
+
+@pytest.mark.parametrize("field", ["lam", "mu"])
+def test_rates_that_overflow_are_refused(field):
+    # lam = 1e308 gives b(i) = inf and mu = 1e308 d(i) = inf, both
+    # quietly, as the ValueError says what went wrong
+    params = make_params({**FIG_A, field: 1e308}, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rates must be finite and >= 0$"):
+            rate_arrays(params)
 
 
 def test_reproduction_ratio_and_coefficients():

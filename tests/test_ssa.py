@@ -186,11 +186,14 @@ def test_simulate_rejects_a_non_integer_start_or_seed(fig1a, x0, seed, message):
         simulate(fig1a, x0, 10.0, seed)
 
 
-@pytest.mark.parametrize("base_seed", [2.5, True])
-def test_ensemble_rejects_a_non_integer_base_seed(fig1a, base_seed):
+@pytest.mark.parametrize("value", [2.5, True])
+def test_ensemble_rejects_a_non_integer_base_seed(fig1a, value):
+    # and a non-integer run count, which np.empty refused with a TypeError
     with mock.patch.object(ssa, "simulate", side_effect=AssertionError("a run started")):
-        with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {base_seed}$"):
-            ensemble(fig1a, 3, 10, 10.0, base_seed)
+        with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {value}$"):
+            ensemble(fig1a, 3, 10, 10.0, value)
+        with pytest.raises(ValueError, match=rf"^n_runs must be an integer, got {value}$"):
+            ensemble(fig1a, value, 10, 10.0, 0)
 
 
 def test_numpy_integer_start_and_seeds_are_accepted(fig1a):

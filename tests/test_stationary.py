@@ -68,6 +68,14 @@ def test_interior_zero_rate_rejected():
         stationary_from_rates([1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_rates_rejected(bad):
+    # a NaN birth rate gave NaN probabilities
+    for birth, death in (([1.0, bad, 0.0], [0.0, 1.0, 1.0]), ([1.0, 1.0, 0.0], [0.0, bad, 1.0])):
+        with pytest.raises(ValueError, match=r"^rates must be finite and >= 0$"):
+            stationary_from_rates(birth, death)
+
+
 def test_nonzero_final_birth_rejected():
     with pytest.raises(ValueError):
         stationary_from_rates([1.0, 1.0], [0.0, 1.0])
