@@ -14,6 +14,7 @@ stay well inside double range up to capacities of a million.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,8 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
             sum_j |(M^-1)_0j| |r_j| over the refined residual r (clipping may
             have left it 0), so no log weight relative to state 0 exists.
     """
+    import scipy.linalg  # only the oracle needs it, so not at package import
+
     b = np.asarray(birth, dtype=float)
     d = np.asarray(death, dtype=float)
     if b.shape != d.shape or b.ndim != 1 or b.size < 2:
@@ -176,21 +179,29 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     m[-1, :] = 1.0
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    try:
-        p = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise OracleSolveError(f"bordered system is singular: {exc}") from exc
+    # One LU factorization serves the solve, both refinement passes and the
+    # inverse. lu_factor only warns on an exactly zero pivot, where
+    # np.linalg.solve would raise.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            lu = scipy.linalg.lu_factor(m)
+        except scipy.linalg.LinAlgWarning as exc:
+            raise OracleSolveError(f"bordered system is singular: {exc}") from exc
+    p = scipy.linalg.lu_solve(lu, rhs)
     m_wide = m.astype(np.longdouble)
     rhs_wide = rhs.astype(np.longdouble)
     residual = rhs_wide - m_wide @ p.astype(np.longdouble)
     for _ in range(_ORACLE_REFINE_STEPS):
-        p = p + np.linalg.solve(m, residual.astype(float))
+        p = p + scipy.linalg.lu_solve(lu, residual.astype(float))
         residual = rhs_wide - m_wide @ p.astype(np.longdouble)
     # To first order p_0 is off by (M^-1 residual)_0, so by at most
     # sum_j |(M^-1)_0j| |residual_j|; a p_0 no larger than that is not
-    # resolved. Row 0 comes from the inverse: a solve of M^T y = e_0 left it
-    # too noisy, so that p_0 values 15 nats off passed on random parameters.
-    p0_error = np.abs(np.linalg.inv(m)[0]).astype(np.longdouble) @ np.abs(residual)
+    # resolved. Row 0 comes from the whole inverse: a solve of M^T y = e_0
+    # left it too noisy, so that p_0 values 15 nats off passed on random
+    # parameters.
+    inverse_row0 = scipy.linalg.lu_solve(lu, np.eye(n + 1))[0]
+    p0_error = np.abs(inverse_row0).astype(np.longdouble) @ np.abs(residual)
     unresolved_p0 = p[0] <= p0_error
 
     p = np.clip(p, 0.0, None)

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import event, example, given, settings
 from scipy.special import logsumexp
 
@@ -200,6 +203,26 @@ def test_oracle_rejects_clipped_p0_on_any_blas_thread_count():
                  "OMP_NUM_THREADS": threads},
         ).stdout
         assert "clipped p_0" in out, (threads, out)
+
+
+def test_oracle_factors_the_bordered_system_once(monkeypatch):
+    # the solve, both refinement passes and the row of the inverse share
+    # one LU factorization
+    factor = mock.Mock(wraps=scipy.linalg.lu_factor)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, mock.Mock(side_effect=AssertionError(name)))
+    dist = psd_nullspace_oracle(make_params(FIG_A, 200))
+    assert factor.call_count == 1
+    assert tv(dist.probs, psd_product(make_params(FIG_A, 200)).probs) <= 1e-9
+
+
+def test_oracle_refuses_a_singular_system_quietly():
+    # two closed classes {0, 1} and {2, 3}: the bordered matrix has rank 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleSolveError, match="^bordered system is singular"):
+            stationary_nullspace_from_rates([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
 
 
 def test_oracle_residual_is_tiny():
