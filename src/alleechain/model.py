@@ -354,8 +354,8 @@ def rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         Pair of float arrays of length N + 1 with b[N] = 0 and d[0] = 0.
 
     Raises:
-        ValueError: a rate overflows the float range (finite constants as
-            large as 1e308 do), so no rate may reach the chain unchecked.
+        ValueError: a rate overflows the float range, as constants near
+            1e308 make it do.
     """
     n = params.capacity_n
     i = np.arange(n + 1, dtype=float)

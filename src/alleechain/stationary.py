@@ -180,8 +180,7 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     # One LU factorization serves the solve, both refinement passes and the
-    # inverse. lu_factor only warns on an exactly zero pivot, where
-    # np.linalg.solve would raise.
+    # inverse. An exactly zero pivot, the singular case, only warns.
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:

@@ -153,9 +153,10 @@ def test_product_matches_oracle_across_assumption_bounds(params):
     it solves, with the residual taken in long double.
 
     Where the exact p_0 is far below float resolution the dense solve may
-    not resolve it, and the oracle raises instead: 388 of 4000 draws did
-    with BLAS on one thread and 390 on two, each with a product-formula p_0
-    of at most 9.2e-29. Others were resolved down to a p_0 of 9.7e-79.
+    not resolve it, and the oracle raises instead: of 4000 draws (hypothesis
+    seed 20261019) 421 did with BLAS on one thread and 418 on two, each
+    with a product-formula p_0 of at most 8.3e-30. Others were resolved
+    down to a p_0 of 2.7e-75.
     """
     report = check_assumptions(params)
     event(f"bistable={report.bistability_holds}, interior={report.capacity_interior}")
