@@ -90,8 +90,8 @@ def test_boundary_rates():
 
 @pytest.mark.parametrize("field", ["lam", "mu"])
 def test_rates_that_overflow_are_refused(field):
-    # lam = 1e308 gives b(i) = inf and mu = 1e308 d(i) = inf, both
-    # quietly, as the ValueError says what went wrong
+    # lam = 1e308 makes b(i) inf and mu = 1e308 d(i); the ValueError
+    # reports it, with no RuntimeWarning on the way
     params = make_params({**FIG_A, field: 1e308}, 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
