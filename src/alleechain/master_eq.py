@@ -283,15 +283,15 @@ def _windowed_leg(
     evolve on gen itself, bit for bit.
 
     Returns (probs, lo, hi, leak): probs is the interior scattered into a
-    new read-only full-length array and renormalized to unit sum.
+    full-length array and put on the simplex by _on_simplex, like every leg.
     """
     last = gen.dimension - 1
     support = np.flatnonzero(p)
     margin = _WINDOW_MARGIN
-    while support.size:
+    while True:
         lo, hi = max(int(support[0]) - margin, 0), min(int(support[-1]) + margin, last)
         if lo == 0 and hi == last:
-            break
+            return evolve(gen, p, t), 0, last, 0.0
         start, stop = max(lo - 1, 0), min(hi + 2, last + 1)
         sinks = [0] * (lo > 0) + [stop - start - 1] * (hi < last)
         birth, death = gen.birth[start:stop].copy(), gen.death[start:stop].copy()
@@ -301,11 +301,8 @@ def _windowed_leg(
         if leak <= _WINDOW_TOL:
             probs = np.zeros(gen.dimension)
             probs[lo:hi + 1] = sub[lo - start:hi + 1 - start]
-            probs /= probs.sum()
-            probs.setflags(write=False)
-            return probs, lo, hi, leak
+            return _on_simplex(probs), lo, hi, leak
         margin *= 2
-    return evolve(gen, p, t), 0, last, 0.0
 
 
 def _dense_propagator(
@@ -398,8 +395,9 @@ def converge_to_stationary(
     to the reference), probs a new read-only array; elapsed is 0 when p0
     already satisfies the tolerance.
 
-    The legs are _checkpoints at the elapsed times 1, 3, 7, ..., each twice
-    as long as the last, up to the first at or beyond max_horizon. On a
+    The walk is _checkpoints at the elapsed times 0, 1, 3, 7, ..., each leg
+    twice as long as the last, up to the first at or beyond max_horizon.
+    Checkpoint 0 runs no leg: it is the checked start itself. On a
     chain of at most _DENSE_MAX_STATES states each leg's dense propagator is
     the square of the last one wherever that is the bits of a fresh build.
     On a larger chain each leg runs on a window of states around the
@@ -420,14 +418,10 @@ def converge_to_stationary(
     """
     _check_converge_settings(tol, max_horizon)
     target = stationary_from_rates(gen.birth, gen.death).probs
-    current = _frozen_copy(gen, p0)
-    tv = total_variation(current, target)
-    if tv <= tol:
-        return current, 0.0, tv
-    times = [_INITIAL_HORIZON]
+    times = [0.0]
     while times[-1] < max_horizon:
         times.append(2.0 * times[-1] + _INITIAL_HORIZON)
-    for elapsed, current in zip(times, _checkpoints(gen, current, times)):
+    for elapsed, current in zip(times, _checkpoints(gen, p0, times)):
         tv = total_variation(current, target)
         if tv <= tol:
             return current, elapsed, tv
