@@ -94,8 +94,6 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         b, d = validate_rates(self.birth, self.death)
-        if d[0] != 0.0:
-            raise ValueError("death rate at state 0 must be exactly 0")
         for name, rates in (("birth", b), ("death", d)):
             rates.setflags(write=False)
             object.__setattr__(self, name, rates)

@@ -86,7 +86,7 @@ class StationaryDistribution:
 
 def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:
     """Fresh float copies of rates b[0..N], d[0..N]: equal shapes, finite and
-    >= 0, b[N] = 0."""
+    >= 0, b[N] = 0 and d[0] = 0."""
     b = np.array(birth, dtype=float)
     d = np.array(death, dtype=float)
     if b.ndim != 1 or b.shape != d.shape or b.size < 2:
@@ -94,21 +94,23 @@ def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:
     _check_finite_entries("rates", b, d)
     if b[-1] != 0.0:
         raise ValueError("birth rate at capacity must be exactly 0")
+    if d[0] != 0.0:
+        raise ValueError("death rate at state 0 must be exactly 0")
     return b, d
 
 
 def stationary_from_rates(birth, death) -> StationaryDistribution:
     """Stationary distribution of a general birth-death chain from its rates.
 
-    Arguments are arrays b[0..N] and d[0..N] with b[N] = 0. The detailed
+    Arguments are arrays b[0..N] and d[0..N] with b[N] = d[0] = 0. The detailed
     balance flux identity b(i) p_i = d(i+1) p_{i+1} gives the product
     formula, accumulated as log w[i+1] = log w[i] + log b[i] - log d[i+1].
 
     Raises:
         DegenerateDistributionError: b[0] = 0, so state 0 is absorbing and
             all stationary mass collapses onto it.
-        ValueError: malformed rates (shape mismatch, negative or non-finite
-            entries, a zero interior birth or death rate that disconnects the chain).
+        ValueError: malformed rates (see validate_rates), or a zero interior
+            birth or death rate that disconnects the chain.
     """
     b, d = validate_rates(birth, death)
     if b[0] == 0.0:
@@ -148,10 +150,13 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
 
     Solves Q p = 0 with the normalization row sum(p) = 1 replacing the last
     balance equation, then applies a few iterative-refinement passes with
-    extended-precision residuals. Deliberately shares no code with the
-    product formula so the two can serve as independent witnesses.
+    extended-precision residuals. Its solve deliberately shares no code with
+    the product formula, so the two can serve as independent witnesses;
+    only the input rule, validate_rates, is common to both.
 
     Raises:
+        ValueError: malformed rates (see validate_rates), or a capacity
+            above ORACLE_MAX_CAPACITY.
         OracleSolveError: the residual ||Q p||_inf stayed above _ORACLE_RESIDUAL_TOL,
             or p_0 is no larger than the first-order bound on its own error,
             sum_j |(M^-1)_0j| |r_j| over the refined residual r (clipping may
@@ -159,10 +164,7 @@ def stationary_nullspace_from_rates(birth, death) -> StationaryDistribution:
     """
     import scipy.linalg  # only the oracle needs it, so not at package import
 
-    b = np.asarray(birth, dtype=float)
-    d = np.asarray(death, dtype=float)
-    if b.shape != d.shape or b.ndim != 1 or b.size < 2:
-        raise ValueError("birth and death must be equal-length vectors over states 0..N")
+    b, d = validate_rates(birth, death)
     if b[0] == 0.0:
         raise DegenerateDistributionError("state 0 is absorbing; no positive stationary distribution")
     n = b.size - 1

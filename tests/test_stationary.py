@@ -84,6 +84,22 @@ def test_nonzero_final_birth_rejected():
         stationary_from_rates([1.0, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("solve", [stationary_from_rates, stationary_nullspace_from_rates])
+@pytest.mark.parametrize("birth, death, message", [
+    ([1.0, 1.0, 0.0], [0.5, 1.0, 1.0], r"death rate at state 0 must be exactly 0"),
+    ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0], r"birth rate at capacity must be exactly 0"),
+    ([1.0, -1.0, 0.0], [0.0, 1.0, 1.0], r"rates must be finite and >= 0"),
+    ([1.0, 1.0, 0.0], [0.0, math.nan, 1.0], r"rates must be finite and >= 0"),
+    ([1.0, 0.0], [0.0, 1.0, 1.0], r"birth and death must be equal-length vectors over states 0\.\.N"),
+], ids=["death-at-0", "birth-at-N", "negative", "nan", "shape"])
+def test_both_solvers_refuse_the_same_rates(solve, birth, death, message):
+    # the product formula ignored d[0]; the oracle answered the first three
+    # with OracleSolveError and the NaN with scipy's own message
+    with pytest.raises(ValueError, match=f"^{message}$") as exc_info:
+        solve(birth, death)
+    assert exc_info.type is ValueError
+
+
 def test_normalization_and_log_consistency(corpus):
     for entry in corpus[:10]:
         p = ModelParams.from_constants(capacity_n=1000, **entry)
