@@ -247,10 +247,19 @@ def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | No
 
     (1 - R0 - theta*a)**2 - 4*theta*delta3*a equals b**2 - 4*a*c only in
     exact arithmetic; the reported equilibria are pinned to these bits.
+
+    Raises:
+        ValueError: the discriminant is not finite, as constants near the
+            float limits make it (an R0 above about 1e154, for one).
     """
     r0 = basic_reproduction_ratio(params)
     a, b, _ = balance_coefficients(params)
-    disc = (1.0 - r0 - params.theta * a) ** 2 - 4.0 * params.theta * params.delta3 * a
+    try:
+        disc = (1.0 - r0 - params.theta * a) ** 2 - 4.0 * params.theta * params.delta3 * a
+    except OverflowError:  # float ** raises where * would give inf
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError(f"the balance discriminant is not finite at R0 = {r0:.6g}")
     if not (disc >= 0.0 and a > 0.0):
         return disc, None
     root = math.sqrt(disc)
@@ -258,7 +267,7 @@ def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | No
 
 
 def check_assumptions(params: ModelParams) -> AssumptionReport:
-    """Evaluate every model assumption; never raises.
+    """Evaluate every model assumption.
 
     Bistability: 1 + theta*(R0*delta1 + delta2) < R0 < 1 + delta3, some
         density dependence (delta1**2 + delta2**2 > 0), and a positive
@@ -269,6 +278,10 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
 
     Returns:
         AssumptionReport with one message per violated sub-check.
+
+    Raises:
+        ValueError: only where the balance discriminant is not finite (see
+            _balance_roots); every violated assumption is reported instead.
     """
     r0 = basic_reproduction_ratio(params)
     slope, _, _ = balance_coefficients(params)

@@ -137,7 +137,7 @@ def ensemble(
 
     Aggregation order is fixed by run index, so the summary is identical no
     matter how the runs are scheduled. n_runs, base_seed, epsilon and
-    burn_in are checked before any run.
+    burn_in are checked, and x+* is evaluated, before any run.
     """
     _check_integer("n_runs", n_runs)
     if n_runs < 1:
@@ -145,6 +145,7 @@ def ensemble(
     _check_integer("base_seed", base_seed)
     _check_finite("epsilon", epsilon)
     _check_burn_in(burn_in, t_end)
+    x_plus = _armed_x_plus(params)
     rows = np.empty((n_runs, params.capacity_n + 1))
     for j in range(n_runs):
         traj = simulate(params, x0, t_end, int(base_seed) + j)
@@ -153,7 +154,6 @@ def ensemble(
             first = traj
     mean = rows.mean(axis=0)
     extinction = float(mean[_within(params.capacity_n, 0.0, epsilon)].sum())
-    x_plus = _armed_x_plus(params)
     persistence = None
     if x_plus is not None:
         persistence = float(mean[_within(params.capacity_n, x_plus, epsilon)].sum())

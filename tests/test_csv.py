@@ -269,22 +269,33 @@ def test_an_out_path_under_a_regular_file_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("command, code", [
+@pytest.mark.parametrize("constant, command, message", [
     # the rates overflow to inf: psd wrote nan probabilities, simulate let
     # no time pass and never ended, evolve failed on a NaN horizon
-    ("psd", 2), ("simulate", 2), ("evolve", 2),
-    # the balance discriminant overflows in float arithmetic
-    ("ode", 3), ("threshold", 3), ("sweep", 3),
+    *(
+        pytest.param("lambda = 1e308", command, "rates must be finite and >= 0", id=f"{command}-2")
+        for command in ("psd", "evolve")
+    ),
+    # the balance discriminant overflows in float arithmetic, which exited 3
+    # with "(34, 'Numerical result out of range')", simulate only after its
+    # last run; it now checks x+* before its first run
+    *(
+        pytest.param(
+            constant, command, f"the balance discriminant is not finite at R0 = {r0}",
+            id=f"{command}-2{suffix}",
+        )
+        for constant, r0, suffix in (
+            ("lambda = 1e308", "1e+308", ""), ("mu = 1e-300", "1.4e+300", "-tiny-mu"),
+        )
+        for command in ("simulate", "ode", "threshold", "sweep")
+    ),
 ])
-def test_overflowing_rates_fail_fast_and_write_nothing(tmp_path, capsys, command, code):
+def test_overflowing_rates_fail_fast_and_write_nothing(tmp_path, capsys, constant, command, message):
     config = tmp_path / "huge.cfg"
-    config.write_text("lambda = 1e308\n")
+    config.write_text(constant + "\n")
     out = tmp_path / "out"
-    assert main([command, "--preset", "fig1a", "--config", str(config), "--out", str(out)]) == code
-    assert capsys.readouterr().err == {
-        2: "error: rates must be finite and >= 0\n",
-        3: "numerical failure: (34, 'Numerical result out of range')\n",
-    }[code]
+    assert main([command, "--preset", "fig1a", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 

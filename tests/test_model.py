@@ -99,6 +99,18 @@ def test_rates_that_overflow_are_refused(field):
             rate_arrays(params)
 
 
+@pytest.mark.parametrize("constants, message", [
+    ({"lam": 1e308}, r"^the balance discriminant is not finite at R0 = 1e\+308$"),
+    ({"mu": 1e-300}, r"^the balance discriminant is not finite at R0 = 1\.4e\+300$"),
+])
+def test_an_overflowing_discriminant_is_refused(constants, message):
+    # the ** 2 of the discriminant raised OverflowError
+    params = make_params({**FIG_A, **constants}, 100)
+    for evaluate in (check_assumptions, equilibria):
+        with pytest.raises(ValueError, match=message):
+            evaluate(params)
+
+
 def test_reproduction_ratio_and_coefficients():
     p = make_params(FIG_A, 100)
     assert basic_reproduction_ratio(p) == pytest.approx(1.4)

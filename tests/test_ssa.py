@@ -218,6 +218,14 @@ def test_ensemble_checks_burn_in_before_any_run(fig1a, burn_in, message):
             ensemble(fig1a, 3, 10, 10.0, 0, burn_in=burn_in)
 
 
+def test_ensemble_evaluates_x_plus_before_any_run():
+    # the OverflowError of the discriminant came after the last run
+    params = make_params({**FIG_A, "mu": 1e-300}, 100)
+    with mock.patch.object(ssa, "simulate", side_effect=AssertionError("a run started")):
+        with pytest.raises(ValueError, match=r"^the balance discriminant is not finite"):
+            ensemble(params, 3, 10, 10.0, 0)
+
+
 def test_absorption_without_immigration():
     """With R1 = 0 the empty state is absorbing and a subcritical chain
     reaches it quickly."""
