@@ -34,6 +34,13 @@ size of the chain:
   evolve.
 
 A zero step, on either route, leaves the vector as it is.
+
+A start with all its mass on state 0 or on state N has a certified least
+horizon before it can reach the stationary law (_point_mass_horizon,
+after Keilson 1979 and Fill 2009). converge_to_stationary reads it at its
+checkpoint 0 and stops there, before any leg, where the bound lies beyond
+its last checkpoint: on the fig2b constants from state 0 and the fig2a
+constants from state N the bound is above 1e18, far past any leg budget.
 """
 
 from __future__ import annotations
@@ -348,11 +355,11 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
     per step: dense on a chain of at most _DENSE_MAX_STATES states, passing
     each propagator on to the next leg (see _dense_propagator), and on a
     projection window above (see _windowed_leg). A step of zero yields the
-    previous checkpoint's array itself (a frozen copy of p0 before the
-    first leg); every other step yields a new one. Raises ValueError before
-    the first leg unless times are nonnegative and ascending and p0 is a
-    start vector (see _frozen_copy); each leg validates its step like
-    evolve."""
+    previous checkpoint's array itself, so a first time of 0 yields the
+    checked, frozen copy of p0; every other step yields a new one. Raises
+    ValueError before the first leg unless times are nonnegative and
+    ascending and p0 is a start vector (see _frozen_copy); each leg
+    validates its step like evolve."""
     if sorted(times) != times or (times and times[0] < 0):
         raise ValueError("times must be nonnegative and ascending")
     p = _frozen_copy(gen, p0)
@@ -370,6 +377,38 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
                 p = _windowed_leg(gen, p, step)[0]
         elapsed = t
         yield p
+
+
+def _point_mass_horizon(gen: GeneratorMatrix, log_weights: np.ndarray, p, tol: float) -> float:
+    """Least time at which the chain started from p can be within tol of
+    its stationary law pi in total variation, for a p with all its mass on
+    state 0 or on state N; log_weights are log pi up to a constant. 0.0, no
+    bound, for any other start.
+
+    From state 0 the chain puts no mass on A_k = {k..N} before its passage
+    time tau_k into it, so the distance is at least pi(A_k) - P(tau_k <= t).
+    There tau_k is stochastically larger than from pi restricted to
+    B_k = {0..k-1}, where its survival function is log-convex (Keilson 1979;
+    Fill 2009) and so at least exp(-t Phi_k), with the exit rate
+    Phi_k = b[k-1] pi[k-1] / pi(B_k). Meeting tol therefore takes
+    t >= -log(1 - (pi(A_k) - tol)) / Phi_k for every k with pi(A_k) > tol;
+    the largest of these is returned. A start on state N is the same on the
+    mirrored chain, whose upward rates are the death rates reversed. O(N) in
+    log space, so a bound far beyond the float range comes out as inf.
+    """
+    support = np.flatnonzero(p)
+    if support.size != 1 or 0 < support[0] < gen.dimension - 1:
+        return 0.0
+    up, lw = (gen.birth, log_weights) if support[0] == 0 else (gen.death[::-1], log_weights[::-1])
+    below = np.logaddexp.accumulate(lw)  # log pi({0..i}) + const
+    with np.errstate(divide="ignore"):  # tol = 0 gives log tol = -inf
+        need = -np.logaddexp(below[:-1] - below[-1], np.log(tol))  # -log(pi(B_k) + tol)
+    log_flux = np.log(up[:-1]) + lw[:-1] - below[:-1]  # log Phi_k
+    open_k = need > 0.0  # pi(A_k) > tol
+    if not open_k.any():
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.log(need[open_k]) - log_flux[open_k]).max())
 
 
 def _check_converge_settings(tol: float, max_horizon: float) -> None:
@@ -395,15 +434,19 @@ def converge_to_stationary(
 
     The walk is _checkpoints at the elapsed times 0, 1, 3, 7, ..., each leg
     twice as long as the last, up to the first at or beyond max_horizon.
-    Checkpoint 0 runs no leg: it is the checked start itself. On a
-    chain of at most _DENSE_MAX_STATES states each leg's dense propagator is
-    the square of the last one wherever that is the bits of a fresh build.
-    On a larger chain each leg runs on a window of states around the
-    support of its start vector, bordered by absorbing sinks that collect
-    the mass leaking out (see _windowed_leg); in l1 such a leg differs from
-    the full-space evolve by at most twice its leak (<= _WINDOW_TOL) plus
-    the series truncation. The returned distance is measured exactly on
-    the returned vector.
+    Checkpoint 0 runs no leg: it is the checked start itself. There a start
+    with all its mass on state 0 or N is refused when its passage-time bound
+    (_point_mass_horizon) lies beyond the last checkpoint, since no leg
+    could then meet tol; any other start has no bound and runs its legs.
+
+    On a chain of at most _DENSE_MAX_STATES states each leg's dense
+    propagator is the square of the last one wherever that is the bits of
+    a fresh build. On a larger chain each leg runs on a window of states
+    around the support of its start vector, bordered by absorbing sinks
+    that collect the mass leaking out (see _windowed_leg); in l1 such a leg
+    differs from the full-space evolve by at most twice its leak
+    (<= _WINDOW_TOL) plus the series truncation. The returned distance is
+    measured exactly on the returned vector.
 
     Raises:
         ValueError: tol is negative or not finite, max_horizon is not a
@@ -411,18 +454,30 @@ def converge_to_stationary(
             _frozen_copy); raised before any leg.
         ConvergenceBudgetError: max_horizon was integrated without reaching
             tol; carries the achieved distance and the final distribution.
-            Also raised, without them, by a leg evolve could not sum within
-            its term budget, on either route.
+            Also raised at checkpoint 0 by the passage-time bound, carrying
+            the start's distance, horizon 0.0 and the start; and, without
+            them, by a leg evolve could not sum within its term budget, on
+            either route.
     """
     _check_converge_settings(tol, max_horizon)
-    target = stationary_from_rates(gen.birth, gen.death).probs
+    target = stationary_from_rates(gen.birth, gen.death)
     times = [0.0]
     while times[-1] < max_horizon:
         times.append(2.0 * times[-1] + _INITIAL_HORIZON)
     for elapsed, current in zip(times, _checkpoints(gen, p0, times)):
-        tv = total_variation(current, target)
+        tv = total_variation(current, target.probs)
         if tv <= tol:
             return current, elapsed, tv
+        if not elapsed:
+            bound = _point_mass_horizon(gen, target.log_weights, current, tol)
+            if bound > times[-1]:
+                raise ConvergenceBudgetError(
+                    f"total variation {tol:.1e} needs horizon >= {bound:.3g} from this start, "
+                    f"beyond max_horizon {max_horizon:g} (last leg ends at {times[-1]:g})",
+                    achieved_tv=tv,
+                    horizon=elapsed,
+                    witness=current,
+                )
     raise ConvergenceBudgetError(
         f"met {tv:.3e} total variation after horizon {elapsed:g}, needed {tol:.1e}",
         achieved_tv=tv,

@@ -9,6 +9,7 @@ import math
 import os
 import signal
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -296,6 +297,24 @@ def test_overflowing_rates_fail_fast_and_write_nothing(tmp_path, capsys, constan
     out = tmp_path / "out"
     assert main([command, "--preset", "fig1a", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("preset, start, bound", [
+    ("fig2b", "delta0", "1.17e+19"), ("fig2a", "deltaN", "2.01e+24"),
+])
+def test_unreachable_point_mass_starts_exit_3_at_once(tmp_path, capsys, preset, start, bound):
+    # the legs ran for 78 s (fig2b) and about 225 s (fig2a from deltaN)
+    # before a leg exceeded the term budget
+    config = tmp_path / "start.cfg"
+    config.write_text(f"start = {start}\n")
+    out = tmp_path / "out"
+    began = time.monotonic()
+    assert main(["evolve", "--preset", preset, "--config", str(config), "--out", str(out)]) == 3
+    assert time.monotonic() - began < 30.0
+    assert capsys.readouterr().err.startswith(
+        f"numerical failure: total variation 1.0e-08 needs horizon >= {bound} from this start"
+    )
     assert list(out.iterdir()) == []
 
 

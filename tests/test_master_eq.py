@@ -40,7 +40,7 @@ from alleechain.master_eq import (
     _windowed_leg,
 )
 
-from conftest import FIG_A, FIG_B, make_params
+from conftest import FIG_A, FIG_B, boundary_params, make_params
 
 
 def _dense(gen):
@@ -352,6 +352,65 @@ def test_converge_budget_reports_progress():
     assert err.witness.shape == (gen.dimension,) and not err.witness.flags.writeable
 
 
+def _point_mass(dimension, state):
+    p0 = np.zeros(dimension)
+    p0[state] = 1.0
+    return p0
+
+
+def _passage_bound(gen, p0, tol):
+    log_weights = stationary_from_rates(gen.birth, gen.death).log_weights
+    return master_eq._point_mass_horizon(gen, log_weights, p0, tol)
+
+
+@pytest.mark.parametrize("base, capacity, state", [
+    (FIG_A, 100, 0), (FIG_A, 100, -1), (FIG_B, 100, 0), (FIG_B, 100, -1), (FIG_A, 5000, 0),
+], ids=["fig1a-delta0", "fig1a-deltaN", "fig1b-delta0", "fig1b-deltaN", "fig2a-delta0"])
+def test_point_mass_bound_never_exceeds_the_reached_horizon(base, capacity, state):
+    gen = build_generator(make_params(base, capacity))
+    p0 = _point_mass(gen.dimension, state)
+    _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
+    assert 0.0 < _passage_bound(gen, p0, 1e-8) <= horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=boundary_params(max_capacity=60), state=st.sampled_from([0, -1]))
+def test_point_mass_bound_holds_on_boundary_params(params, state):
+    gen = build_generator(params)
+    p0 = _point_mass(gen.dimension, state)
+    bound = _passage_bound(gen, p0, 1e-8)
+    try:
+        _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
+    except ConvergenceBudgetError as err:
+        # refused at the start, or a leg or the last checkpoint missed tol
+        assert (err.horizon == 0.0) == ("needs horizon >=" in str(err))
+        return
+    assert bound <= horizon
+
+
+@pytest.mark.parametrize("base, state, bound", [
+    (FIG_B, 0, "1.17e+19"), (FIG_A, -1, "2.01e+24"),
+], ids=["fig2b-delta0", "fig2a-deltaN"])
+def test_unreachable_point_mass_is_refused_before_any_leg(base, state, bound):
+    gen = build_generator(make_params(base, 5000))
+    p0 = _point_mass(gen.dimension, state)
+    leg = mock.Mock(side_effect=AssertionError("a leg ran"))
+    with mock.patch.multiple(master_eq, _dense_propagator=leg, _windowed_leg=leg):
+        with pytest.raises(ConvergenceBudgetError) as exc_info:
+            converge_to_stationary(gen, p0, 1e-8)
+    err = exc_info.value
+    assert str(err) == (
+        f"total variation 1.0e-08 needs horizon >= {bound} from this start, "
+        "beyond max_horizon 1e+06 (last leg ends at 1.04858e+06)"
+    )
+    target = stationary_from_rates(gen.birth, gen.death).probs
+    assert err.horizon == 0.0 and err.achieved_tv == total_variation(p0, target)
+    assert np.array_equal(err.witness, p0) and not err.witness.flags.writeable
+    # a start off the two ends, or spread out, has no bound and runs its legs
+    for spread in (_point_mass(gen.dimension, 1), np.full(gen.dimension, 1.0 / gen.dimension)):
+        assert _passage_bound(gen, spread, 1e-8) == 0.0
+
+
 @contextlib.contextmanager
 def _evolve_outputs():
     """Keep every result of the evolve calls made inside master_eq, in order."""
@@ -412,6 +471,8 @@ def _reference_converge(gen, p0, tol, max_horizon):
 # than _WINDOW_TOL, and those legs are re-run wider
 @example(seed=3, dimension=400, scale=50.0, bias=5.0, point_mass=True, tol=1e-8)
 @example(seed=4, dimension=300, scale=50.0, bias=0.2, point_mass=True, tol=1e-5)
+# a slow chain from state 0, refused before its first leg
+@example(seed=25, dimension=3, scale=0.05, bias=5.0, point_mass=True, tol=1e-8)
 def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
     rng = np.random.default_rng(seed)
     gen = _drifting_generator(rng, dimension, scale, bias)
@@ -424,6 +485,10 @@ def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, po
         except ConvergenceBudgetError as err:
             probs, horizon = err.witness, err.horizon
     expected, expected_horizon = _reference_converge(gen, p0, tol, max_horizon)
+    if horizon == 0.0 and expected_horizon:  # refused by the passage-time bound
+        target = stationary_from_rates(gen.birth, gen.death).probs
+        assert not legs and total_variation(expected, target) > tol
+        return
 
     assert horizon == expected_horizon
     leaks = sum(leak for *_, leak, _ in legs)
@@ -469,6 +534,7 @@ def _drifting_generator(rng, dimension, scale, bias):
 )
 @example(seed=5, dimension=_DENSE_MAX_STATES, scale=10.0, bias=5.0, point_mass=True, tol=1e-8)
 @example(seed=6, dimension=2, scale=0.05, bias=0.2, point_mass=False, tol=1e-8)
+@example(seed=25, dimension=3, scale=0.05, bias=5.0, point_mass=True, tol=1e-8)  # refused
 def test_dense_converge_matches_full_space_legs(seed, dimension, scale, bias, point_mass, tol):
     rng = np.random.default_rng(seed)
     gen = _drifting_generator(rng, dimension, scale, bias)
@@ -486,6 +552,9 @@ def test_dense_converge_matches_full_space_legs(seed, dimension, scale, bias, po
 
     # a distance within rounding of tol may fall on either side of it
     expected_tv = total_variation(expected, target)
+    if horizon == 0.0 and expected_horizon:  # refused by the passage-time bound
+        assert expected_tv > tol
+        return
     if horizon != expected_horizon:
         assert abs(tv - tol) <= 1e-12 and abs(expected_tv - tol) <= 1e-12
         return
