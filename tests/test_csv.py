@@ -271,15 +271,16 @@ def test_an_out_path_under_a_regular_file_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("constant, command, message", [
-    # the rates overflow to inf: psd wrote nan probabilities, simulate let
-    # no time pass and never ended, evolve failed on a NaN horizon
+    # the rates overflow to inf: psd wrote nan probabilities and evolve
+    # failed on a NaN horizon
     *(
         pytest.param("lambda = 1e308", command, "rates must be finite and >= 0", id=f"{command}-2")
         for command in ("psd", "evolve")
     ),
     # the balance discriminant overflows in float arithmetic, which exited 3
-    # with "(34, 'Numerical result out of range')", simulate only after its
-    # last run; it now checks x+* before its first run
+    # with "(34, 'Numerical result out of range')"; simulate, which never
+    # ended on infinite rates and reached the discriminant only after its
+    # last run on finite ones, now checks x+* before its first run
     *(
         pytest.param(
             constant, command, f"the balance discriminant is not finite at R0 = {r0}",
