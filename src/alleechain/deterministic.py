@@ -6,23 +6,28 @@ capacity x+* above), plus the immigration-extended ODE whose equilibria
 solve a cubic. A start counts as classified once its trajectory enters a
 small neighbourhood of an attractor. `integrate` follows one trajectory with
 adaptive Runge-Kutta (the single-trajectory mode of `alleechain ode`, and
-the witness for the grid). The basin grid follows no trajectory: the flow is
-scalar, so the sign of f(x0) and the zeros of f name the attractor, and
-separation of variables gives the time to reach its neighbourhood,
-T(x0) = integral of dx / f(x), which adaptive quadrature evaluates. A grid
-point reads "undecided" when T exceeds the horizon or when the flow stops at
-a zero of f that is no armed attractor. With an inflow alpha (1 - x) the
-right-hand side g has (theta + x) g(x) = -P(x) for a cubic P in the balance
-coefficients; its roots are the equilibria, and g'(r) = -P'(r) / (theta + r)
-at a root r decides their stability (`immigration_equilibria`).
+the witness for the grid); it alone imports scipy.integrate, when it runs.
+The basin grid follows no trajectory: the flow is scalar, so the sign of
+f(x0) and the zeros of f name the attractor, and separation of variables
+gives the time to reach its neighbourhood, T(x0) = integral of dx / f(x).
+1 / f is rational, so T has a closed form in logarithms and an arctan
+(_hitting_time), with a bound on its rounding error; a grid point fails
+with QuadratureError where that bound exceeds 1e-6 of T, which is where
+rounding in f decides the time. A grid point reads "undecided" when T
+exceeds the horizon or when the flow stops at a zero of f that is no armed
+attractor. With an inflow alpha (1 - x) the right-hand side g has
+(theta + x) g(x) = -P(x) for a cubic P in the balance coefficients; its
+roots are the equilibria, and g'(r) = -P'(r) / (theta + r) at a root r
+decides their stability (`immigration_equilibria`).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import _csv, _cubic
 from .errors import QuadratureError
@@ -32,6 +37,7 @@ from .model import (
     _balance_roots,
     _check_finite,
     balance_coefficients,
+    basic_reproduction_ratio,
     per_capita_factors,
 )
 
@@ -46,15 +52,12 @@ PROXIMITY = 1e-6
 _RTOL = 1e-10
 _ATOL = 1e-13
 
-#: Absolute and relative tolerances the hitting-time quadrature aims for,
-#: and the relative error estimate it must stay within. Next to an attractor
-#: far above 1, rounding in f keeps QUADPACK from its aim (it reports
-#: roundoff or its subdivision limit) at estimates that grow with x+*, about
-#: 5e-10 at x+* = 27 and 2e-9 at x+* = 1066; the budget stays ten times
-#: inside the 1e-5 at which RK45 event times agree.
-_QUAD_ABS_TOL = 1e-13
-_QUAD_REL_TOL = 1e-12
-_QUAD_BUDGET = 1e-6
+#: Largest rounding bound, relative to the hitting time, a grid point may
+#: carry; ten times inside the 1e-5 at which RK45 event times agree. Next
+#: to x+* the bound grows with it: 2e-9 at x+* = 37, 3.5e-7 at 8.5e3.
+_ROUNDING_BUDGET = 1e-6
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +140,8 @@ def integrate(params: ModelParams, x0: float, t_end: float = 1000.0) -> OdeTraje
     never stops and grows without bound; RK45 would follow it until the
     density overflows.
     """
+    from scipy.integrate import solve_ivp  # imported here: only this mode pays for scipy.integrate
+
     _check_start(x0, t_end)
     x_plus = _armed_x_plus(params)
     settled = _settled(x0, x_plus)
@@ -206,22 +211,165 @@ def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[
     return TO_ZERO, PROXIMITY
 
 
+def _log_ratio(x0: float, x1: float, r: float) -> tuple[float, float]:
+    """Integral of 1 / (x - r) from x0 to x1, log((x1 - r) / (x0 - r)), for
+    a real r off [x0, x1], with the size of what it sums.
+
+    A ratio near 1 goes through log1p((x1 - x0) / (x0 - r)); any other
+    through the quotient itself, whose factors come out exact or correctly
+    rounded, as x1 - r does at the PROXIMITY offset from an attractor.
+    """
+    u = (x1 - x0) / (x0 - r)
+    value = math.log1p(u) if abs(u) < 0.5 else math.log((x1 - r) / (x0 - r))
+    return value, abs(value)
+
+
+def _pair_integral(x0: float, x1: float, p: float, s: float) -> tuple[float, float]:
+    """Integral of 1 / ((x - p)(x - s)) from x0 to x1 for real p, s off
+    [x0, x1], equal or not, with the size of what it sums.
+
+    The divided difference (L(p) - L(s)) / (p - s) of the log ratios is
+    log1p(u) / (p - s) with u = (x1 - x0)(p - s) / ((x0 - p)(x1 - s)); for
+    small u it is taken as log1p(u) / u times u / (p - s), so nearby and
+    equal zeros cancel nothing.
+    """
+    scale = (x1 - x0) / ((x0 - p) * (x1 - s))
+    u = scale * (p - s)
+    if abs(u) < 0.5:
+        value = scale * math.log1p(u) / u if u else scale
+        return value, abs(value)
+    (lp, size_p), (ls, size_s) = _log_ratio(x0, x1, p), _log_ratio(x0, x1, s)
+    return (lp - ls) / (p - s), (size_p + size_s) / abs(p - s)
+
+
+def _reciprocal_integral(x0: float, x1: float, nodes: tuple[float, ...]) -> tuple[float, float]:
+    """Integral of 1 / prod(x - n) over up to three real nodes n off
+    [x0, x1], from x0 to x1, with the size of what it sums.
+
+    Three nodes take the divided difference of the two outer pairs over the
+    widest gap, so two close nodes cancel nothing; three equal ones take
+    the integral of (x - n)^-3.
+    """
+    if not nodes:
+        return x1 - x0, abs(x1 - x0)
+    if len(nodes) == 1:
+        return _log_ratio(x0, x1, nodes[0])
+    if len(nodes) == 2:
+        return _pair_integral(x0, x1, *nodes)
+    n1, n2, n3 = sorted(nodes)
+    if n1 == n3:
+        value = 0.5 * (1.0 / (x0 - n1) ** 2 - 1.0 / (x1 - n1) ** 2)
+        return value, abs(value)
+    (upper, size_u), (lower, size_l) = _pair_integral(x0, x1, n2, n3), _pair_integral(x0, x1, n1, n2)
+    return (upper - lower) / (n3 - n1), (size_u + size_l) / (n3 - n1)
+
+
+def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, float]:
+    """T = integral of dx / f(x) from x0 to x1 > 0 in closed form, and a
+    bound on its rounding error.
+
+    For x > 0, f(x) = -mu x q(x) / (theta + x) with q(x) = a x^2 - b x + c
+    from the balance coefficients, so T = -(1 / mu) times the integral of
+    theta / (x q) + 1 / q. With q = lead * prod(x - n) over its real zeros
+    n (two for a > 0, the larger as _balance_roots forms it and the smaller
+    from their product c / a; c / b for a = 0; none for a = b = 0) both
+    parts are divided differences of log ratios (_reciprocal_integral). A
+    complex pair m +- i beta (a > 0, negative discriminant) gives q = a Q
+    with Q = (x - m)^2 + beta^2, the arctan integral V of 1 / Q, and
+    1 / (x Q) = (1 / x - (x - 2m) / Q) / Q(0).
+
+    The bound adds two things, each eps times a sum of magnitudes:
+    - the evaluation: the sizes of the terms that are summed;
+    - the coefficients: rounding moves q(x) by up to eps W(x), with
+      W = a x^2 + (R0 + 1 + theta a) x + theta (1 + delta3 + R0), a
+      relative error W / |q| in 1 / f. At each end of the path, and at a
+      vertex m the path passes, it counts over the distance to the nearest
+      zero of q, or over the logarithmic reach of the pole of 1 / f at 0,
+      whichever is shorter. In 40-digit checks the error stayed below
+      half this bound (tests/test_deterministic.py).
+
+    Raises:
+        QuadratureError: a zero of q lies on the path, where rounding in f
+            sent the flow across it.
+    """
+    a, b, c = balance_coefficients(params)
+    disc, _ = _balance_roots(params)
+    r0, theta, mu = basic_reproduction_ratio(params), params.theta, params.mu
+    w2, w1, w0 = a, r0 + 1.0 + theta * a, theta * (1.0 + params.delta3 + r0)
+    low, high = min(x0, x1), max(x0, x1)
+    ends = [x0, x1]
+    if a > 0.0 and disc < 0.0:
+        m, beta = b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
+        log_x, size_x = _log_ratio(x0, x1, 0.0)
+        q0 = (x0 - m) ** 2 + beta * beta
+        v = (x1 - x0) * (x1 + x0 - 2.0 * m) / q0  # Q(x1) / Q(x0) - 1
+        log_q = math.log1p(v) if abs(v) < 0.5 else math.log(((x1 - m) ** 2 + beta * beta) / q0)
+        arc = math.atan2(beta * (x1 - x0), beta * beta + (x0 - m) * (x1 - m)) / beta
+        vertex = m * m + beta * beta
+        integral = theta * (log_x - 0.5 * log_q + m * arc) / vertex + arc
+        size = theta * (size_x + 0.5 * abs(log_q) + abs(m * arc)) / vertex + abs(arc)
+        lead = a
+
+        def q(x):
+            return a * ((x - m) ** 2 + beta * beta)
+
+        def zero_distance(x):
+            return math.hypot(x - m, beta)
+
+        if low < m < high:
+            ends.append(m)
+    else:
+        # the larger zero as _balance_roots forms it, the smaller from
+        # their product c / a, so that neither is a difference of near equals
+        large = (b + math.copysign(math.sqrt(disc), b)) / (2.0 * a) if a > 0.0 else math.inf
+        if math.isfinite(large):
+            nodes, lead = (c / (a * large) if large else large, large), a  # 0: c = 0 too
+        elif b != 0.0:  # a = 0, or a x^2 below the float range wherever b x is not
+            nodes, lead = (c / b,), -b
+        else:
+            nodes, lead = (), c
+        if any(low <= n <= high for n in nodes):
+            raise QuadratureError(
+                f"a zero of f lies on the path from x0 = {x0} to {x1}: rounding in f decides "
+                "the direction of the flow"
+            )
+        (with_pole, size_p), (plain, size_q) = (
+            _reciprocal_integral(x0, x1, (0.0, *nodes)), _reciprocal_integral(x0, x1, nodes)
+        )
+        integral, size = theta * with_pole + plain, theta * size_p + size_q
+
+        def q(x):
+            return lead * math.prod(x - n for n in nodes)
+
+        def zero_distance(x):
+            return min((abs(x - n) for n in nodes), default=math.inf)
+
+    hitting_time = -integral / (mu * lead)
+    coefficients = 0.0
+    for x in ends:
+        q_x = abs(q(x))
+        reach = min(zero_distance(x), x * (1.0 + math.log1p((high - low) / x)))
+        coefficients += ((w2 * x + w1) * x + w0) / q_x * (theta + x) / (x * q_x) * reach
+    return hitting_time, _EPS * (size / abs(lead) + coefficients) / mu
+
+
 def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, float]:
     """Classification and time of reaching it for one grid start.
 
     The same outcome `integrate` reaches, from the hitting time of the
     scalar flow, T = integral of dx / f(x) from x0 to the neighbourhood
-    boundary, by adaptive quadrature instead of a trajectory. A start inside
-    a neighbourhood gives time 0; a flow that stops at an unarmed zero of f,
-    or takes longer than t_end, gives "undecided" at t_end.
+    boundary, in closed form (_hitting_time) instead of a trajectory. A
+    start inside a neighbourhood gives time 0; a flow that stops at an
+    unarmed zero of f, or takes longer than t_end, gives "undecided" at
+    t_end, as does a time past t_end even less its rounding bound.
 
     Raises:
         ValueError: t_end is not finite and positive, or x0 is outside [0, 1].
-        QuadratureError: f rounds to 0 at a quadrature node, or the
-            quadrature's error estimate exceeds 1e-6 of the hitting time. Both
-            happen where rounding in f decides that time: for starts within
-            about 1e-9 (relative) of x-*, next to an x+* above a few thousand,
-            and for parameters within rounding of a double root x-* = x+*.
+        QuadratureError: the rounding bound of the hitting time exceeds 1e-6
+            of it, or a zero of f lies on the path. Both happen where
+            rounding in f decides that time: for starts within about 1e-10
+            (relative) of x-*, next to an x+* above about 3e4, and for
+            parameters within rounding of a double root x-* = x+*.
     """
     _check_start(x0, t_end)
     x_plus = _armed_x_plus(params)
@@ -232,23 +380,13 @@ def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, flo
     if target is None:
         return UNDECIDED, float(t_end)
     classification, boundary = target
-
-    def inverse_rate(x):
-        rate = ode_rhs(params, x)
-        if rate == 0.0:
-            raise QuadratureError(f"f vanishes at {x!r} on the way from x0 = {x0} to {boundary}")
-        return 1.0 / rate
-
-    result = quad(inverse_rate, x0, boundary, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
-                  full_output=1)
-    hitting_time, abserr = float(result[0]), float(result[1])
-    if hitting_time - abserr > t_end:  # past the horizon even at the error estimate
+    hitting_time, rounding = _hitting_time(params, x0, boundary)
+    if hitting_time - rounding > t_end:  # past the horizon even at the rounding bound
         return UNDECIDED, float(t_end)
-    if not abserr <= _QUAD_BUDGET * hitting_time:
-        reason = result[3].strip().splitlines()[0] if len(result) > 3 else "no message"
+    if not rounding <= _ROUNDING_BUDGET * hitting_time:
         raise QuadratureError(
-            f"hitting-time quadrature from x0 = {x0} did not converge: error estimate "
-            f"{abserr:.3e} for {hitting_time!r} ({reason})"
+            f"hitting time from x0 = {x0} to {boundary} is {hitting_time!r} with a rounding "
+            f"bound of {rounding:.3e}, above {_ROUNDING_BUDGET:g} of it"
         )
     if hitting_time > t_end:
         return UNDECIDED, float(t_end)

@@ -45,7 +45,8 @@ class UnimodalProfileError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """A hitting-time integral missed its accuracy budget: its rounding
+    bound exceeds the budget, or rounding sent the flow across a zero."""
 
 
 class ConvergenceBudgetError(RuntimeError):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from alleechain import (
     CRITICAL,
@@ -20,6 +23,7 @@ from alleechain import (
 )
 from alleechain.asymptotics import CRITICAL_TOL
 from alleechain.errors import UnimodalProfileError
+from alleechain.model import check_assumptions
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -93,6 +97,74 @@ def test_markov_exponent_critical_classification():
     assert abs(report.integral_value) <= 1e-15
     assert report.classification == CRITICAL
     assert report.tolerance == CRITICAL_TOL == 1e-7
+
+
+def _mp_exponent(params: ModelParams, x_plus: float) -> float:
+    """Integral of log f over [0, x_plus] in 40-digit arithmetic, with f
+    written out from the model constants."""
+    with mpmath.workdps(40):
+        lam, mu, d1, d2, d3, theta = (
+            mpmath.mpf(v) for v in (
+                params.lam, params.mu, params.delta1, params.delta2, params.delta3, params.theta
+            )
+        )
+
+        def log_ratio(x):
+            return mpmath.log(lam * (1 - d1 * x) / (mu * (1 + d2 * x + d3 * theta / (theta + x))))
+
+        return float(mpmath.quad(log_ratio, [0, mpmath.mpf(x_plus)]))
+
+
+def _threshold_params(theta, delta1, delta2, x_minus, x_plus) -> ModelParams:
+    """The constants whose balance quadratic has the zeros x_minus < x_plus:
+    with s = x_minus + x_plus, b = a s and c = a x_minus x_plus give
+    R0 = (1 + delta2 (theta + s)) / (1 - delta1 (theta + s)) and
+    delta3 = R0 - 1 + a x_minus x_plus / theta."""
+    reach = theta + x_minus + x_plus
+    r0 = (1.0 + delta2 * reach) / (1.0 - delta1 * reach)
+    a = r0 * delta1 + delta2
+    return ModelParams.from_constants(
+        lam=r0, mu=1.0, delta1=delta1, delta2=delta2, delta3=r0 - 1.0 + a * x_minus * x_plus / theta,
+        theta=theta, capacity_n=10, r1=0.5,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.floats(0.01, 1.0),
+    delta1=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    delta2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    zeros=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(theta=0.03, delta1=0.0, delta2=0.5, zeros=[0.1, 0.8])  # delta1 = 0
+@example(theta=0.03, delta1=0.9, delta2=0.0, zeros=[0.05, 0.4])  # delta2 = 0
+@example(theta=0.72, delta1=0.2, delta2=0.5, zeros=[0.3, 0.9])  # complex denominator pair
+def test_markov_exponent_matches_40_digit_quadrature(theta, delta1, delta2, zeros):
+    assume(delta1 * (theta + sum(zeros)) < 0.99 and delta1 + delta2 >= 0.01)
+    params = _threshold_params(theta, delta1, delta2, *zeros)
+    report = check_assumptions(params)
+    assume(report.bistability_holds and report.capacity_interior)
+    value = markov_exponent(params).integral_value
+    assert abs(value - _mp_exponent(params, equilibria(params).x_plus)) <= 1e-12
+
+
+def test_markov_exponent_covers_a_complex_denominator_pair():
+    # D(x) = delta2 x^2 + (1 + delta2 theta) x + theta (1 + delta3) has no
+    # real zero, and the assumptions still hold
+    params = _threshold_params(0.72, 0.2, 0.5, 0.3, 0.9)
+    d2, theta, d3 = params.delta2, params.theta, params.delta3
+    assert (1.0 + d2 * theta) ** 2 < 4.0 * d2 * theta * (1.0 + d3)
+    report = check_assumptions(params)
+    assert report.bistability_holds and report.capacity_interior
+    x_plus = equilibria(params).x_plus
+    assert abs(markov_exponent(params).integral_value - _mp_exponent(params, x_plus)) <= 1e-12
+
+
+@pytest.mark.parametrize("base", [FIG_A, FIG_B], ids=["fig1a", "fig1b"])
+def test_markov_exponent_on_presets_matches_40_digit_quadrature(base):
+    params = make_params(base, 100)
+    value = markov_exponent(params).integral_value
+    assert abs(value - _mp_exponent(params, equilibria(params).x_plus)) <= 1e-12
 
 
 def test_markov_exponent_requires_assumptions():

@@ -262,6 +262,12 @@ def test_cli_import_leaves_out_scipy_stats():
     assert _loaded_by_cli_import("scipy.stats") == "False"
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # the basin grid and the threshold integral are closed forms; only the
+    # single-trajectory ode mode imports solve_ivp, when it runs
+    assert _loaded_by_cli_import("scipy.integrate") == "False"
+
+
 def test_cli_import_leaves_out_multiprocessing():
     # the CSV writer forks its helper with os.fork, never through a pool
     assert _loaded_by_cli_import("multiprocessing") == "False"
@@ -410,19 +416,19 @@ def test_ode_grid_leaves_rk45_to_single_trajectory(tmp_path):
     ]
 
 
-def test_ode_grid_quadrature_failure_exits_3(tmp_path, capsys):
-    # x0 = 0 is already settled; the second grid point is the first to
-    # integrate, and its quadrature reports the subdivision limit
-    failed = (0.5, 0.25, {}, "The maximum number of subdivisions (50) has been achieved.\n  more")
-    out = tmp_path / "out"
-    with mock.patch.object(deterministic, "quad", return_value=failed) as quad:
-        assert run("ode", "--preset", "fig1a", "--out", str(out)) == 3
-    assert quad.call_count == 1
-    assert capsys.readouterr().err == (
-        "numerical failure: hitting-time quadrature from x0 = 0.010101010101010102 did not "
-        "converge: error estimate 2.500e-01 for 0.5 "
-        "(The maximum number of subdivisions (50) has been achieved.)\n"
+def test_ode_grid_rounding_failure_exits_3(tmp_path, capsys):
+    # Next to an x+* of 4.3e4 rounding in f moves the hitting time by more
+    # than 1e-6 of it; the grid points below x-* = 0.25 reach 0 first, and
+    # the first one above it fails the run before any file is written
+    code, out = _run_with_config(
+        tmp_path, "ode", "lambda = 1.5\ndelta1 = 7.8125e-06\ndelta2 = 0\ndelta3 = 1\ntheta = 0.25\n"
     )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: hitting time from x0 = 0.25252525252525254 to 42666.16666273693 is "
+    )
+    assert err.endswith(", above 1e-06 of it\n")
     assert list(out.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alleechain import (
@@ -24,9 +24,9 @@ from alleechain import (
     integrate,
     ode_rhs,
 )
-from alleechain.deterministic import PROXIMITY, _basin_point
+from alleechain.deterministic import PROXIMITY, _basin_point, _flow_target, _hitting_time
 from alleechain.errors import QuadratureError
-from alleechain.model import _balance_roots
+from alleechain.model import _armed_x_plus, _balance_roots, balance_coefficients
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
 
@@ -379,39 +379,47 @@ def test_basin_point_on_or_next_to_unstable_zero():
         x_minus = equilibria(p).x_minus
         # the exact flow from a zero of f does not move
         assert _basin_point(p, x_minus, 1000.0) == (UNDECIDED, 1000.0)
-        # within ~1e-9 (relative) the hitting time depends on rounding in f;
-        # the quadrature then reports its error estimate as a failure, or
-        # classifies by the side of x-* the start is on
+        # within ~1e-10 (relative) the hitting time depends on rounding in f;
+        # the rounding bound then exceeds its budget, or the start classifies
+        # by the side of x-* it is on
         for rel in (1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12):
             side = TO_X_PLUS if rel > 0 else TO_ZERO
             try:
                 classification, t_final = _basin_point(p, x_minus * (1.0 + rel), 1000.0)
             except QuadratureError as exc:
-                assert abs(rel) < 1e-6 and "did not converge" in str(exc)
+                assert abs(rel) < 1e-6 and "rounding bound" in str(exc)
             else:
                 assert classification == side and 0.0 < t_final < 1000.0
 
 
 def test_basin_point_fails_typed_where_rounding_decides():
+    # Next to an x+* of 8.5e3 the rounding bound is 3.5e-7 of the time,
+    # inside the budget: the 40-digit witness confirms the value within 1.4e-9.
     p = _params(FIG_A, lam=1.5, delta1=3.90625e-05, delta2=0.0, delta3=1.0, theta=0.25)
-    assert equilibria(p).x_plus > 8e3
-    with pytest.raises(QuadratureError, match="did not converge"):
+    x_plus = equilibria(p).x_plus
+    assert x_plus > 8e3
+    classification, t_final = _basin_point(p, 1.0, 1000.0)
+    assert classification == TO_X_PLUS
+    assert abs(t_final - _mp_hitting_time(p, 1.0, x_plus - PROXIMITY)) <= 1e-8 * t_final
+    # next to an x+* of 4.3e4 it is 1.6e-6 of the time, over the budget
+    p = _params(FIG_A, lam=1.5, delta1=7.8125e-06, delta2=0.0, delta3=1.0, theta=0.25)
+    assert equilibria(p).x_plus > 4e4
+    with pytest.raises(QuadratureError, match="rounding bound of .* above 1e-06 of it"):
         _basin_point(p, 1.0, 1000.0)
-    # a hitting time beyond the horizon even with its error estimate added
+    # a hitting time beyond the horizon even with its rounding bound added
     # still classifies the start
     assert _basin_point(p, 1.0, 5.0) == (UNDECIDED, 5.0)
     # One ulp of delta3 past the double root the balance discriminant is
     # -2.2e-16: f is below 0 everywhere in exact arithmetic, but rounds to 0
-    # on ~1e-8 around 0.375, where the flow takes ~1e7 time units to pass.
+    # on ~1e-8 around 0.375, where the flow takes ~7e8 time units to pass.
     p = ModelParams.from_constants(
         lam=2.0, mu=1.0, delta1=0.5, delta2=0.0, delta3=np.nextafter(1.5625, 2.0), theta=0.25,
         capacity_n=20, r1=0.5,
     )
     assert -3e-16 < _balance_roots(p)[0] < 0.0
-    with pytest.raises(QuadratureError, match="f vanishes at 0.37500"):
-        _basin_point(p, 0.4, 1000.0)
-    with pytest.raises(QuadratureError, match="did not converge"):
-        _basin_point(p, 0.6, 1000.0)
+    for x0 in (0.4, 0.6):
+        with pytest.raises(QuadratureError, match=f"from x0 = {x0} to 1e-06 .* rounding bound"):
+            _basin_point(p, x0, 1000.0)
 
 
 def test_basin_point_checks_inputs_first(fig1a):
@@ -422,10 +430,11 @@ def test_basin_point_checks_inputs_first(fig1a):
         _basin_point(fig1a, 1.5, 1000.0)
 
 
-def _mp_hitting_time(params: ModelParams, x0: float, boundary: float) -> float:
+def _mp_hitting_time(params: ModelParams, x0: float, boundary: float, interior=()) -> float:
     """Integral of 1/f from x0 to boundary in 40-digit arithmetic, with f
-    written out from the model constants and breakpoints that halve the
-    distance to the boundary, next to which 1/f has its pole."""
+    written out from the model constants, breakpoints that halve the
+    distance to either end (24 times to the boundary, next to which 1/f has
+    its pole, and 12 to the start), and the given interior breakpoints."""
     lam, mu, d1, d2, d3, theta = (
         mpmath.mpf(v) for v in (
             params.lam, params.mu, params.delta1, params.delta2, params.delta3, params.theta
@@ -437,8 +446,10 @@ def _mp_hitting_time(params: ModelParams, x0: float, boundary: float) -> float:
 
     with mpmath.workdps(40):
         a, b = mpmath.mpf(x0), mpmath.mpf(boundary)
-        points = [b - (b - a) / mpmath.mpf(2) ** k for k in range(24)] + [b]
-        return float(mpmath.quad(inverse_rate, points))
+        halves = [mpmath.mpf(2) ** -k for k in range(1, 25)]
+        points = {a + (b - a) * h for h in halves[:12]} | {b - (b - a) * h for h in halves}
+        points |= {a, b} | {mpmath.mpf(x) for x in interior if min(a, b) < x < max(a, b)}
+        return float(mpmath.quad(inverse_rate, sorted(points, reverse=b < a)))
 
 
 def _boundary(params: ModelParams, x0: float, classification: str) -> float:
@@ -456,3 +467,66 @@ def test_basin_point_matches_40_digit_quadrature(base):
         classification, t_final = _basin_point(p, x0, 1000.0)
         exact = _mp_hitting_time(p, x0, _boundary(p, x0, classification))
         assert abs(t_final - exact) <= 1e-9 * exact
+
+
+@st.composite
+def hitting_cases(draw):
+    """A start and the boundary its flow reaches, on constants of one of
+    five shapes: across the assumption boundaries, without density
+    dependence (a = 0), with delta2 = 0, and with delta3 within a relative
+    1e-12..1e-4 of a double root or beyond it into a complex pair."""
+    shape = draw(st.sampled_from(
+        ["boundary", "no density dependence", "delta2 = 0", "near double root", "complex pair"]
+    ))
+    if shape == "boundary":
+        params = draw(boundary_params(max_capacity=4))
+    else:
+        mu, theta = draw(st.floats(0.5, 2.0)), draw(st.floats(0.01, 0.3))
+        delta1 = 0.0 if shape == "no density dependence" else draw(st.floats(0.05, 1.0))
+        delta2 = 0.0 if shape != "near double root" else draw(st.floats(0.0, 0.5))
+        if shape == "complex pair":
+            delta2 = draw(st.floats(0.0, 0.5))
+        r0 = draw(st.floats(1.05, 3.0))
+        a = r0 * delta1 + delta2
+        if shape in ("near double root", "complex pair"):
+            assume(r0 - 1.0 - theta * a > 0.01)  # the vertex b / 2a lies above 0
+            double = (1.0 - r0 - theta * a) ** 2 / (4.0 * theta * a)
+            if shape == "near double root":
+                offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(4.0, 12.0))
+            else:
+                offset = draw(st.floats(0.01, 1.0))
+            delta3 = double * (1.0 + offset)
+        else:
+            delta3 = draw(st.floats(0.1, 3.0))
+        params = ModelParams.from_constants(
+            lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2, delta3=delta3, theta=theta,
+            capacity_n=4, r1=0.5,
+        )
+    x0 = draw(st.floats(0.0, 1.0))
+    x_plus = _armed_x_plus(params)
+    assume(x0 > PROXIMITY and not (x_plus is not None and abs(x0 - x_plus) <= PROXIMITY))
+    target = _flow_target(params, x0, x_plus)
+    assume(target is not None)
+    return params, x0, target[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=hitting_cases())
+@example(case=(_DOUBLE_ROOT, 0.2, PROXIMITY))
+@example(case=(_NO_DENSITY_DEPENDENCE, 0.05, PROXIMITY))
+def test_hitting_time_matches_40_digit_quadrature(case):
+    params, x0, boundary = case
+    try:
+        hitting_time, rounding = _hitting_time(params, x0, boundary)
+    except QuadratureError as exc:
+        # rounding in f sent the flow across a zero of q
+        assert "lies on the path" in str(exc)
+        return
+    a, b, _ = balance_coefficients(params)
+    disc, _ = _balance_roots(params)
+    interior = []
+    if a > 0.0 and disc < 0.0:  # the flow may pass the vertex of a complex pair
+        m, beta = b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
+        interior = [m + sign * beta * 8.0 ** k for sign in (-1.0, 0.0, 1.0) for k in range(8)]
+    exact = _mp_hitting_time(params, x0, boundary, interior)
+    assert abs(hitting_time - exact) <= 1e-9 * abs(exact) + rounding

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import tempfile
 from pathlib import Path
@@ -22,10 +23,13 @@ from unittest import mock
 import numpy
 import pytest
 import scipy
+from scipy.integrate import quad
 
-from alleechain import build_generator, integrate, master_eq, params_from_config
+from alleechain import build_generator, integrate, master_eq, ode_rhs, params_from_config, rate_ratio
 from alleechain.cli import PRESETS, main
+from alleechain.deterministic import _flow_target
 from alleechain.master_eq import _DENSE_MAX_STATES
+from alleechain.model import _armed_x_plus
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
@@ -98,6 +102,40 @@ def test_basin_grid_stays_within_rk45_bound(key, tmp_path):
         traj = integrate(params, float(x0), 1000.0)
         assert classification == traj.classification
         assert float(t_final) == pytest.approx(float(traj.times[-1]), rel=1e-5)
+
+
+@pytest.mark.parametrize("key", ["fig1a/ode", "fig1b/ode", "fig2a/ode"])
+def test_basin_grid_stays_within_quadrature_bound(key, tmp_path):
+    """The closed-form hitting times keep every classification of the
+    QUADPACK path they replaced, and its times within 1e-9 (relative)."""
+    preset, command, _ = RUNS[key]
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--out", str(out)]) == 0
+    params = params_from_config(PRESETS[preset])
+    x_plus = _armed_x_plus(params)
+    rows = [line.split(",") for line in (out / "basin.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 100
+    for x0, classification, t_final in rows[1:]:  # x0 = 0 is settled at time 0
+        target, boundary = _flow_target(params, float(x0), x_plus)
+        old = quad(lambda x: 1.0 / ode_rhs(params, x), float(x0), boundary,
+                   epsabs=1e-13, epsrel=1e-12)[0]
+        assert classification == target
+        assert abs(float(t_final) - old) <= 1e-9 * old
+
+
+@pytest.mark.parametrize("key", ["fig1a/threshold", "fig1b/threshold", "fig2a/threshold"])
+def test_threshold_integral_stays_within_quadrature_bound(key, tmp_path):
+    """The closed-form integral of log f stays within 1e-12 of the QUADPACK
+    value it replaced, with the same classification."""
+    preset, command, _ = RUNS[key]
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--out", str(out)]) == 0
+    report = json.loads((out / "threshold.json").read_text())
+    params = params_from_config(PRESETS[preset])
+    old = quad(lambda x: math.log(rate_ratio(params, x)), 0.0, report["x_plus"],
+               epsabs=1e-9, epsrel=1e-10, limit=200)[0]
+    assert abs(report["integral_value"] - old) <= 1e-12
+    assert report["classification"] == ("extinction" if old < 0.0 else "persistence")
 
 
 @pytest.mark.parametrize("key", ["fig1a/evolve", "fig1b/evolve", "fig1b/evolve-checkpoints"])
