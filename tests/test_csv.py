@@ -319,6 +319,20 @@ def test_unreachable_point_mass_starts_exit_3_at_once(tmp_path, capsys, preset, 
     assert list(out.iterdir()) == []
 
 
+def test_unreachable_uniform_start_exits_3_at_once(tmp_path, capsys):
+    # the legs ran for about 4.5 min before a leg exceeded the term budget
+    config = tmp_path / "start.cfg"
+    config.write_text("start = uniform\n")
+    out = tmp_path / "out"
+    began = time.monotonic()
+    assert main(["evolve", "--preset", "fig2a", "--config", str(config), "--out", str(out)]) == 3
+    assert time.monotonic() - began < 30.0
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: total variation 1.0e-08 needs horizon >= 1.69e+24 from this start"
+    )
+    assert list(out.iterdir()) == []
+
+
 class FullDisk(io.StringIO):
     def write(self, text):
         if self.tell() > 0:  # the header goes through, the first chunk does not

@@ -388,6 +388,69 @@ def test_point_mass_bound_holds_on_boundary_params(params, state):
     assert bound <= horizon
 
 
+def _spread_bound(gen, p0, tol):
+    log_weights = stationary_from_rates(gen.birth, gen.death).log_weights
+    return master_eq._spread_horizon(gen, log_weights, p0, tol)
+
+
+@pytest.mark.parametrize("base, capacity, start", [
+    (FIG_A, 100, "uniform"), (FIG_B, 100, "uniform"), (FIG_A, 100, "state:10"),
+    (FIG_B, 100, "state:50"), (FIG_A, 5000, "state:10"),
+], ids=["fig1a-uniform", "fig1b-uniform", "fig1a-state10", "fig1b-state50", "fig2a-state10"])
+def test_spread_bound_never_exceeds_the_reached_horizon(base, capacity, start):
+    gen = build_generator(make_params(base, capacity))
+    p0 = _start_vector(start, gen.dimension)
+    _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
+    bound = _spread_bound(gen, p0, 1e-8)
+    assert bound <= horizon
+    # a uniform start holds a share of pi on every set; a point mass inside
+    # holds none on any set of more than one state
+    assert (bound > 0.0) == (start == "uniform")
+
+
+@st.composite
+def _spread_starts(draw, dimension):
+    kind = draw(st.sampled_from(["uniform", "state", "positive"]))
+    if kind == "uniform":
+        return np.full(dimension, 1.0 / dimension)
+    if kind == "state":
+        return _point_mass(dimension, draw(st.integers(0, dimension - 1)))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=dimension, max_size=dimension)))
+    return weights / weights.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=boundary_params(max_capacity=60), data=st.data())
+def test_spread_bound_holds_on_boundary_params(params, data):
+    gen = build_generator(params)
+    p0 = data.draw(_spread_starts(gen.dimension))
+    bound = _spread_bound(gen, p0, 1e-8)
+    try:
+        _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
+    except ConvergenceBudgetError as err:
+        # refused at the start, or a leg or the last checkpoint missed tol
+        assert (err.horizon == 0.0) == ("needs horizon >=" in str(err))
+        return
+    assert bound <= horizon
+
+
+def test_unreachable_spread_start_is_refused_before_any_leg():
+    gen = build_generator(make_params(FIG_A, 5000))
+    p0 = np.full(gen.dimension, 1.0 / gen.dimension)
+    leg = mock.Mock(side_effect=AssertionError("a leg ran"))
+    with mock.patch.multiple(master_eq, _dense_propagator=leg, _windowed_leg=leg):
+        with pytest.raises(ConvergenceBudgetError) as exc_info:
+            converge_to_stationary(gen, p0, 1e-8)
+    err = exc_info.value
+    assert str(err).startswith("total variation 1.0e-08 needs horizon >= 1.69e+24 from this start")
+    assert err.horizon == 0.0 and np.array_equal(err.witness, p0)
+    # on a start on state 0 or N the passage-time bound is the larger, so
+    # converge keeps exactly that bound there
+    for state in (0, -1):
+        point = _point_mass(gen.dimension, state)
+        assert _spread_bound(gen, point, 1e-8) <= _passage_bound(gen, point, 1e-8)
+
+
 @pytest.mark.parametrize("base, state, bound", [
     (FIG_B, 0, "1.17e+19"), (FIG_A, -1, "2.01e+24"),
 ], ids=["fig2b-delta0", "fig2a-deltaN"])
