@@ -286,7 +286,7 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
       vertex m the path passes, it counts over the distance to the nearest
       zero of q, or over the logarithmic reach of the pole of 1 / f at 0,
       whichever is shorter. In 40-digit checks the error stayed below
-      half this bound (tests/test_deterministic.py).
+      this bound (tests/test_deterministic.py).
 
     Raises:
         QuadratureError: a zero of q lies on the path, where rounding in f

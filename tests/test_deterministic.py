@@ -483,12 +483,11 @@ def hitting_cases(draw):
     else:
         mu, theta = draw(st.floats(0.5, 2.0)), draw(st.floats(0.01, 0.3))
         delta1 = 0.0 if shape == "no density dependence" else draw(st.floats(0.05, 1.0))
-        delta2 = 0.0 if shape != "near double root" else draw(st.floats(0.0, 0.5))
-        if shape == "complex pair":
-            delta2 = draw(st.floats(0.0, 0.5))
+        near_double = shape in ("near double root", "complex pair")
+        delta2 = draw(st.floats(0.0, 0.5)) if near_double else 0.0
         r0 = draw(st.floats(1.05, 3.0))
         a = r0 * delta1 + delta2
-        if shape in ("near double root", "complex pair"):
+        if near_double:
             assume(r0 - 1.0 - theta * a > 0.01)  # the vertex b / 2a lies above 0
             double = (1.0 - r0 - theta * a) ** 2 / (4.0 * theta * a)
             if shape == "near double root":
