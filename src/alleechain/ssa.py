@@ -67,7 +67,17 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     uniforms, both from default_rng(seed). Jump k reads the k-th draw of each
     stream: its holding time is e * (1/(b+d)) in the current state and it
     moves up when u < b/(b+d). A path that needs more jumps draws the next
-    pair of blocks. The loop itself runs on Python lists and calls no numpy.
+    pair of blocks.
+
+    Per block, Python walks only the states, one comparison and one append
+    per draw, on plain lists. numpy then does the rest of the block at once:
+    the holding times e * inv[state before the jump], the clock as a cumsum
+    seeded with the carried time, the cut at the first time >= t_end
+    (searchsorted) and the first entry into an absorbing state. The block
+    keeps its jumps up to the earlier of the cut and the absorption. The
+    products are the same IEEE multiplications, and add.accumulate adds in
+    order, so every time has the bits of the loop t += e * inv[i] that takes
+    one draw at a time.
     """
     n = params.capacity_n
     if not (_is_integer(x0) and 0 <= x0 <= n):
@@ -79,31 +89,39 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     b, d = rate_arrays(params)
     total = b + d
     dead = total == 0.0
-    total[dead] = 1.0  # placeholder: a path never draws in an absorbing state
-    inv = (1.0 / total).tolist()
-    up = (b / total).tolist()
-    absorbing = dead.tolist()
+    total[dead] = 1.0  # placeholder: draws past an absorption are dropped
+    inv = 1.0 / total
+    up = b / total
+    # d > 0 above state 0, so only state 0 can be absorbing. Stepping up from
+    # it keeps the walk past an absorption inside 0..N; that part is dropped.
+    up[dead] = 1.0
+    up = up.tolist()
     rng = np.random.default_rng(seed)
     i = int(x0)
-    times = [0.0]
-    states = [i]
     t = 0.0
-    absorbed = absorbing[i]
-    while not absorbed and t < t_end:
-        exps = rng.standard_exponential(_BLOCK).tolist()
-        for e, u in zip(exps, rng.random(_BLOCK).tolist()):
-            t += e * inv[i]
-            if t >= t_end:
-                break
-            i += 1 if u < up[i] else -1
-            times.append(t)
-            states.append(i)
-            if absorbing[i]:
-                absorbed = True
-                break
-    return Trajectory(
-        np.asarray(times), np.asarray(states, dtype=np.int64), n, float(t_end), absorbed
-    )
+    times = [np.zeros(1)]
+    states = [np.full(1, i, dtype=np.int64)]
+    absorbed = bool(dead[i])
+    while not absorbed:
+        exps = rng.standard_exponential(_BLOCK)
+        path = [i]  # the state before each draw, then the state after the last
+        path += [i := i + 1 if u < up[i] else i - 1 for u in rng.random(_BLOCK).tolist()]
+        path = np.array(path, dtype=np.int64)
+        clock = exps * inv[path[:-1]]
+        clock[0] = t + clock[0]
+        np.cumsum(clock, out=clock)
+        walk = path[1:]
+        stop = int(np.searchsorted(clock, t_end))  # first time >= t_end
+        hits = np.flatnonzero(dead[walk[:stop]])
+        if hits.size:
+            stop = int(hits[0]) + 1
+            absorbed = True
+        times.append(clock[:stop])
+        states.append(walk[:stop])
+        if stop < _BLOCK:
+            break
+        t = clock[-1]
+    return Trajectory(np.concatenate(times), np.concatenate(states), n, float(t_end), absorbed)
 
 
 def _check_burn_in(burn_in: float, t_end: float) -> None:

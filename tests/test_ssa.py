@@ -144,6 +144,63 @@ def test_horizon_at_and_past_a_block_end(fig1a):
     assert mid.times.size == 1001
 
 
+def test_cut_before_a_mid_block_absorption():
+    """t_end cuts the path inside block 0, just before the walk reaches state 0."""
+    full = simulate(_no_immigration(), 6, 1e6, 5)
+    assert full.absorbed and 3 < full.times.size < ssa._BLOCK
+    hit = float(full.times[-1])  # the time of the jump into state 0
+    for t_end in (hit, (float(full.times[-2]) + hit) / 2.0):
+        traj = _assert_matches_reference(_no_immigration(), 6, t_end, 5)
+        assert not traj.absorbed
+        assert traj.times.size == full.times.size - 1 and traj.states[-1] == 1
+
+
+@pytest.mark.parametrize("capacity_n", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_small_absorbing_chain_keeps_the_walk_in_range(capacity_n, seed):
+    """The draws left in the block after state 0 is reached step nowhere
+    outside 0..N: no IndexError, and no wrap to state N."""
+    params = ModelParams.from_constants(
+        lam=0.5, mu=1.0, delta1=0.2, delta2=0.1, delta3=0.5,
+        theta=0.05, capacity_n=capacity_n, r1=0.0,
+    )
+    traj = _assert_matches_reference(params, capacity_n - 1, 1e6, seed)
+    assert traj.absorbed and traj.states[-1] == 0
+    assert traj.times.size < ssa._BLOCK // 2
+    assert 0 <= traj.states.min() and traj.states.max() <= capacity_n
+
+
+def test_fig2a_path_over_several_blocks_matches_reference(fig2a):
+    traj = _assert_matches_reference(fig2a, 2500, 3.0, 12)
+    assert traj.times.size > 3 * ssa._BLOCK
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    params=boundary_params(max_capacity=40),
+    n_runs=st.integers(1, 4),
+    base_seed=st.integers(0, 2**32),
+    t_end=st.floats(0.5, 20.0),
+    burn_fraction=st.floats(0.0, 0.9),
+)
+def test_ensemble_rows_are_the_reference_occupations(params, n_runs, base_seed, t_end, burn_fraction):
+    x0 = params.capacity_n // 2
+    burn_in = burn_fraction * t_end
+    summary = ensemble(params, n_runs, x0, t_end, base_seed, burn_in=burn_in)
+    rows = []
+    for j in range(n_runs):
+        times, states, absorbed = _per_draw_reference(
+            params, x0, t_end, base_seed + j, ssa._BLOCK
+        )
+        path = ssa.Trajectory(
+            times, states.astype(np.int64), params.capacity_n, float(t_end), absorbed
+        )
+        rows.append(occupation_distribution(path, burn_in))
+    rows = np.asarray(rows)
+    assert summary.run_frequencies.tobytes() == rows.tobytes()
+    assert summary.mean_occupation.tobytes() == rows.mean(axis=0).tobytes()
+
+
 def test_different_seeds_diverge(fig1a):
     a = simulate(fig1a, 50, 25.0, 1)
     b = simulate(fig1a, 50, 25.0, 2)
