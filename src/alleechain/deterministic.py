@@ -272,7 +272,8 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
     from the balance coefficients, so T = -(1 / mu) times the integral of
     theta / (x q) + 1 / q. With q = lead * prod(x - n) over its real zeros
     n (two for a > 0, the larger as _balance_roots forms it and the smaller
-    from their product c / a; c / b for a = 0; none for a = b = 0) both
+    from their product c / a; c / b for a = 0; none for a = b = 0, or
+    where a x^2 - b x stays below the rounding of c on the path) both
     parts are divided differences of log ratios (_reciprocal_integral). A
     complex pair m +- i beta (a > 0, negative discriminant) gives q = a Q
     with Q = (x - m)^2 + beta^2, the arctan integral V of 1 / Q, and
@@ -298,7 +299,10 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
     w2, w1, w0 = a, r0 + 1.0 + theta * a, theta * (1.0 + params.delta3 + r0)
     low, high = min(x0, x1), max(x0, x1)
     ends = [x0, x1]
-    if a > 0.0 and disc < 0.0:
+    # a x^2 - b x below the rounding of c all along the path: q = c there,
+    # where a subnormal a would overflow the zeros or the pair's beta^2
+    flat = (a * high + abs(b)) * high <= _EPS * abs(c)
+    if a > 0.0 and disc < 0.0 and not flat:
         m, beta = b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
         log_x, size_x = _log_ratio(x0, x1, 0.0)
         q0 = (x0 - m) ** 2 + beta * beta
@@ -321,10 +325,12 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
     else:
         # the larger zero as _balance_roots forms it, the smaller from
         # their product c / a, so that neither is a difference of near equals
-        large = (b + math.copysign(math.sqrt(disc), b)) / (2.0 * a) if a > 0.0 else math.inf
+        large = math.inf
+        if a > 0.0 and not flat:
+            large = (b + math.copysign(math.sqrt(disc), b)) / (2.0 * a)
         if math.isfinite(large):
             nodes, lead = (c / (a * large) if large else large, large), a  # 0: c = 0 too
-        elif b != 0.0:  # a = 0, or a x^2 below the float range wherever b x is not
+        elif b != 0.0 and not flat:  # a = 0, or a x^2 below the float range wherever b x is not
             nodes, lead = (c / b,), -b
         else:
             nodes, lead = (), c

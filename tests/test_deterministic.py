@@ -195,6 +195,13 @@ _DOUBLE_ROOT = ModelParams.from_constants(
 )
 #: No density dependence: f is positive above the single zero c / b.
 _NO_DENSITY_DEPENDENCE = _params(FIG_A, delta1=0.0, delta2=0.0)
+#: A subnormal delta1 with R0 = 1: a and b are subnormal, the discriminant is
+#: negative, and its complex pair's beta^2 ~ c / a overflows; q is c to
+#: rounding on [0, 1].
+_SUBNORMAL_DELTA1 = ModelParams.from_constants(
+    lam=1.0, mu=1.0, delta1=4.450147715e-315, delta2=0.0, delta3=1.0, theta=0.25,
+    capacity_n=2, r1=1.0,
+)
 #: With inflow _NEAR_POLE_ALPHA the middle immigration equilibrium lies
 #: 4.6e-8 below the pole at -theta, closer than a 1e-7 difference step.
 _NEAR_POLE = ModelParams.from_constants(
@@ -296,6 +303,7 @@ def basin_cases(draw):
 @example(case=(_DOUBLE_ROOT, 0.5, 1000.0))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.05, 1000.0))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.5, 60.0))
+@example(case=(_SUBNORMAL_DELTA1, 1.0, 60.0))
 def test_basin_point_matches_rk45(case):
     params, x0, t_end = case
     _, zeros = _balance_roots(params)
@@ -513,6 +521,7 @@ def hitting_cases(draw):
 @given(case=hitting_cases())
 @example(case=(_DOUBLE_ROOT, 0.2, PROXIMITY))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.05, PROXIMITY))
+@example(case=(_SUBNORMAL_DELTA1, 1.0, PROXIMITY))
 def test_hitting_time_matches_40_digit_quadrature(case):
     params, x0, boundary = case
     try:
