@@ -4,6 +4,12 @@ Gillespie sampling of individual trajectories, time-weighted occupation
 frequency arrays, and reproducible ensembles whose run j uses the seed
 base_seed + j, so results never depend on execution order. The ensemble
 summary does not echo its inputs (seeds, horizon, burn-in, epsilon).
+
+The sampler splits each block of draws. Python walks the states, the only
+part where each move depends on the one before; numpy forms the clock, the
+horizon cut and the absorption from the walk. The clock is an in-order
+cumsum of the same products, so a path has the bits of a loop that takes
+one draw at a time (tests/test_ssa.py keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
         path += [i := i + 1 if u < up[i] else i - 1 for u in rng.random(_BLOCK).tolist()]
         path = np.array(path, dtype=np.int64)
         clock = exps * inv[path[:-1]]
-        clock[0] = t + clock[0]
+        clock[0] += t
         np.cumsum(clock, out=clock)
         walk = path[1:]
         stop = int(np.searchsorted(clock, t_end))  # first time >= t_end
