@@ -84,11 +84,11 @@ def _assert_matches_reference(params, x0, t_end, seed, block=ssa._BLOCK):
     return traj
 
 
-def _no_immigration():
+def _no_immigration(capacity_n=20):
     """A subcritical chain with R1 = 0, so state 0 is absorbing."""
     return ModelParams.from_constants(
         lam=0.5, mu=1.0, delta1=0.2, delta2=0.1, delta3=0.5,
-        theta=0.05, capacity_n=20, r1=0.0,
+        theta=0.05, capacity_n=capacity_n, r1=0.0,
     )
 
 
@@ -160,11 +160,7 @@ def test_cut_before_a_mid_block_absorption():
 def test_small_absorbing_chain_keeps_the_walk_in_range(capacity_n, seed):
     """The draws left in the block after state 0 is reached step nowhere
     outside 0..N: no IndexError, and no wrap to state N."""
-    params = ModelParams.from_constants(
-        lam=0.5, mu=1.0, delta1=0.2, delta2=0.1, delta3=0.5,
-        theta=0.05, capacity_n=capacity_n, r1=0.0,
-    )
-    traj = _assert_matches_reference(params, capacity_n - 1, 1e6, seed)
+    traj = _assert_matches_reference(_no_immigration(capacity_n), capacity_n - 1, 1e6, seed)
     assert traj.absorbed and traj.states[-1] == 0
     assert traj.times.size < ssa._BLOCK // 2
     assert 0 <= traj.states.min() and traj.states.max() <= capacity_n
@@ -183,7 +179,9 @@ def test_fig2a_path_over_several_blocks_matches_reference(fig2a):
     t_end=st.floats(0.5, 20.0),
     burn_fraction=st.floats(0.0, 0.9),
 )
-def test_ensemble_rows_are_the_reference_occupations(params, n_runs, base_seed, t_end, burn_fraction):
+def test_ensemble_rows_are_the_reference_occupations(
+    params, n_runs, base_seed, t_end, burn_fraction
+):
     x0 = params.capacity_n // 2
     burn_in = burn_fraction * t_end
     summary = ensemble(params, n_runs, x0, t_end, base_seed, burn_in=burn_in)
