@@ -271,9 +271,9 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
     For x > 0, f(x) = -mu x q(x) / (theta + x) with q(x) = a x^2 - b x + c
     from the balance coefficients, so T = -(1 / mu) times the integral of
     theta / (x q) + 1 / q. With q = lead * prod(x - n) over its real zeros
-    n (two for a > 0, the larger as _balance_roots forms it and the smaller
-    from their product c / a; c / b for a = 0; none for a = b = 0, or
-    where a x^2 - b x stays below the rounding of c on the path) both
+    n (two for a > 0, as _balance_roots forms them; c / b for a = 0, or
+    where a zero overflows; none for a = b = 0, or where a x^2 - b x stays
+    below the rounding of c on the path) both
     parts are divided differences of log ratios (_reciprocal_integral). A
     complex pair m +- i beta (a > 0, negative discriminant) gives q = a Q
     with Q = (x - m)^2 + beta^2, the arctan integral V of 1 / Q, and
@@ -294,7 +294,7 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
             sent the flow across it.
     """
     a, b, c = balance_coefficients(params)
-    disc, _ = _balance_roots(params)
+    disc, zeros = _balance_roots(params)
     r0, theta, mu = basic_reproduction_ratio(params), params.theta, params.mu
     w2, w1, w0 = a, r0 + 1.0 + theta * a, theta * (1.0 + params.delta3 + r0)
     low, high = min(x0, x1), max(x0, x1)
@@ -323,13 +323,8 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
         if low < m < high:
             ends.append(m)
     else:
-        # the larger zero as _balance_roots forms it, the smaller from
-        # their product c / a, so that neither is a difference of near equals
-        large = math.inf
-        if a > 0.0 and not flat:
-            large = (b + math.copysign(math.sqrt(disc), b)) / (2.0 * a)
-        if math.isfinite(large):
-            nodes, lead = (c / (a * large) if large else large, large), a  # 0: c = 0 too
+        if zeros is not None and not flat and all(map(math.isfinite, zeros)):
+            nodes, lead = zeros, a
         elif b != 0.0 and not flat:  # a = 0, or a x^2 below the float range wherever b x is not
             nodes, lead = (c / b,), -b
         else:

@@ -38,14 +38,14 @@ A zero step, on either route, leaves the vector as it is.
 Every start has a certified least horizon before it can reach the
 stationary law (_escape_bound, after Keilson 1979 and Fill 2009): the
 sets {0..k} and {k..N} let mass out no faster than an exponential clock.
-A start on state 0 or N holds a full share of the law restricted to each
-such set (_point_mass_horizon), any other start the share it has
-(_spread_horizon), which is none for a point mass inside. A bound of 0
-means none. converge_to_stationary reads the larger at its checkpoint 0
-and stops there, before any leg, where it lies beyond its last checkpoint:
-on the fig2b constants from state 0, and on the fig2a constants from
-state N or a uniform start, the bound is above 1e18, far past any leg
-budget.
+The start, taken normalized, holds the share it has of the law restricted
+to each such set, which is none for a point mass inside; a start on state
+0 or N holds a full share on each set of the family that ends there. A
+bound of 0 means none. converge_to_stationary reads it at its checkpoint
+0 and stops there, before any leg, where it lies beyond its last
+checkpoint: on the fig2b constants from state 0, and on the fig2a
+constants from state N or a uniform start, the bound is above 1e18, far
+past any leg budget.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def _dense_propagator(
     if previous is not None and t == 2.0 * previous[0] and halvings:
         return _product(previous[1], previous[1])
     step_lt = lt / 2.0**halvings
-    last = _poisson_isf(_ROUNDING_TAIL, step_lt) + 1
+    last = _series_length(step_lt, t, _ROUNDING_TAIL)
     propagator = _poisson_mixture(gen, np.eye(gen.dimension), step_lt, last)
     for _ in range(halvings):
         propagator = _product(propagator, propagator)
@@ -384,67 +384,47 @@ def _checkpoints(gen: GeneratorMatrix, p0, times: list[float]) -> Iterator[np.nd
         yield p
 
 
-def _escape_bound(up: np.ndarray, log_weights: np.ndarray, tol: float, log_p=None) -> float:
-    """Least time at which the chain can be within tol of its stationary
-    law pi in total variation, from how slowly mass leaves the sets
-    B_k = {0..k}, k < N; log_weights are log pi up to a constant and up[k]
-    the rate from k to k + 1.
+def _escape_bound(gen: GeneratorMatrix, log_weights: np.ndarray, p, tol: float) -> float:
+    """Least time at which the chain can be within tol of its stationary law
+    pi in total variation from the start p, from how slowly mass leaves the
+    sets B = {0..k}, k < N, and, on the mirrored chain, whose upward rates
+    are the death rates reversed, B = {k..N}, k > 0; log_weights are log pi
+    up to a constant.
 
-    Started from pi restricted to B_k, a reversible chain's exit time from
-    B_k has a log-convex survival function (Keilson 1979; Fill 2009), so it
-    survives past t with probability at least exp(-t Phi_k), with the exit
-    rate Phi_k = up[k] pi[k] / pi(B_k). A start that holds at least c_k
-    times that law on B_k keeps more than pi(B_k) + tol there until
-    t_k = (log c_k - log(pi(B_k) + tol)) / Phi_k; the largest t_k is
-    returned, 0.0 where none is positive. c_k = pi(B_k) min p_i / pi_i over
-    B_k for the start p whose log is log_p; without log_p, c_k = 1 for
-    every k, which holds for a start on state 0 by comparison with pi_B.
-    O(N) in log space, so a bound far beyond the float range comes out as
-    inf.
+    Started from pi restricted to B, a reversible chain's exit time from B
+    has a log-convex survival function (Keilson 1979; Fill 2009), so it
+    survives past t with probability at least exp(-t Phi), with the exit
+    rate Phi = up[k] pi[k] / pi(B) through the edge out of B. A start that
+    holds at least c times that law on B keeps more than pi(B) + tol there
+    until (log c - log(pi(B) + tol)) / Phi; the largest such time is
+    returned, 0.0 where none is positive. p is taken normalized, and
+    c = pi(B) min p_i / pi_i over B, which is 0 on every set of more than
+    one state for a point mass inside. A start on the end state of the
+    family's sets, 0 or N, takes c = 1 on each of them instead: it puts no
+    mass past k before it leaves B, and it leaves no sooner than from pi
+    restricted to B. O(N) in log space, so a bound far beyond the float
+    range comes out as inf. A uniform start on the fig2a constants gets
+    1.7e24, since p_i / pi_i is smallest where pi piles up.
     """
-    below = np.logaddexp.accumulate(log_weights)  # log pi({0..i}) + const
-    log_c = 0.0
-    if log_p is not None:
-        lowest = np.minimum.accumulate(log_p - log_weights)  # min log(p_i / pi_i) - const
-        log_c = np.minimum(below + lowest, 0.0)[:-1]
-    with np.errstate(divide="ignore"):  # tol = 0 gives log tol = -inf
-        need = log_c - np.logaddexp(below[:-1] - below[-1], np.log(tol))
-    log_flux = np.log(up[:-1]) + log_weights[:-1] - below[:-1]  # log Phi_k
-    open_k = need > 0.0
-    if not open_k.any():
-        return 0.0
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.log(need[open_k]) - log_flux[open_k]).max())
-
-
-def _point_mass_horizon(gen: GeneratorMatrix, log_weights: np.ndarray, p, tol: float) -> float:
-    """_escape_bound for a p with all its mass on state 0, or on state N
-    by the mirrored chain, whose upward rates are the death rates reversed;
-    0.0, no bound, for any other start.
-
-    From state 0 the chain puts no mass on {k+1..N} before it leaves
-    B_k = {0..k}, and it leaves no sooner than from pi restricted to B_k, so
-    c_k = 1 on every B_k.
-    """
-    support = np.flatnonzero(p)
-    if support.size != 1 or 0 < support[0] < gen.dimension - 1:
-        return 0.0
-    if support[0] == 0:
-        return _escape_bound(gen.birth, log_weights, tol)
-    return _escape_bound(gen.death[::-1], log_weights[::-1], tol)
-
-
-def _spread_horizon(gen: GeneratorMatrix, log_weights: np.ndarray, p, tol: float) -> float:
-    """_escape_bound for any start p, over the sets {0..k} and, on the
-    mirrored chain, {k..N}: p holds c = pi(B) min p_i / pi_i times pi
-    restricted to B on each of them. A uniform start on the fig2a constants
-    gets 1.7e24, since p_i / pi_i is smallest where pi piles up."""
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    return max(
-        _escape_bound(gen.birth, log_weights, tol, log_p),
-        _escape_bound(gen.death[::-1], log_weights[::-1], tol, log_p[::-1]),
-    )
+    with np.errstate(divide="ignore"):  # zeros of p, and tol = 0
+        log_p = np.log(p) - math.log(p.sum())
+        log_tol = np.log(tol)
+    bound = 0.0
+    for up, log_w, log_start in (
+        (gen.birth, log_weights, log_p), (gen.death[::-1], log_weights[::-1], log_p[::-1])
+    ):
+        below = np.logaddexp.accumulate(log_w)  # log pi({0..i}) + const
+        log_c = 0.0  # for a start on the family's end state
+        if np.isfinite(log_start[1:]).any():
+            lowest = np.minimum.accumulate(log_start - log_w)  # min log(p_i / pi_i) - const
+            log_c = np.minimum(below + lowest, 0.0)[:-1]
+        need = log_c - np.logaddexp(below[:-1] - below[-1], log_tol)
+        log_flux = np.log(up[:-1]) + log_w[:-1] - below[:-1]  # log Phi
+        open_k = need > 0.0
+        with np.errstate(over="ignore"):
+            times = np.exp(np.log(need[open_k]) - log_flux[open_k])
+        bound = max(bound, float(times.max(initial=0.0)))
+    return bound
 
 
 def _check_converge_settings(tol: float, max_horizon: float) -> None:
@@ -471,10 +451,10 @@ def converge_to_stationary(
     The walk is _checkpoints at the elapsed times 0, 1, 3, 7, ..., each leg
     twice as long as the last, up to the first at or beyond max_horizon.
     Checkpoint 0 runs no leg: it is the checked start itself. There the
-    start is refused when the larger of its passage-time bounds
-    (_point_mass_horizon for a start on state 0 or N, _spread_horizon for
-    any) lies beyond the last checkpoint, since no leg could then meet tol;
-    max_horizon itself is never lowered.
+    start is refused when its passage-time bound (_escape_bound, which
+    reads the start normalized, as every leg does) lies beyond the last
+    checkpoint, since no leg could then meet tol; max_horizon itself is
+    never lowered.
 
     On a chain of at most _DENSE_MAX_STATES states each leg's dense
     propagator is the square of the last one wherever that is the bits of
@@ -491,7 +471,7 @@ def converge_to_stationary(
             _frozen_copy); raised before any leg.
         ConvergenceBudgetError: max_horizon was integrated without reaching
             tol; carries the achieved distance and the final distribution.
-            Also raised at checkpoint 0 by the passage-time bounds, carrying
+            Also raised at checkpoint 0 by the passage-time bound, carrying
             the start's distance, horizon 0.0 and the start; and, without
             them, by a leg evolve could not sum within its term budget, on
             either route.
@@ -506,10 +486,7 @@ def converge_to_stationary(
         if tv <= tol:
             return current, elapsed, tv
         if not elapsed:
-            bound = max(
-                _point_mass_horizon(gen, target.log_weights, current, tol),
-                _spread_horizon(gen, target.log_weights, current, tol),
-            )
+            bound = _escape_bound(gen, target.log_weights, current, tol)
             if bound > times[-1]:
                 raise ConvergenceBudgetError(
                     f"total variation {tol:.1e} needs horizon >= {bound:.3g} from this start, "

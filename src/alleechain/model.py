@@ -243,17 +243,23 @@ def balance_coefficients(params: ModelParams) -> tuple[float, float, float]:
 
 def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | None]:
     """Discriminant and roots (x-*, x+*) of the balance quadratic, or None for
-    the roots unless the discriminant is >= 0 (0 gives b / 2a twice) and a > 0.
+    the roots unless the discriminant is >= 0 and a > 0.
 
     (1 - R0 - theta*a)**2 - 4*theta*delta3*a equals b**2 - 4*a*c only in
-    exact arithmetic; the reported equilibria are pinned to these bits.
+    exact arithmetic; the reported equilibria are pinned to these bits. With
+    q = b + sign(b) sqrt(disc), a sum of two numbers of one sign, the zero
+    of larger magnitude is q / 2a and the other, from their product c / a,
+    is 2c / q, so that neither is a difference of near equals; the pair is
+    returned in ascending order. For b >= 0 the larger zero is x+*, b / 2a
+    where the discriminant is 0. It overflows to inf where a is subnormal,
+    and the other zero stays finite.
 
     Raises:
         ValueError: the discriminant is not finite, as constants near the
             float limits make it (an R0 above about 1e154, for one).
     """
     r0 = basic_reproduction_ratio(params)
-    a, b, _ = balance_coefficients(params)
+    a, b, c = balance_coefficients(params)
     try:
         disc = (1.0 - r0 - params.theta * a) ** 2 - 4.0 * params.theta * params.delta3 * a
     except OverflowError:  # float ** raises where * would give inf
@@ -262,8 +268,9 @@ def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | No
         raise ValueError(f"the balance discriminant is not finite at R0 = {r0:.6g}")
     if not (disc >= 0.0 and a > 0.0):
         return disc, None
-    root = math.sqrt(disc)
-    return disc, ((b - root) / (2.0 * a), (b + root) / (2.0 * a))
+    q = b + math.copysign(math.sqrt(disc), b)
+    zeros = q / (2.0 * a), 2.0 * c / q if q else q  # q = 0: b = disc = 0, so c = 0 too
+    return disc, (min(zeros), max(zeros))
 
 
 def check_assumptions(params: ModelParams) -> AssumptionReport:

@@ -360,7 +360,7 @@ def _point_mass(dimension, state):
 
 def _passage_bound(gen, p0, tol):
     log_weights = stationary_from_rates(gen.birth, gen.death).log_weights
-    return master_eq._point_mass_horizon(gen, log_weights, p0, tol)
+    return master_eq._escape_bound(gen, log_weights, p0, tol)
 
 
 @pytest.mark.parametrize("base, capacity, state", [
@@ -388,11 +388,6 @@ def test_point_mass_bound_holds_on_boundary_params(params, state):
     assert bound <= horizon
 
 
-def _spread_bound(gen, p0, tol):
-    log_weights = stationary_from_rates(gen.birth, gen.death).log_weights
-    return master_eq._spread_horizon(gen, log_weights, p0, tol)
-
-
 @pytest.mark.parametrize("base, capacity, start", [
     (FIG_A, 100, "uniform"), (FIG_B, 100, "uniform"), (FIG_A, 100, "state:10"),
     (FIG_B, 100, "state:50"), (FIG_A, 5000, "state:10"),
@@ -401,7 +396,7 @@ def test_spread_bound_never_exceeds_the_reached_horizon(base, capacity, start):
     gen = build_generator(make_params(base, capacity))
     p0 = _start_vector(start, gen.dimension)
     _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
-    bound = _spread_bound(gen, p0, 1e-8)
+    bound = _passage_bound(gen, p0, 1e-8)
     assert bound <= horizon
     # a uniform start holds a share of pi on every set; a point mass inside
     # holds none on any set of more than one state
@@ -424,7 +419,7 @@ def _spread_starts(draw, dimension):
 def test_spread_bound_holds_on_boundary_params(params, data):
     gen = build_generator(params)
     p0 = data.draw(_spread_starts(gen.dimension))
-    bound = _spread_bound(gen, p0, 1e-8)
+    bound = _passage_bound(gen, p0, 1e-8)
     try:
         _, horizon, _ = converge_to_stationary(gen, p0, 1e-8)
     except ConvergenceBudgetError as err:
@@ -444,11 +439,6 @@ def test_unreachable_spread_start_is_refused_before_any_leg():
     err = exc_info.value
     assert str(err).startswith("total variation 1.0e-08 needs horizon >= 1.69e+24 from this start")
     assert err.horizon == 0.0 and np.array_equal(err.witness, p0)
-    # on a start on state 0 or N the passage-time bound is the larger, so
-    # converge keeps exactly that bound there
-    for state in (0, -1):
-        point = _point_mass(gen.dimension, state)
-        assert _spread_bound(gen, point, 1e-8) <= _passage_bound(gen, point, 1e-8)
 
 
 @pytest.mark.parametrize("base, state, bound", [
@@ -469,9 +459,102 @@ def test_unreachable_point_mass_is_refused_before_any_leg(base, state, bound):
     target = stationary_from_rates(gen.birth, gen.death).probs
     assert err.horizon == 0.0 and err.achieved_tv == total_variation(p0, target)
     assert np.array_equal(err.witness, p0) and not err.witness.flags.writeable
-    # a start off the two ends, or spread out, has no bound and runs its legs
-    for spread in (_point_mass(gen.dimension, 1), np.full(gen.dimension, 1.0 / gen.dimension)):
-        assert _passage_bound(gen, spread, 1e-8) == 0.0
+    # a point mass off the two ends has no bound and runs its legs
+    assert _passage_bound(gen, _point_mass(gen.dimension, 1), 1e-8) == 0.0
+
+
+def _former_escape_bound(up, log_weights, tol, log_p=None):
+    """The passage-time bound as it was formed for one family of sets
+    {0..k}, kept as the witness of _escape_bound: c_k = 1 without log_p,
+    else pi(B_k) min p_i / pi_i over B_k for the raw start."""
+    below = np.logaddexp.accumulate(log_weights)
+    log_c = 0.0
+    if log_p is not None:
+        lowest = np.minimum.accumulate(log_p - log_weights)
+        log_c = np.minimum(below + lowest, 0.0)[:-1]
+    with np.errstate(divide="ignore"):
+        need = log_c - np.logaddexp(below[:-1] - below[-1], np.log(tol))
+    log_flux = np.log(up[:-1]) + log_weights[:-1] - below[:-1]
+    open_k = need > 0.0
+    if not open_k.any():
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.log(need[open_k]) - log_flux[open_k]).max())
+
+
+def _former_bound(gen, log_weights, p, tol):
+    """The larger of the former point-mass horizon (a start on state 0 or
+    N, c = 1 on every set) and spread horizon (any start, both families)."""
+    point = 0.0
+    support = np.flatnonzero(p)
+    if support.size == 1 and support[0] == 0:
+        point = _former_escape_bound(gen.birth, log_weights, tol)
+    elif support.size == 1 and support[0] == gen.dimension - 1:
+        point = _former_escape_bound(gen.death[::-1], log_weights[::-1], tol)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    spread = max(
+        _former_escape_bound(gen.birth, log_weights, tol, log_p),
+        _former_escape_bound(gen.death[::-1], log_weights[::-1], tol, log_p[::-1]),
+    )
+    return max(point, spread)
+
+
+def _assert_bound_is_the_former_pair(gen, p, tol):
+    log_weights = stationary_from_rates(gen.birth, gen.death).log_weights
+    bound = master_eq._escape_bound(gen, log_weights, p, tol)
+    assert bound == _former_bound(gen, log_weights, p, tol)
+
+
+@pytest.mark.parametrize("base, capacity", [
+    (FIG_A, 100), (FIG_B, 100), (FIG_A, 5000), (FIG_B, 5000),
+], ids=["fig1a", "fig1b", "fig2a", "fig2b"])
+def test_escape_bound_is_the_former_pair_on_points_and_uniform(base, capacity):
+    gen = build_generator(make_params(base, capacity))
+    starts = [_point_mass(gen.dimension, i) for i in (0, 1, capacity // 2, capacity - 1, capacity)]
+    starts.append(np.full(gen.dimension, 1.0 / gen.dimension))
+    for p in starts:
+        for tol in (1e-12, 1e-8, 1e-3):
+            _assert_bound_is_the_former_pair(gen, p, tol)
+
+
+@st.composite
+def _dyadic_starts(draw, dimension):
+    """A start of multiples of 2^-m that sums to exactly 1.0, zero on some
+    states, so that the raw and the normalized start are the same floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 2**20, dimension) * (rng.random(dimension) < draw(st.floats(0.01, 1.0)))
+    total = 1 << int(counts.sum()).bit_length()
+    counts[draw(st.integers(0, dimension - 1))] += total - counts.sum()
+    p = counts / total
+    assert p.sum() == 1.0
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.one_of(
+        boundary_params(max_capacity=60),
+        st.sampled_from([make_params(FIG_A, 5000), make_params(FIG_B, 5000)]),
+    ),
+    tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
+    data=st.data(),
+)
+def test_escape_bound_is_the_former_pair_on_spread_starts(params, tol, data):
+    gen = build_generator(params)
+    _assert_bound_is_the_former_pair(gen, data.draw(_dyadic_starts(gen.dimension)), tol)
+
+
+@pytest.mark.parametrize("capacity", [300, 2000])
+def test_a_start_is_bounded_as_normalized(capacity):
+    # near the critical lambda every leg puts twice pi back on the simplex,
+    # at pi itself; read raw, its shares of pi capped at 1 gave 16.3 at
+    # N = 300 and refused N = 2000 with a bound of 1.17e+12
+    gen = build_generator(make_params(dict(FIG_A, lam=1.42), capacity))
+    p0 = 2.0 * stationary_from_rates(gen.birth, gen.death).probs
+    _, horizon, tv = converge_to_stationary(gen, p0, 1e-8)
+    assert horizon == 1.0 and tv <= 1e-8
+    assert _passage_bound(gen, p0, 1e-8) <= horizon
 
 
 @contextlib.contextmanager

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alleechain import (
@@ -21,7 +22,7 @@ from alleechain import (
     parse_config,
     rate_arrays,
 )
-from alleechain.model import _within, balance_coefficients
+from alleechain.model import _balance_roots, _within, balance_coefficients
 
 from conftest import FIG_A, FIG_B, make_params
 
@@ -140,6 +141,81 @@ def test_equilibria_golden_values():
     eq_b = equilibria(make_params(FIG_B, 5000))
     assert eq_b.x_plus == pytest.approx(0.375266, abs=1e-5)
     assert eq_b.x_minus == pytest.approx(0.0522505, abs=1e-5)
+
+
+#: x-* << x+* = 8.5e3, where (b - sqrt(disc)) / 2a read x-* 4e-13 off.
+_SPREAD_ROOTS = ModelParams.from_constants(
+    lam=1.5, mu=1.0, delta1=3.90625e-05, delta2=0.0, delta3=1.0, theta=0.25, capacity_n=10, r1=0.5,
+)
+#: b < 0 with zeros at -7.1e99 and -0.25, where (b + sqrt(disc)) / 2a read 0.0.
+_NEGATIVE_B = ModelParams.from_constants(
+    lam=0.5, mu=1.0, delta1=1.4e-100, delta2=0.0, delta3=0.5, theta=0.125, capacity_n=10, r1=0.5,
+)
+
+
+def test_spread_zeros_do_not_cancel():
+    assert equilibria(_SPREAD_ROOTS).x_minus == 0.2500146497250986
+    assert balance_coefficients(_NEGATIVE_B)[1] < 0.0
+    assert 0.0 > _balance_roots(_NEGATIVE_B)[1][1] > -0.26
+
+
+def _exact_balance_roots(params):
+    """Both zeros of a x^2 - b x + c at 40 digits, in ascending order, with
+    R0 and the constants taken as exact: the larger in magnitude from the
+    quadratic formula, the other from the product c / a."""
+    with mpmath.workdps(40):
+        r0, d1, d2, d3, theta = (mpmath.mpf(v) for v in (
+            basic_reproduction_ratio(params), params.delta1, params.delta2, params.delta3,
+            params.theta,
+        ))
+        a = r0 * d1 + d2
+        b = r0 - 1 - theta * a
+        c = theta * (1 + d3 - r0)
+        large = (b + mpmath.sign(b) * mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+        return sorted([c / (a * large), large])
+
+
+@st.composite
+def _balance_draws(draw):
+    """Constants with R0 on both sides of 1 + theta a, so b takes both signs,
+    and density dependence scaled down by up to 1e-12, which spreads the
+    zeros up to that far apart."""
+    mu = draw(st.floats(0.5, 2.0))
+    scale = 10.0 ** -draw(st.integers(0, 12))
+    return ModelParams.from_constants(
+        lam=draw(st.floats(0.05, 3.0)) * mu, mu=mu,
+        delta1=draw(st.floats(0.0, 1.0)) * scale, delta2=draw(st.floats(0.0, 0.5)) * scale,
+        delta3=draw(st.floats(0.1, 3.0)), theta=draw(st.floats(0.01, 1.0)), capacity_n=10, r1=0.5,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=_balance_draws())
+@example(params=_SPREAD_ROOTS)
+@example(params=_NEGATIVE_B)
+def test_balance_roots_match_40_digit_roots(params):
+    disc, zeros = _balance_roots(params)
+    assume(zeros is not None and disc > 0.0)
+    r0, theta, delta3 = basic_reproduction_ratio(params), params.theta, params.delta3
+    a, b, c = balance_coefficients(params)
+    assume(b != 0.0 and c != 0.0)
+    # rounding of b and the discriminant, each relative to the size of the
+    # terms it is formed from, moves both zeros; that of c the smaller one,
+    # and that of a, which may underflow, the larger one
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    spread = 2.0 + (r0 + 1.0 + theta * a) / abs(b) + (
+        (1.0 + r0 + theta * a) ** 2 + 4.0 * theta * delta3 * a
+    ) / disc
+    tol_small = 16.0 * eps * (spread + theta * (1.0 + delta3 + r0) / abs(c))
+    assume(tol_small <= 1e-10)
+    tol_large = 16.0 * eps * spread + 4.0 * tiny / a
+    exact = [float(x) for x in _exact_balance_roots(params)]
+    larger = int(abs(exact[1]) > abs(exact[0]))
+    for i, (got, want) in enumerate(zip(zeros, exact)):
+        tol = tol_large if i == larger else tol_small
+        assert got == want or abs(got - want) <= tol * abs(want)
+    if b < 0.0 < c:
+        assert zeros[1] < 0.0
 
 
 def test_check_assumptions_all_hold():
