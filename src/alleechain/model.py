@@ -269,8 +269,8 @@ def _balance_roots(params: ModelParams) -> tuple[float, tuple[float, float] | No
     if not (disc >= 0.0 and a > 0.0):
         return disc, None
     q = b + math.copysign(math.sqrt(disc), b)
-    zeros = q / (2.0 * a), 2.0 * c / q if q else q  # q = 0: b = disc = 0, so c = 0 too
-    return disc, (min(zeros), max(zeros))
+    large, small = q / (2.0 * a), 2.0 * c / q if q else q  # q = 0: b = disc = 0, so c = 0 too
+    return disc, (small, large) if small <= large else (large, small)
 
 
 def check_assumptions(params: ModelParams) -> AssumptionReport:
