@@ -17,16 +17,21 @@ def write_rows(stream, header: str | None, *columns) -> None:
 
     Values are written with str(): floats in shortest round-trip form
     (str(float) == repr(float)), ints and labels as they are. A None header
-    appends rows to a file whose header is already written.
+    appends rows to a file whose header is already written. Columns of
+    unequal length raise ValueError before anything is written.
 
-    On a host with two or more CPUs, a large table is formatted by this
-    process and a forked helper, chunk by chunk in turn; the chunks are
-    written here in order, so the bytes are those of the serial loop.
+    Each chunk of rows is formatted by one % operation. On a host with two
+    or more CPUs, a large table is formatted by this process and a forked
+    helper, chunk by chunk in turn; the chunks are written here in order,
+    so the bytes are those of the serial loop.
     """
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
     if header is not None:
         stream.write(header + "\n")
-    line = ",".join(["{}"] * len(columns)) + "\n"
-    rows = len(columns[0]) if columns else 0
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    rows = lengths[0] if columns else 0
     starts = range(0, rows, _CHUNK)
     if _helper_pays(rows):
         _write_with_helper(stream, line, columns, starts)
@@ -36,9 +41,15 @@ def write_rows(stream, header: str | None, *columns) -> None:
 
 
 def _format(line: str, columns, start: int) -> str:
+    """The rows of the chunk at start: line, a row of %s fields, repeated
+    once per row and applied to the chunk's values interleaved row by row."""
     chunk = [column[start : start + _CHUNK] for column in columns]
     values = [c.tolist() if hasattr(c, "tolist") else c for c in chunk]
-    return "".join(map(line.format, *values))
+    width, rows = len(values), len(values[0])
+    flat = [None] * (width * rows)
+    for k, column in enumerate(values):
+        flat[k::width] = column
+    return line * rows % tuple(flat)
 
 
 def _helper_pays(rows: int) -> bool:

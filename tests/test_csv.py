@@ -372,3 +372,81 @@ def test_no_fork_means_serial(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     states = np.arange(3 * _CHUNK)
     assert written("s", states) == "s\n" + "".join(f"{i}\n" for i in range(3 * _CHUNK))
+
+
+def reference_rows(header: str, *columns) -> str:
+    """The writer's former loop: one str.format of a "{},{}\\n" line per row."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    values = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    return header + "\n" + "".join(map(line.format, *values))
+
+
+#: Floats on both sides of repr's switches to exponent form (>= 1e16 and
+#: < 1e-4), the subnormals and the extremes.
+repr_switch_floats = st.sampled_from([
+    9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16, 1e-4, 9.999999999999999e-05,
+    1.0000000000000002e-4, -1e-4, 5e-324, -5e-324, 2.2250738585072014e-308,
+    0.0, -0.0, math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308,
+])
+any_float = st.one_of(repr_switch_floats, finite_or_inf)
+#: Labels that would be format directives if they were read as a template.
+tricky_labels = st.one_of(
+    st.sampled_from(["%", "%s", "%%", "%(x)s", "{}", "{0}", "}{", "\udc80", "a%sb{}"]),
+    st.text(max_size=4),
+)
+column_kinds = {
+    "float64": lambda v: np.array(v, dtype=float),
+    "int64": lambda v: np.array(v, dtype=np.int64),
+    "numpy scalars": tuple,
+    "bool or None": list,
+    "label": list,
+}
+kind_values = {
+    "float64": any_float,
+    "int64": st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]), int64s),
+    "numpy scalars": st.one_of(any_float.map(np.float64), int64s.map(np.int64)),
+    "bool or None": st.sampled_from([True, False, None]),
+    "label": tricky_labels,
+}
+
+
+@st.composite
+def mixed_tables(draw):
+    """A chunk size and 1 to 4 columns of any kind a caller passes, with row
+    counts around multiples of the chunk."""
+    chunk = draw(st.sampled_from([1, 2, 3, 8]))
+    rows = max(0, draw(st.integers(0, 4)) * chunk + draw(st.sampled_from([-1, 0, 1])))
+    kinds = draw(st.lists(st.sampled_from(sorted(column_kinds)), min_size=1, max_size=4))
+    columns = [
+        column_kinds[kind](draw(st.lists(kind_values[kind], min_size=rows, max_size=rows)))
+        for kind in kinds
+    ]
+    return chunk, columns
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=mixed_tables())
+@example(table=(2, [np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, -0.0])]))
+@example(table=(1, [(np.float64(5e-324), np.int64(-(2**63))), [True, None], ["%s", "\udc80"]]))
+def test_chunk_format_matches_the_reference_loop(table):
+    chunk, columns = table
+    expected = reference_rows("h", *columns)
+    with mock.patch.object(_csv, "_CHUNK", chunk):
+        assert serial_text("h", *columns) == expected
+    with two_processes(chunk):
+        assert written("h", *columns) == expected
+
+
+@pytest.mark.parametrize("path", ["serial", "helper"])
+def test_unequal_columns_raise_before_writing(path):
+    columns = (np.arange(40), np.arange(39) / 7.0)
+    buf = io.StringIO()
+    with two_processes(chunk=4, min_rows=0 if path == "helper" else math.inf) as forks:
+        with pytest.raises(ValueError, match=r"equal lengths, got \[40, 39\]"):
+            write_rows(buf, "state,value", *columns)
+    assert forks == [] and buf.getvalue() == ""
+    # the helper path is taken once the lengths agree
+    with two_processes(chunk=4, min_rows=0 if path == "helper" else math.inf) as forks:
+        write_rows(buf, "state,value", columns[0][:39], columns[1])
+    assert len(forks) == (path == "helper")
+    assert buf.getvalue() == reference_rows("state,value", columns[0][:39], columns[1])
