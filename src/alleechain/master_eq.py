@@ -35,6 +35,12 @@ size of the chain:
 
 A zero step, on either route, leaves the vector as it is.
 
+The Poisson weights need log k!, a log-sum-exp and the truncation point.
+All three are computed here, the first two bit for bit as
+scipy.special.gammaln and logsumexp give them, so that importing the
+package loads no scipy; only the oracle and the single-trajectory ode
+mode import parts of it, when they run.
+
 Every start has a certified least horizon before it can reach the
 stationary law (_escape_bound, after Keilson 1979 and Fill 2009): the
 sets {0..k} and {k..N} let mass out no faster than an exponential clock.
@@ -55,11 +61,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from .errors import ConvergenceBudgetError
 from .model import ModelParams, _check_finite, _check_finite_entries, rate_arrays
-from .stationary import stationary_from_rates, validate_rates
+from .stationary import _logsumexp, stationary_from_rates, validate_rates
 
 #: Strict sub-stochasticity margin applied to the uniformization rate.
 _UNIFORMIZATION_MARGIN = 1e-9
@@ -88,6 +93,27 @@ _WINDOW_TOL = 1e-12
 #: and 401 states on the fig1b checkpoints (t = 1, 10, 100, 500 from N),
 #: while converge legs gain at every measured size (BENCH_12.json).
 _DENSE_MAX_STATES = 301
+
+#: Largest rate * t whose series length is counted. The count takes
+#: O(sqrt(rate * t)) work, and beyond this it is rate * t to three digits,
+#: far above _MAX_TERMS for every tolerance.
+_COUNTED_LT = 1e10
+
+#: log(k!) for k = 0..11, as cephes lgam takes it below 13: the log of the
+#: factorial, which is exact in double precision.
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+
+#: Stirling series of cephes lgam below 1000, in powers of 1/x^2.
+_STIRLING_1000 = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+#: log(sqrt(2 pi)) as cephes lgam writes it.
+_LOG_SQRT_2PI = 0.91893853320467274178
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,33 +200,173 @@ def _frozen_copy(gen: GeneratorMatrix, p) -> np.ndarray:
     return v
 
 
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log(k!) for an array of integers k >= 0 held as floats, bit for bit
+    scipy.special.gammaln(k + 1), by the steps of cephes lgam at x = k + 1:
+    the log of the exact factorial below x = 13; above it Stirling's
+    (x - 1/2) log x - x + log sqrt(2 pi), with the 5-term correction series
+    below x = 1000, the 3-term one up to 1e8 and none beyond.
+
+    The logs must be the C library's log, as in lgam: numpy's float log
+    has its own vector code, which rounds a few arguments in 1e5 the other
+    way. numpy's complex log calls the C library's clog, whose real part
+    at x + 0j, for x >= 2, is log(hypot(x, 0)) = log(x); it costs a sixth
+    of math.log called per element.
+    """
+    x = k + 1.0
+    small = x < 13.0
+    out = np.empty_like(x)
+    out[small] = _SMALL_LOG_FACTORIALS[k[small].astype(np.intp)]
+    x = x[~small]
+    log_x = np.log(x + 0j).real
+    q = (x - 0.5) * log_x - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(x, _STIRLING_1000[0])
+    for c in _STIRLING_1000[1:]:
+        series = series * p + c
+    three = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    q += np.where(x < 1000.0, series, np.where(x > 1e8, 0.0, three)) / x
+    out[~small] = q
+    return out
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for an integer n >= 1 (Loader 2000):
+    from lgamma up to 15, from five terms of its series above."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x / mu) + mu - x without its cancellation near x = mu (Loader
+    2000): a series in v = (x - mu) / (x + mu) where |v| < 0.1."""
+    if abs(x - mu) < 0.1 * (x + mu):
+        v = (x - mu) / (x + mu)
+        s = (x - mu) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            s1 = s + term / (2 * j + 1)
+            if s1 == s:
+                return s
+            s, j = s1, j + 1
+    return x * math.log(x / mu) + mu - x
+
+
+def _log_pmf(k: int, mu: float) -> float:
+    """log P(X = k) for X ~ Poisson(mu), in Loader's saddle-point form."""
+    if k == 0:
+        return -mu
+    return -_stirlerr(k) - _bd0(k, mu) - 0.5 * math.log(2.0 * math.pi * k)
+
+
+def _ratio_sum(mu: float, j: int, step: int) -> float:
+    """1 + r_1 + r_1 r_2 + ..., the ratios r_l being mu / (j + l - 1) for
+    step 1 and (j - l + 1) / mu down to l = j for step -1. Each ratio is
+    below 1 and no larger than the one before, so what is left after the
+    term t at ratio r is at most t r / (1 - r); the sum stops where that is
+    below 2^-56 of it. The products run in numpy blocks of 64 terms where
+    r_1 <= 1/2, which takes them below 2^-64, and otherwise of as many as
+    the decay of the terms, about r_1^n e^(-n^2 / 2j), takes to e^-40."""
+    total = term = 1.0
+    ratio = mu / j if step > 0 else j / mu
+    size = 64
+    if ratio > 0.5:
+        b = -math.log(ratio)
+        size = math.ceil((math.sqrt(b * b + 80.0 / j) - b) * j) + 8
+    while j > 0:
+        js = np.arange(j, j + step * size, step, dtype=float)
+        if step < 0:
+            js = js[js > 0.0]
+        ratios = mu / js if step > 0 else js / mu
+        terms = np.cumprod(ratios)
+        terms *= term
+        total += float(terms.sum())
+        term, ratio, j = float(terms[-1]), float(ratios[-1]), j + step * js.size
+        if term * ratio <= 2.0**-56 * total * (1.0 - ratio):
+            break
+    return total
+
+
+def _log_tail(k: int, mu: float) -> float:
+    """log P(X > k) for X ~ Poisson(mu) and an integer k >= 0.
+
+    Where k + 2 > mu the tail is pmf(k + 1) (1 + mu / (k + 2) + ...), a
+    series of falling ratios summed to a rounding unit. Below that the tail
+    is more than a half and is taken as 1 - P(X <= k), where P(X <= k) is
+    pmf(k) (1 + k / mu + k (k - 1) / mu^2 + ...)."""
+    if k + 2 > mu:
+        return _log_pmf(k + 1, mu) + math.log(_ratio_sum(mu, k + 2, 1))
+    return math.log1p(-math.exp(_log_pmf(k, mu)) * _ratio_sum(mu, k, -1))
+
+
+def _normal_isf(q: float) -> float:
+    """z with P(Z > z) = q for a standard normal Z and 0 < q < 1: the
+    rational start of Abramowitz and Stegun 26.2.23 (error below 4.5e-4),
+    then two Newton steps on erfc while the density stays above underflow."""
+    p = min(q, 1.0 - q)
+    t = math.sqrt(-2.0 * math.log(p))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    if z < 37.0:
+        for _ in range(2):
+            density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            z += (0.5 * math.erfc(z / math.sqrt(2.0)) - p) / density
+    return z if q <= 0.5 else -z
+
+
 def _poisson_isf(q: float, mu: float) -> int:
     """Smallest k with P(Poisson(mu) > k) <= q, for 0 < q < 1 and mu > 0.
 
-    The same algorithm as scipy.stats.poisson.isf, on the special functions
-    it is built from: pdtrik inverts the distribution function at 1 - q, and
-    one pdtr call settles the rounding of its ceiling. Calling them directly
-    keeps the import of scipy.stats (about half a second) out of the package.
+    The tail is computed directly (_log_tail) and compared with q in log
+    space, so that tails far below one rounding unit of 1 are told apart.
+    The walk starts half a step above the Cornish-Fisher estimate
+    mu + z sqrt(mu) + (z^2 - 1) / 6 of the quantile, at or above the answer
+    wherever it was measured, and steps down by adding pmf(k) to the tail;
+    it steps up, a fresh tail each step, only from a start below. A tail
+    near the quantile takes O(sqrt(mu)) work.
     """
-    p = 1.0 - q
-    k = math.ceil(pdtrik(p, mu))
-    below = max(k - 1, 0)
-    return below if pdtr(below, mu) >= p else k
+    log_q = math.log(q)
+    z = _normal_isf(q)
+    k = max(math.ceil(mu + z * math.sqrt(mu) + (z * z - 1.0) / 6.0 + 0.5), 0)
+    log_tail = _log_tail(k, mu)
+    while log_tail > log_q:
+        k += 1
+        log_tail = _log_tail(k, mu)
+    while k > 0:
+        a, b = log_tail, _log_pmf(k, mu)  # P(X > k - 1) = P(X > k) + P(X = k)
+        log_tail = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        if log_tail > log_q:
+            break
+        k -= 1
+    return k
 
 
 def _series_length(lt: float, t: float, truncation_tol: float = _TRUNCATION_TOL) -> int:
     """Index of the last uniformization term for rate * t = lt > 0.
 
     Raises ConvergenceBudgetError when the terms 0..last exceed _MAX_TERMS.
+    Beyond _COUNTED_LT its message gives lt to three digits as the count,
+    which the count is there for every tolerance, without computing it.
     """
-    last = _poisson_isf(truncation_tol, lt) + 1
-    if last + 1 > _MAX_TERMS:
-        raise ConvergenceBudgetError(
-            f"uniformization needs {last + 1} series terms for tolerance "
-            f"{truncation_tol:.1e} at horizon {t:g}, budget is {_MAX_TERMS}",
-            horizon=t,
-        )
-    return last
+    if lt > _COUNTED_LT:
+        needs = f"about {lt:.3g}"
+    else:
+        last = _poisson_isf(truncation_tol, lt) + 1
+        if last + 1 <= _MAX_TERMS:
+            return last
+        needs = str(last + 1)
+    raise ConvergenceBudgetError(
+        f"uniformization needs {needs} series terms for tolerance "
+        f"{truncation_tol:.1e} at horizon {t:g}, budget is {_MAX_TERMS}",
+        horizon=t,
+    )
 
 
 def _on_simplex(v: np.ndarray) -> np.ndarray:
@@ -220,9 +386,11 @@ def evolve(
     is copied, never written to. The result is a new read-only array.
 
     Writes the semigroup as a Poisson(rate*t) mixture of powers of the
-    uniformized stochastic matrix P = I + Q/rate. The truncation point is
-    the Poisson inverse survival function at truncation_tol, so the
-    discarded tail mass is below the tolerance by construction. Weights are
+    uniformized stochastic matrix P = I + Q/rate. The series is cut one
+    term past the smallest k whose Poisson tail P(X > k), computed as a
+    tail and not as one minus the distribution function, is at most
+    truncation_tol (_poisson_isf), so the discarded tail mass is below the
+    tolerance by construction. Weights are
     built in log space (exp(-rate*t) underflows for horizons well inside
     the range this module must support) and renormalized to unit sum, which
     keeps the output on the simplex and absorbs the float rounding a
@@ -262,8 +430,8 @@ def _poisson_mixture(gen: GeneratorMatrix, p: np.ndarray, lt: float, last: int) 
     """
     rate = gen.uniformization_rate()
     k = np.arange(last + 1, dtype=float)
-    log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
-    weights = np.exp(log_w - logsumexp(log_w))
+    log_w = k * math.log(lt) - _log_factorial(k) - lt
+    weights = np.exp(log_w - _logsumexp(log_w))
     v = p.copy()
     qv = np.empty_like(v)
     apply_q = _stencil(gen, v, qv)

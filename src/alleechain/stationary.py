@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _csv, _cubic
 from .errors import (
@@ -71,7 +70,7 @@ class StationaryDistribution:
     @classmethod
     def from_log_weights(cls, log_weights) -> "StationaryDistribution":
         lw = np.asarray(log_weights, dtype=float)
-        probs = np.exp(lw - logsumexp(lw))
+        probs = np.exp(lw - _logsumexp(lw))
         probs /= probs.sum()
         return cls(probs, lw)
 
@@ -82,6 +81,25 @@ class StationaryDistribution:
             stream, "state,density,prob,log_weight",
             states, states / self.capacity_n, self.probs, self.log_weights,
         )
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) over a 1-D float array, bit for bit what
+    scipy.special.logsumexp (1.17) returns for real input: with m the count
+    of entries equal to the maximum, s the sum of exp(a - max) over the
+    other entries, divided by m unless it is 0, the result is
+    log1p(s) + log(m) + max. A maximum that is not finite (-inf for an
+    empty or all -inf array, +inf, NaN) is the result itself.
+    """
+    top = a.max(initial=-np.inf)
+    if not np.isfinite(top):
+        return top
+    ties = a == top
+    count = np.float64(np.count_nonzero(ties))
+    s = np.exp(np.where(ties, -np.inf, a) - top).sum()
+    if s != 0.0:
+        s = s / count
+    return np.log1p(s) + np.log(count) + top
 
 
 def validate_rates(birth, death) -> tuple[np.ndarray, np.ndarray]:

@@ -258,6 +258,12 @@ def _loaded_by_cli_import(module: str) -> str:
     return result.stdout.strip()
 
 
+def test_cli_import_leaves_out_scipy():
+    # log-sum-exp, the log-factorials and the Poisson truncation point are
+    # the package's own; only the oracle and the ode mode import scipy
+    assert _loaded_by_cli_import("scipy") == "False"
+
+
 def test_cli_import_leaves_out_scipy_stats():
     assert _loaded_by_cli_import("scipy.stats") == "False"
 

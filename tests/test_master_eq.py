@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,9 +34,11 @@ from alleechain import master_eq
 from alleechain.cli import _start_vector
 from alleechain.master_eq import (
     _DENSE_MAX_STATES,
+    _MAX_TERMS,
     _WINDOW_TOL,
     _checkpoints,
     _dense_propagator,
+    _log_factorial,
     _poisson_isf,
     _windowed_leg,
 )
@@ -251,20 +254,53 @@ def test_bad_starts_are_refused_before_any_leg(capacity, head, message):
     assert np.array_equal(p0, before, equal_nan=True) and p0.flags.writeable
 
 
+def _mp_tails(k, mu):
+    """(P(X > k), P(X > k - 1)) for X ~ Poisson(mu), at 40 digits in mpmath:
+    pmf(k + 1) times mpmath's own sum of the series 1F1(1; k + 2; mu), and
+    that plus pmf(k)."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        def pmf(j):
+            return mpmath.exp(j * mpmath.log(mu) - mu - mpmath.loggamma(j + 1))
+        tail = pmf(k + 1) * mpmath.hyp1f1(1, k + 2, mu, maxterms=10**8)
+        return tail, tail + pmf(k)
+
+
+def _assert_least_within(k, q, mu):
+    """k is the least integer whose Poisson(mu) tail is at most q, in mpmath."""
+    tail, tail_below = _mp_tails(k, mu)
+    assert tail <= q and (k == 0 or q < tail_below), (q, mu, k)
+
+
 def test_poisson_isf_matches_scipy_on_a_dense_grid():
+    # scipy.stats decides by pdtr(k, mu) >= 1 - q, which cannot resolve a
+    # tail below ~1e-16 and misplaces k further from lt ~ 1e6 on (pdtrik);
+    # where the two differ, mpmath decides, on every point up to lt = 1e5
+    # and on every 40th of the points above it
     tols = np.logspace(-15, -6, 91)
     lts = np.logspace(-6, 8, 561)
     expected = stats.poisson.isf(tols[:, None], lts[None, :])
     got = np.array([[_poisson_isf(q, lt) for lt in lts.tolist()] for q in tols.tolist()])
-    assert np.array_equal(got, expected)
+    differ = np.argwhere(got != expected)
+    low = lts[differ[:, 1]] <= 1e5
+    for i, j in np.concatenate([differ[low], differ[~low][::40]]).tolist():
+        _assert_least_within(int(got[i, j]), tols[i], lts[j])
 
 
 @settings(max_examples=300, deadline=None)
 @given(log_tol=st.floats(-15.0, -0.01), log_lt=st.floats(-8.0, 9.0))
 @example(log_tol=-12.0, log_lt=math.log10(25.0))
+@example(log_tol=-15.0, log_lt=5.0)  # 102522; scipy's 102521 leaves 1.0024 q
 def test_poisson_isf_matches_scipy(log_tol, log_lt):
     tol, lt = 10.0**log_tol, 10.0**log_lt
-    assert _poisson_isf(tol, lt) == int(stats.poisson.isf(tol, lt))
+    k = _poisson_isf(tol, lt)
+    if k != int(stats.poisson.isf(tol, lt)):
+        _assert_least_within(k, tol, lt)
+
+
+def test_log_factorial_is_gammaln_bit_for_bit():
+    k = np.arange(_MAX_TERMS + 1, dtype=float)
+    assert _log_factorial(k).tobytes() == gammaln(k + 1.0).tobytes()
 
 
 def test_evolve_preserves_stationary_distribution():
@@ -303,11 +339,17 @@ def test_evolve_long_time_reaches_product_formula():
 
 
 def test_evolve_term_budget_error(fig1a):
-    # t = 1e5 needs 19,019,328 series terms; the budget check comes first
+    # t = 1e5 needs the 19,019,329 series terms 0..19019328: at rate * t =
+    # 18988665.9 the Poisson tail past 19019326 is 1.0015e-12 and past
+    # 19019327 is 0.9999e-12 (mpmath, 40 digits; scipy.stats.poisson.isf
+    # gives one less). The budget check comes first.
     gen = build_generator(fig1a)
     p0 = np.eye(gen.dimension)[0]
-    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+    with pytest.raises(ConvergenceBudgetError, match="needs 19019329 series terms"):
         evolve(gen, p0, 1e5)
+    # beyond _COUNTED_LT the count is rate * t to three digits
+    with pytest.raises(ConvergenceBudgetError, match="needs about 1.9e\\+20 series terms"):
+        evolve(gen, p0, 1e18)
 
 
 def test_converge_from_point_mass():
@@ -746,7 +788,10 @@ def test_leg_checks_like_evolve(fig1a):
     assert gen.dimension <= _DENSE_MAX_STATES
     p0 = np.eye(gen.dimension)[10]
     # the dense route, then the window [0, 74] with its sink at 75
-    for cutoff, terms in ((_DENSE_MAX_STATES, 19019328), (0, 15329038)):
+    # each count is two more than the least k whose Poisson tail is at most
+    # 1e-12 in mpmath (40 digits): past 19019327 and 15329037 it is
+    # 0.9999e-12 and 0.9990e-12, one state before 1.0015e-12 and 1.0008e-12
+    for cutoff, terms in ((_DENSE_MAX_STATES, 19019329), (0, 15329039)):
         with mock.patch.object(master_eq, "_DENSE_MAX_STATES", cutoff):
             (same,) = _checkpoints(gen, p0, [0.0])
             assert np.array_equal(same, p0) and not same.flags.writeable
@@ -766,7 +811,7 @@ def test_leg_checks_like_evolve(fig1a):
             # states they evolve: the dense one those of the whole chain
             with pytest.raises(ConvergenceBudgetError, match=f"needs {terms} series terms"):
                 list(_checkpoints(gen, p0, [1e5]))
-    with pytest.raises(ConvergenceBudgetError, match="needs 19019328 series terms"):
+    with pytest.raises(ConvergenceBudgetError, match="needs 19019329 series terms"):
         evolve(gen, p0, 1e5)
     # above the cutoff each leg is _windowed_leg, bit for bit
     with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):

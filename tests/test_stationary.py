@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import alleechain
@@ -37,7 +38,7 @@ from alleechain import (
     stationary_nullspace_from_rates,
 )
 from alleechain.model import rate_arrays
-from alleechain.stationary import ORACLE_MAX_CAPACITY
+from alleechain.stationary import ORACLE_MAX_CAPACITY, _logsumexp
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
 
@@ -473,3 +474,27 @@ def test_log_weights_stay_exact_at_a_million_states():
     for k in (profile.i_minus, profile.i_plus, n):
         exact = math.fsum(increments[:k])
         assert abs(lw[k] - exact) <= 1e-12 * abs(exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 10_000),
+    span=st.one_of(st.just(0.0), st.floats(1e-12, 1e5)),
+    ties=st.integers(0, 20),
+    shift=st.floats(-1e6, 1e6),
+)
+@example(seed=0, size=1, span=0.0, ties=0, shift=0.0)
+@example(seed=1, size=10_000, span=1e5, ties=20, shift=-1e6)
+def test_logsumexp_is_scipys_bit_for_bit(seed, size, span, ties, shift):
+    # values spread over span nats below the maximum, some of them set
+    # equal to it
+    rng = np.random.default_rng(seed)
+    a = shift - span * rng.random(size)
+    a[rng.integers(size, size=ties)] = a.max()
+    assert _logsumexp(a).tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+def test_logsumexp_is_scipys_on_the_fig2a_law_at_a_million_states():
+    lw = psd_product(make_params(FIG_A, 1_000_000)).log_weights
+    assert _logsumexp(lw).tobytes() == np.float64(logsumexp(lw)).tobytes()
