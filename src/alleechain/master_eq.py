@@ -37,9 +37,8 @@ A zero step, on either route, leaves the vector as it is.
 
 The Poisson weights need log k!, a log-sum-exp and the truncation point.
 All three are computed here, the first two bit for bit as
-scipy.special.gammaln and logsumexp give them, so that importing the
-package loads no scipy; only the oracle and the single-trajectory ode
-mode import parts of it, when they run.
+scipy.special.gammaln and logsumexp give them, so that this module
+imports no scipy.
 
 Every start has a certified least horizon before it can reach the
 stationary law (_escape_bound, after Keilson 1979 and Fill 2009): the
@@ -221,7 +220,7 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     log_x = np.log(x + 0j).real
     q = (x - 0.5) * log_x - x + _LOG_SQRT_2PI
     p = 1.0 / (x * x)
-    series = np.full_like(x, _STIRLING_1000[0])
+    series = _STIRLING_1000[0]
     for c in _STIRLING_1000[1:]:
         series = series * p + c
     three = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p

@@ -89,10 +89,12 @@ def _reference_apply(gen, v):
 
 
 def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
-    """The allocating uniformization loop, summing every Poisson term."""
+    """The allocating uniformization loop, summing every Poisson term, with
+    scipy's Poisson weights. The truncation point is the module's own: it
+    has its own witnesses (scipy, and mpmath where scipy misplaces it)."""
     rate = gen.uniformization_rate()
     lt = rate * t
-    last = int(stats.poisson.isf(truncation_tol, lt)) + 1
+    last = _poisson_isf(truncation_tol, lt) + 1
     k = np.arange(last + 1, dtype=float)
     log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
     weights = np.exp(log_w - logsumexp(log_w))
