@@ -35,10 +35,10 @@ size of the chain:
 
 A zero step, on either route, leaves the vector as it is.
 
-The Poisson weights need log k!, a log-sum-exp and the truncation point.
-All three are computed here, the first two bit for bit as
-scipy.special.gammaln and logsumexp give them, so that this module
-imports no scipy.
+The Poisson weights need log k! and a log-sum-exp, computed here bit for
+bit as scipy.special.gammaln and logsumexp give them, so that this module
+imports no scipy; the truncation point needs only the ratios of
+consecutive Poisson terms (_poisson_isf, after Fox and Glynn 1988).
 
 Every start has a certified least horizon before it can reach the
 stationary law (_escape_bound, after Keilson 1979 and Fill 2009): the
@@ -93,10 +93,13 @@ _WINDOW_TOL = 1e-12
 #: while converge legs gain at every measured size (BENCH_12.json).
 _DENSE_MAX_STATES = 301
 
-#: Largest rate * t whose series length is counted. The count takes
-#: O(sqrt(rate * t)) work, and beyond this it is rate * t to three digits,
-#: far above _MAX_TERMS for every tolerance.
-_COUNTED_LT = 1e10
+#: Largest rate * t whose series length is counted. The count sums a window
+#: of O(sqrt(rate * t)) Poisson terms, a few MB here, and beyond this it is
+#: rate * t to three digits, far above _MAX_TERMS for every tolerance.
+_COUNTED_LT = 1e8
+
+#: Term at the mode from which _poisson_isf builds the Poisson pmf.
+_MODE_TERM = math.exp(690.0)
 
 #: log(k!) for k = 0..11, as cephes lgam takes it below 13: the log of the
 #: factorial, which is exact in double precision.
@@ -230,121 +233,37 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stirlerr(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for an integer n >= 1 (Loader 2000):
-    from lgamma up to 15, from five terms of its series above."""
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
-    nn = float(n) * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
-
-
-def _bd0(x: float, mu: float) -> float:
-    """x log(x / mu) + mu - x without its cancellation near x = mu (Loader
-    2000): a series in v = (x - mu) / (x + mu) where |v| < 0.1."""
-    if abs(x - mu) < 0.1 * (x + mu):
-        v = (x - mu) / (x + mu)
-        s = (x - mu) * v
-        term = 2.0 * x * v
-        v *= v
-        j = 1
-        while True:
-            term *= v
-            s1 = s + term / (2 * j + 1)
-            if s1 == s:
-                return s
-            s, j = s1, j + 1
-    return x * math.log(x / mu) + mu - x
-
-
-def _log_pmf(k: int, mu: float) -> float:
-    """log P(X = k) for X ~ Poisson(mu), in Loader's saddle-point form."""
-    if k == 0:
-        return -mu
-    return -_stirlerr(k) - _bd0(k, mu) - 0.5 * math.log(2.0 * math.pi * k)
-
-
-def _ratio_sum(mu: float, j: int, step: int) -> float:
-    """1 + r_1 + r_1 r_2 + ..., the ratios r_l being mu / (j + l - 1) for
-    step 1 and (j - l + 1) / mu down to l = j for step -1. Each ratio is
-    below 1 and no larger than the one before, so what is left after the
-    term t at ratio r is at most t r / (1 - r); the sum stops where that is
-    below 2^-56 of it. The products run in numpy blocks of 64 terms where
-    r_1 <= 1/2, which takes them below 2^-64, and otherwise of as many as
-    the decay of the terms, about r_1^n e^(-n^2 / 2j), takes to e^-40."""
-    total = term = 1.0
-    ratio = mu / j if step > 0 else j / mu
-    size = 64
-    if ratio > 0.5:
-        b = -math.log(ratio)
-        size = math.ceil((math.sqrt(b * b + 80.0 / j) - b) * j) + 8
-    while j > 0:
-        js = np.arange(j, j + step * size, step, dtype=float)
-        if step < 0:
-            js = js[js > 0.0]
-        ratios = mu / js if step > 0 else js / mu
-        terms = np.cumprod(ratios)
-        terms *= term
-        total += float(terms.sum())
-        term, ratio, j = float(terms[-1]), float(ratios[-1]), j + step * js.size
-        if term * ratio <= 2.0**-56 * total * (1.0 - ratio):
-            break
-    return total
-
-
-def _log_tail(k: int, mu: float) -> float:
-    """log P(X > k) for X ~ Poisson(mu) and an integer k >= 0.
-
-    Where k + 2 > mu the tail is pmf(k + 1) (1 + mu / (k + 2) + ...), a
-    series of falling ratios summed to a rounding unit. Below that the tail
-    is more than a half and is taken as 1 - P(X <= k), where P(X <= k) is
-    pmf(k) (1 + k / mu + k (k - 1) / mu^2 + ...)."""
-    if k + 2 > mu:
-        return _log_pmf(k + 1, mu) + math.log(_ratio_sum(mu, k + 2, 1))
-    return math.log1p(-math.exp(_log_pmf(k, mu)) * _ratio_sum(mu, k, -1))
-
-
-def _normal_isf(q: float) -> float:
-    """z with P(Z > z) = q for a standard normal Z and 0 < q < 1: the
-    rational start of Abramowitz and Stegun 26.2.23 (error below 4.5e-4),
-    then two Newton steps on erfc while the density stays above underflow."""
-    p = min(q, 1.0 - q)
-    t = math.sqrt(-2.0 * math.log(p))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    if z < 37.0:
-        for _ in range(2):
-            density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            z += (0.5 * math.erfc(z / math.sqrt(2.0)) - p) / density
-    return z if q <= 0.5 else -z
-
-
 def _poisson_isf(q: float, mu: float) -> int:
     """Smallest k with P(Poisson(mu) > k) <= q, for 0 < q < 1 and mu > 0.
 
-    The tail is computed directly (_log_tail) and compared with q in log
-    space, so that tails far below one rounding unit of 1 are told apart.
-    The walk starts half a step above the Cornish-Fisher estimate
-    mu + z sqrt(mu) + (z^2 - 1) / 6 of the quantile, at or above the answer
-    wherever it was measured, and steps down by adding pmf(k) to the tail;
-    it steps up, a fresh tail each step, only from a start below. A tail
-    near the quantile takes O(sqrt(mu)) work.
+    The pmf is built from the ratios of consecutive terms across a window
+    [lo, hi] and normalized by the window's own sum (Fox and Glynn 1988).
+    With L = log(2^53 / (1 - q)), the Chernoff bound P(X <= mu - x) <=
+    exp(-x^2 / 2 mu) puts lo at mu - sqrt(2 mu L), below which lies at most
+    2^-53 (1 - q): the answer is not below lo, and the sum is the whole mass
+    to a rounding unit. With L = log(2^53 / q), Bernstein's P(X >= mu + x)
+    <= exp(-x^2 / 2 (mu + x / 3)) puts hi at mu + L/3 + sqrt(L^2/9 +
+    2 mu L), above which lies at most 2^-53 q. The terms are running
+    products of the ratios outward from the mode floor(mu), whose term is
+    e^690, so none exceeds it: the sum stays finite, and q times the sum is
+    a normal number for every q down to 2^-1074, so the tails are compared
+    with it directly. The window holds O(sqrt(mu log(1/q))) terms.
     """
-    log_q = math.log(q)
-    z = _normal_isf(q)
-    k = max(math.ceil(mu + z * math.sqrt(mu) + (z * z - 1.0) / 6.0 + 0.5), 0)
-    log_tail = _log_tail(k, mu)
-    while log_tail > log_q:
-        k += 1
-        log_tail = _log_tail(k, mu)
-    while k > 0:
-        a, b = log_tail, _log_pmf(k, mu)  # P(X > k - 1) = P(X > k) + P(X = k)
-        log_tail = max(a, b) + math.log1p(math.exp(-abs(a - b)))
-        if log_tail > log_q:
-            break
-        k -= 1
-    return k
+    log_eps = 53.0 * math.log(2.0)
+    left, right = log_eps - math.log1p(-q), log_eps - math.log(q)
+    lo = max(math.floor(mu - math.sqrt(2.0 * mu * left)), 0)
+    hi = math.ceil(mu + right / 3.0 + math.sqrt(right * right / 9.0 + 2.0 * mu * right))
+    mode = math.floor(mu)
+
+    def outward(ratios):
+        return np.cumprod(np.concatenate(([_MODE_TERM], ratios)))
+
+    terms = np.concatenate((
+        outward(np.arange(mode, lo, -1) / mu)[:0:-1],  # lo..mode - 1
+        outward(mu / np.arange(mode + 1, hi + 1)),  # mode..hi
+    ))
+    tails = np.cumsum(terms[::-1])[::-1]  # tails[i]: the terms lo + i..hi, falling in i
+    return lo + int(np.count_nonzero(tails[1:] > q * tails[0]))
 
 
 def _series_length(lt: float, t: float, truncation_tol: float = _TRUNCATION_TOL) -> int:
@@ -386,14 +305,14 @@ def evolve(
 
     Writes the semigroup as a Poisson(rate*t) mixture of powers of the
     uniformized stochastic matrix P = I + Q/rate. The series is cut one
-    term past the smallest k whose Poisson tail P(X > k), computed as a
-    tail and not as one minus the distribution function, is at most
-    truncation_tol (_poisson_isf), so the discarded tail mass is below the
-    tolerance by construction. Weights are
-    built in log space (exp(-rate*t) underflows for horizons well inside
-    the range this module must support) and renormalized to unit sum, which
-    keeps the output on the simplex and absorbs the float rounding a
-    fifty-thousand-term sum would otherwise accumulate.
+    term past the smallest k whose Poisson tail P(X > k) is at most
+    truncation_tol (_poisson_isf, which sums the tail itself from the ratios
+    of consecutive terms, down to tails far below one rounding unit of 1),
+    so the discarded tail mass is below the tolerance by construction.
+    Weights are built in log space (exp(-rate*t) underflows for horizons
+    well inside the range this module must support) and renormalized to
+    unit sum, which keeps the output on the simplex and absorbs the float
+    rounding a fifty-thousand-term sum would otherwise accumulate.
 
     The loop allocates nothing per term: v, Q v and one scratch row are
     preallocated, and each step computes v + (Q v)/rate in place with the

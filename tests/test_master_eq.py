@@ -293,10 +293,12 @@ def test_poisson_isf_matches_scipy_on_a_dense_grid():
 @given(log_tol=st.floats(-15.0, -0.01), log_lt=st.floats(-8.0, 9.0))
 @example(log_tol=-12.0, log_lt=math.log10(25.0))
 @example(log_tol=-15.0, log_lt=5.0)  # 102522; scipy's 102521 leaves 1.0024 q
+@example(log_tol=math.log10(5e-324), log_lt=-310.0)  # subnormal both: P(X > 0) ~ 1e-310 > q
+@example(log_tol=-300.0, log_lt=4.0)
 def test_poisson_isf_matches_scipy(log_tol, log_lt):
     tol, lt = 10.0**log_tol, 10.0**log_lt
     k = _poisson_isf(tol, lt)
-    if k != int(stats.poisson.isf(tol, lt)):
+    if k != stats.poisson.isf(tol, lt):  # scipy gives NaN for q or lt far below 1e-16
         _assert_least_within(k, tol, lt)
 
 
@@ -352,6 +354,9 @@ def test_evolve_term_budget_error(fig1a):
     # beyond _COUNTED_LT the count is rate * t to three digits
     with pytest.raises(ConvergenceBudgetError, match="needs about 1.9e\\+20 series terms"):
         evolve(gen, p0, 1e18)
+    # which holds from rate * t = 1e8 on
+    with pytest.raises(ConvergenceBudgetError, match="needs about 1.9e\\+08 series terms"):
+        evolve(gen, p0, 1e6)
 
 
 def test_converge_from_point_mass():
