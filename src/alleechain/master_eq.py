@@ -94,8 +94,8 @@ _WINDOW_TOL = 1e-12
 _DENSE_MAX_STATES = 301
 
 #: Largest rate * t whose series length is counted. The count sums a window
-#: of O(sqrt(rate * t)) Poisson terms, a few MB here, and beyond this it is
-#: rate * t to three digits, far above _MAX_TERMS for every tolerance.
+#: of O(sqrt(rate * t)) Poisson terms, up to 15 MB here, and beyond this it
+#: is rate * t to three digits, far above _MAX_TERMS for every tolerance.
 _COUNTED_LT = 1e8
 
 #: Term at the mode from which _poisson_isf builds the Poisson pmf.
