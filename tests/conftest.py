@@ -9,9 +9,12 @@ across those assumptions instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from alleechain import ModelParams
 
@@ -21,6 +24,15 @@ FIG_B = dict(lam=1.7, mu=1.0, delta1=0.9, delta2=0.0, delta3=1.7, theta=0.03, r1
 
 def make_params(base: dict, capacity_n: int) -> ModelParams:
     return ModelParams.from_constants(capacity_n=capacity_n, **base)
+
+
+def log_space_weights(lt: float, last: int) -> np.ndarray:
+    """Poisson(lt) weights of the terms 0..last in log space, from scipy's
+    gammaln and logsumexp, the independent witness of the window weights
+    of master_eq."""
+    k = np.arange(last + 1, dtype=float)
+    log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
+    return np.exp(log_w - logsumexp(log_w))
 
 
 def sample_admissible(rng: np.random.Generator) -> dict:

@@ -31,6 +31,8 @@ from alleechain.deterministic import _flow_target
 from alleechain.master_eq import _DENSE_MAX_STATES
 from alleechain.model import _armed_x_plus
 
+from conftest import log_space_weights
+
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
 _ALL = ("psd", "threshold", "evolve", "simulate", "ode", "sweep")
@@ -138,26 +140,55 @@ def test_threshold_integral_stays_within_quadrature_bound(key, tmp_path):
     assert report["classification"] == ("extinction" if old < 0.0 else "persistence")
 
 
+def _assert_evolve_within(key, tmp_path, patch, bound):
+    """Run key as it is and under patch: each probability stays within bound
+    of the patched run's, and converge mode reaches the same horizon."""
+    preset, command, config = RUNS[key]
+    new, old = tmp_path / "new", tmp_path / "old"
+    _artifact_hashes(preset, command, new, config)
+    with patch:
+        _artifact_hashes(preset, command, old, config)
+    name = "evolve.csv" if "times" in config else "final.csv"
+    # final.csv is (state, prob); evolve.csv stacks one (t, state, prob)
+    # block per checkpoint, so the bound holds per block
+    got, ref = (numpy.loadtxt(d / name, delimiter=",", skiprows=1) for d in (new, old))
+    assert numpy.array_equal(got[:, :-1], ref[:, :-1])
+    assert numpy.abs(got[:, -1] - ref[:, -1]).max() <= bound
+    summaries = [json.loads((d / "evolve_summary.json").read_text()) for d in (new, old)]
+    assert summaries[0].get("horizon") == summaries[1].get("horizon")
+
+
 @pytest.mark.parametrize("key", ["fig1a/evolve", "fig1b/evolve", "fig1b/evolve-checkpoints"])
 def test_dense_evolve_stays_within_uniformization_bound(key, tmp_path):
     """On these 101-state chains the converge legs and checkpoints take the
     dense propagator; each probability stays within 1e-12 of the
     uniformization route (every chain above the cutoff), and converge mode
     reaches the same horizon."""
-    preset, command, config = RUNS[key]
-    dense, uniformized = tmp_path / "dense", tmp_path / "uniformized"
+    preset, _, _ = RUNS[key]
     assert build_generator(params_from_config(PRESETS[preset])).dimension <= _DENSE_MAX_STATES
-    _artifact_hashes(preset, command, dense, config)
-    with mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0):
-        _artifact_hashes(preset, command, uniformized, config)
-    name = "evolve.csv" if "times" in config else "final.csv"
-    # final.csv is (state, prob); evolve.csv stacks one (t, state, prob)
-    # block per checkpoint, so the bound holds per block
-    got, ref = (numpy.loadtxt(d / name, delimiter=",", skiprows=1) for d in (dense, uniformized))
-    assert numpy.array_equal(got[:, :-1], ref[:, :-1])
-    assert numpy.abs(got[:, -1] - ref[:, -1]).max() <= 1e-12
-    summaries = [json.loads((d / "evolve_summary.json").read_text()) for d in (dense, uniformized)]
-    assert summaries[0].get("horizon") == summaries[1].get("horizon")
+    patch = mock.patch.object(master_eq, "_DENSE_MAX_STATES", 0)
+    _assert_evolve_within(key, tmp_path, patch, 1e-12)
+
+
+def _log_space_weights(
+    lt, t, truncation_tol=master_eq._TRUNCATION_TOL, *, cut=master_eq._series_weights
+):
+    """Log-space weights of every term 0..last at the module's own cut
+    (cut is bound here, before any patch)."""
+    lo, weights = cut(lt, t, truncation_tol)
+    return 0, log_space_weights(lt, lo + weights.size - 1)
+
+
+@pytest.mark.parametrize(
+    "key", ["fig1a/evolve", "fig1b/evolve", "fig2a/evolve", "fig1b/evolve-checkpoints"]
+)
+def test_evolve_stays_within_log_space_weights_bound(key, tmp_path):
+    """The Poisson weights are the truncation window's ratio products; each
+    probability stays within 1e-13 of a run on log-space weights (scipy's
+    gammaln and logsumexp, the independent witness) at the same cut, and
+    converge mode reaches the same horizon."""
+    patch = mock.patch.object(master_eq, "_series_weights", _log_space_weights)
+    _assert_evolve_within(key, tmp_path, patch, 1e-13)
 
 
 def _capture() -> None:

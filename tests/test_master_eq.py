@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaln, logsumexp
 
 from alleechain import (
     ConvergenceBudgetError,
@@ -34,16 +33,15 @@ from alleechain import master_eq
 from alleechain.cli import _start_vector
 from alleechain.master_eq import (
     _DENSE_MAX_STATES,
-    _MAX_TERMS,
     _WINDOW_TOL,
     _checkpoints,
     _dense_propagator,
-    _log_factorial,
-    _poisson_isf,
+    _poisson_window,
+    _series_weights,
     _windowed_leg,
 )
 
-from conftest import FIG_A, FIG_B, boundary_params, make_params
+from conftest import FIG_A, FIG_B, boundary_params, log_space_weights, make_params
 
 
 def _dense(gen):
@@ -88,23 +86,30 @@ def _reference_apply(gen, v):
     return out
 
 
-def _reference_evolve(gen, p0, t, truncation_tol=1e-12):
-    """The allocating uniformization loop, summing every Poisson term, with
-    scipy's Poisson weights. The truncation point is the module's own: it
-    has its own witnesses (scipy, and mpmath where scipy misplaces it)."""
+def _isf(q, mu):
+    """The truncation point of _poisson_window: the least k with
+    P(Poisson(mu) > k) <= q."""
+    return _poisson_window(q, mu)[2]
+
+
+def _module_weights(lt, truncation_tol=1e-12):
+    """The module's weights of the terms 0..last, the powers below its
+    window weighing 0."""
+    lo, weights = _series_weights(lt, 1.0, truncation_tol)
+    return np.concatenate((np.zeros(lo), weights))
+
+
+def _reference_evolve(gen, p0, t, weights):
+    """The allocating uniformization loop, summing every term of the series
+    with the given weights of the powers 0..len(weights) - 1."""
     rate = gen.uniformization_rate()
-    lt = rate * t
-    last = _poisson_isf(truncation_tol, lt) + 1
-    k = np.arange(last + 1, dtype=float)
-    log_w = k * math.log(lt) - gammaln(k + 1.0) - lt
-    weights = np.exp(log_w - logsumexp(log_w))
     v = np.array(p0, dtype=float)
     acc = weights[0] * v
-    for j in range(1, last + 1):
+    for j in range(1, len(weights)):
         v = v + _reference_apply(gen, v) / rate
         acc += weights[j] * v
     acc = np.clip(acc, 0.0, None)
-    return acc / acc.sum(), weights
+    return acc / acc.sum()
 
 
 def _sparse_generator(rng, dimension, scale):
@@ -148,11 +153,16 @@ def test_evolve_bit_identical_to_reference_loop(seed, dimension, scale, rate_tim
     assert gen.apply(v).tobytes() == _reference_apply(gen, v).tobytes()
 
     out = evolve(gen, p0, t)
-    expected, weights = _reference_evolve(gen, p0, t)
+    weights = _module_weights(rate * t)
+    expected = _reference_evolve(gen, p0, t, weights)
     assert np.array_equal(out, expected)
     assert out.tobytes() == expected.tobytes()  # the sign of zeros too
     if rate * t > 800.0:
         assert weights[0] == 0.0
+    # the log-space weights of scipy, whose own l1 error reaches 1.9e-12 at
+    # rate * t = 3000, move the result by less than 1e-11 in l1
+    witness = _reference_evolve(gen, p0, t, log_space_weights(rate * t, weights.size - 1))
+    assert np.abs(out - witness).sum() <= 1e-11
     # on the simplex, read-only, and the caller's array untouched
     assert np.all(out >= 0.0) and abs(out.sum() - 1.0) <= 1e-12
     assert not out.flags.writeable and not np.shares_memory(out, p0)
@@ -282,7 +292,7 @@ def test_poisson_isf_matches_scipy_on_a_dense_grid():
     tols = np.logspace(-15, -6, 91)
     lts = np.logspace(-6, 8, 561)
     expected = stats.poisson.isf(tols[:, None], lts[None, :])
-    got = np.array([[_poisson_isf(q, lt) for lt in lts.tolist()] for q in tols.tolist()])
+    got = np.array([[_isf(q, lt) for lt in lts.tolist()] for q in tols.tolist()])
     differ = np.argwhere(got != expected)
     low = lts[differ[:, 1]] <= 1e5
     for i, j in np.concatenate([differ[low], differ[~low][::40]]).tolist():
@@ -297,14 +307,31 @@ def test_poisson_isf_matches_scipy_on_a_dense_grid():
 @example(log_tol=-300.0, log_lt=4.0)
 def test_poisson_isf_matches_scipy(log_tol, log_lt):
     tol, lt = 10.0**log_tol, 10.0**log_lt
-    k = _poisson_isf(tol, lt)
+    k = _isf(tol, lt)
     if k != stats.poisson.isf(tol, lt):  # NaN, which differs, where 1 - tol rounds to 1
         _assert_least_within(k, tol, lt)
 
 
-def test_log_factorial_is_gammaln_bit_for_bit():
-    k = np.arange(_MAX_TERMS + 1, dtype=float)
-    assert _log_factorial(k).tobytes() == gammaln(k + 1.0).tobytes()
+def _mp_weights(lt, last):
+    """The Poisson(lt) pmf of 0..last normalized over them, at 30 digits."""
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(lt)
+        log_mu = mpmath.log(mu)
+        pmf = [mpmath.exp(k * log_mu - mu - mpmath.loggamma(k + 1)) for k in range(last + 1)]
+        total = mpmath.fsum(pmf)
+        return [x / total for x in pmf]
+
+
+@pytest.mark.parametrize("lt", [0.7, 50.0, 3000.0, 4.9e4])  # 4.9e4: fig2a's longest leg
+def test_series_weights_are_the_poisson_pmf_to_rounding(lt):
+    # log-space weights lose up to 4.7e-11 here (at 4.9e4) to the
+    # cancellation of k log(lt) - log k! - lt; the window's ratio products
+    # stay within 6.2e-16
+    weights = _module_weights(lt)
+    exact = _mp_weights(lt, weights.size - 1)
+    with mpmath.workdps(30):
+        l1 = mpmath.fsum(abs(mpmath.mpf(float(w)) - x) for w, x in zip(weights, exact))
+    assert l1 <= 1e-14
 
 
 def test_evolve_preserves_stationary_distribution():
