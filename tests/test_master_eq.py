@@ -92,10 +92,10 @@ def _isf(q, mu):
     return _poisson_window(q, mu)[2]
 
 
-def _module_weights(lt, truncation_tol=1e-12):
-    """The module's weights of the terms 0..last, the powers below its
-    window weighing 0."""
-    lo, weights = _series_weights(lt, 1.0, truncation_tol)
+def _module_weights(lt):
+    """The module's weights of the terms 0..last at the default tolerance,
+    the powers below its window weighing 0."""
+    lo, weights = _series_weights(lt, 1.0)
     return np.concatenate((np.zeros(lo), weights))
 
 
