@@ -16,16 +16,17 @@ Exit codes: 0 success, 2 configuration or validation error, 3 numerical
 failure (a RuntimeError or an ArithmeticError, such as a float overflow),
 memory failure (a MemoryError, such as an array too large to allocate) or
 I/O failure (an OSError, such as a full disk, an output path under a
-regular file or a CSV formatting helper that failed).
+regular file or a CSV formatting helper that failed). A failed run
+publishes no file: files go to a private directory in --out first.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -80,21 +81,8 @@ _COMMAND_KEYS = {
 }
 
 
-@contextlib.contextmanager
-def _write_atomic(path: Path):
-    """Yield a temp file beside path; rename it into place on success and
-    delete it on an exception, so partial output never lands under the name."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # no-op once renamed
-
-
 def _write_json(path: Path, obj) -> None:
-    with _write_atomic(path) as f:
+    with open(path, "w") as f:
         f.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -135,7 +123,7 @@ def _resolve_config(args, command: str) -> dict[str, str]:
 def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     dist = stationary.psd_product(params)
     profile = stationary.mode_profile(dist)
-    with _write_atomic(out_dir / "psd.csv") as f:
+    with open(out_dir / "psd.csv", "w") as f:
         dist.to_csv(f)
     _write_json(out_dir / "modes.json", profile.to_summary())
 
@@ -145,7 +133,7 @@ def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> No
         params, config_int_list(cfg, "n_list"), config_float(cfg, "epsilon")
     )
     _write_json(out_dir / "threshold.json", diagnostic.report.to_summary())
-    with _write_atomic(out_dir / "diagnostic.csv") as f:
+    with open(out_dir / "diagnostic.csv", "w") as f:
         diagnostic.to_csv(f)
 
 
@@ -182,7 +170,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     master_eq._check_converge_settings(tol, max_horizon)  # checkpoint mode too
     if times:
         states = np.arange(gen.dimension)
-        with _write_atomic(out_dir / "evolve.csv") as f:
+        with open(out_dir / "evolve.csv", "w") as f:
             _csv.write_rows(f, "t,state,prob")
             for t, probs in zip(times, master_eq._checkpoints(gen, p, times)):
                 _csv.write_rows(f, None, np.full(gen.dimension, t), states, probs)
@@ -191,7 +179,7 @@ def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         final, horizon, achieved_tv = master_eq.converge_to_stationary(
             gen, p, tol, max_horizon=max_horizon
         )
-        with _write_atomic(out_dir / "final.csv") as f:
+        with open(out_dir / "final.csv", "w") as f:
             _csv.write_rows(f, "state,prob", np.arange(gen.dimension), final)
         summary = {
             "start": cfg["start"],
@@ -211,11 +199,11 @@ def cmd_simulate(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> Non
     runs = config_int(cfg, "runs")
     epsilon = config_float(cfg, "epsilon")
     summary = ssa.ensemble(params, runs, x0, t_end, seed, burn_in=burn_in, epsilon=epsilon)
-    with _write_atomic(out_dir / "trajectory.csv") as f:
+    with open(out_dir / "trajectory.csv", "w") as f:
         summary.first_trajectory.to_csv(f)
 
     states = np.arange(params.capacity_n + 1)
-    with _write_atomic(out_dir / "occupation.csv") as f:
+    with open(out_dir / "occupation.csv", "w") as f:
         _csv.write_rows(
             f, "state,density,mean_frequency",
             states, states / params.capacity_n, summary.mean_occupation,
@@ -238,7 +226,7 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     if cfg["x0"]:
         x0 = config_float(cfg, "x0")
         traj = deterministic.integrate(params, x0, t_end)
-        with _write_atomic(out_dir / "ode.csv") as f:
+        with open(out_dir / "ode.csv", "w") as f:
             traj.to_csv(f)
         _write_json(out_dir / "ode_summary.json", {
             "x0": x0,
@@ -248,13 +236,13 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     else:
         x0s = np.linspace(0.0, 1.0, grid).tolist()
         points = [deterministic._basin_point(params, x0, t_end) for x0 in x0s]
-        with _write_atomic(out_dir / "basin.csv") as f:
+        with open(out_dir / "basin.csv", "w") as f:
             _csv.write_rows(f, "x0,classification,t_final", x0s, *zip(*points))
 
 
 def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     rows = stationary.mode_scaling_check(params, config_int_list(cfg, "n_list"))
-    with _write_atomic(out_dir / "sweep.csv") as f:
+    with open(out_dir / "sweep.csv", "w") as f:
         _csv.write_rows(f, "N,i_plus,mode_density,scaled_gap,discrete_exponent", *zip(*rows))
 
 
@@ -293,12 +281,22 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         params = params_from_config(cfg)
-        _COMMANDS[args.command](cfg, params, out_dir)
-        # Re-emit the model keys canonically so the round-trip is exact even if
-        # the input config spelled numbers differently.
-        cfg.update(params_to_config(params))
-        with _write_atomic(out_dir / "effective_config.cfg") as f:
-            f.write("".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
+        with tempfile.TemporaryDirectory(dir=out_dir) as stage:
+            stage = Path(stage)
+            _COMMANDS[args.command](cfg, params, stage)
+            # Re-emit the model keys canonically so the round-trip is exact even
+            # if the input config spelled numbers differently.
+            cfg.update(params_to_config(params))
+            with open(stage / "effective_config.cfg", "w") as f:
+                f.write("".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
+            # Publish the effective config last, so that it marks a complete
+            # set. os.replace would refuse a directory target only midway.
+            names = sorted(os.listdir(stage), key="effective_config.cfg".__eq__)
+            for target in (out_dir / name for name in names):
+                if target.is_dir():
+                    raise IsADirectoryError(f"output path is a directory: {target}")
+            for name in names:
+                os.replace(stage / name, out_dir / name)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

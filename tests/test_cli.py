@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -164,14 +165,93 @@ def test_evolve_rejects_unsorted_times(tmp_path):
 
 def test_failed_run_leaves_no_partial_output(tmp_path):
     # The first checkpoint's rows are already written when the second
-    # exceeds the uniformization term budget; the temp file must go too.
+    # exceeds the uniformization term budget; the partial file must go too.
     cfg = tmp_path / "times.cfg"
     cfg.write_text("times = 1,1e7\n")
     out = tmp_path / "out"
     assert run("evolve", "--preset", "fig1a", "--config", str(cfg), "--out", str(out)) == 3
     assert not (out / "evolve.csv").exists()
-    assert list(out.glob("*.tmp")) == []
     assert list(out.iterdir()) == []
+
+
+#: Settings for a short successful run of each subcommand.
+_SHORT_RUNS = {
+    "psd": "",
+    "threshold": "n_list = 100,200\n",
+    "evolve": "",
+    "simulate": "runs = 1\nt_end = 20\nburn_in = 2\n",
+    "ode": "x0 = 0.5\nt_end = 50\n",
+    "sweep": "n_list = 100,200\n",
+}
+
+
+def _short_run(tmp_path, command, preset, out) -> int:
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(_SHORT_RUNS[command])
+    return run(command, "--preset", preset, "--config", str(cfg), "--out", str(out))
+
+
+@contextlib.contextmanager
+def _disk_full_on_write(number: int):
+    """Make the number-th file the CLI opens, counting from 1 (0: none),
+    fail its first write with ENOSPC. Yields the names of the files opened."""
+    opened = []
+
+    def open_(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        opened.append(Path(path).name)
+        if len(opened) == number:
+            def write(data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            f.write = write
+        return f
+
+    with mock.patch("alleechain.cli.open", open_, create=True):
+        yield opened
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _writes(tmp_path, command) -> list[str]:
+    """The files a successful run of command opens, in order."""
+    with _disk_full_on_write(0) as opened:
+        assert _short_run(tmp_path, command, "fig1a", tmp_path / "counted") == 0
+    assert len(opened) >= 2
+    return opened
+
+
+@pytest.mark.parametrize("command", _SHORT_RUNS)
+def test_a_full_disk_on_any_write_publishes_nothing(tmp_path, capsys, command):
+    for number, name in enumerate(_writes(tmp_path, command), start=1):
+        out = tmp_path / f"out{number}"
+        with _disk_full_on_write(number):
+            assert _short_run(tmp_path, command, "fig1a", out) == 3, name
+        assert capsys.readouterr().err == "I/O failure: [Errno 28] No space left on device\n"
+        assert list(out.iterdir()) == [], name
+
+
+@pytest.mark.parametrize("command", _SHORT_RUNS)
+def test_a_failed_rerun_leaves_the_earlier_files_as_they_were(tmp_path, command):
+    # the rerun has other constants, so each file it published would differ
+    out = tmp_path / "out"
+    assert _short_run(tmp_path, command, "fig1a", out) == 0
+    earlier = _files(out)
+    for number, name in enumerate(_writes(tmp_path, command), start=1):
+        with _disk_full_on_write(number):
+            assert _short_run(tmp_path, command, "fig1b", out) == 3, name
+        assert _files(out) == earlier, name
+
+
+@pytest.mark.parametrize("name", ["psd.csv", "modes.json", "effective_config.cfg"])
+def test_an_output_name_taken_by_a_directory_publishes_nothing(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run("psd", "--preset", "fig1a", "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"I/O failure: output path is a directory: {out / name}\n"
+    assert list(out.iterdir()) == [out / name]
+    assert list((out / name).iterdir()) == []
 
 
 def _run_with_config(tmp_path, command, text) -> tuple[int, Path]:
@@ -216,10 +296,22 @@ def test_evolve_rejects_infinite_checkpoint(tmp_path, capsys):
     ("evolve", "times = 1\nmax_horizon = -3\n", "max_horizon must be finite and > 0, got -3.0"),
     # a single trajectory never uses the grid, but still checks it
     ("ode", "x0 = 0.5\ngrid = 1\n", "grid must be >= 2"),
+    ("evolve", "start = bogus\n",
+     "unknown start 'bogus'; use delta0, deltaN, uniform or state:<i>"),
+    ("simulate", "runs = 0\n", "n_runs must be >= 1"),
 ])
 def test_command_keys_are_checked_in_every_mode(tmp_path, capsys, command, text, message):
     code, out = _run_with_config(tmp_path, command, text)
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_a_missing_config_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    missing = tmp_path / "missing.cfg"
+    assert run("psd", "--config", str(missing), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
     assert list(out.iterdir()) == []
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from alleechain import _csv
 from alleechain._csv import _CHUNK, _FORK_MIN_ROWS, write_rows
-from alleechain.cli import _write_atomic, main
+from alleechain.cli import main
 
 #: Every finite float64 and both infinities, with the edge cases hypothesis
 #: reaches for (subnormals, +-0.0, the extreme exponents) drawn often.
@@ -201,13 +201,15 @@ def test_chunk_boundaries_through_a_file(tmp_path, rows):
     expected = serial_text("state,value", states, values)
     path = tmp_path / "out.csv"
     with two_processes(min_rows=_FORK_MIN_ROWS) as forks:
-        with _write_atomic(path) as f:
+        with open(path, "w") as f:
             write_rows(f, "state,value", states, values)
     assert len(forks) == (rows >= _FORK_MIN_ROWS)
     assert path.read_bytes() == expected.encode()
 
 
-def test_a_failing_helper_raises_and_leaves_no_file(tmp_path):
+# A failed write leaves a partial file behind; main's staged publish keeps
+# it out of --out (the two psd tests below).
+def test_a_failing_helper_raises_and_is_reaped(tmp_path):
     parent = os.getpid()
     real_format = _csv._format
 
@@ -220,10 +222,9 @@ def test_a_failing_helper_raises_and_leaves_no_file(tmp_path):
     with two_processes(chunk=4) as forks, \
             mock.patch.object(_csv, "_format", format_in_parent_only):
         with pytest.raises(ChildProcessError, match="ended before chunk 1"):
-            with _write_atomic(path) as f:
+            with open(path, "w") as f:
                 write_rows(f, "state", np.arange(40))
     assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_helper_exit_status_is_checked(tmp_path):
@@ -233,10 +234,9 @@ def test_a_helper_exit_status_is_checked(tmp_path):
     with two_processes(chunk=4) as forks, \
             mock.patch.object(os, "_exit", lambda status: real_exit(7)):
         with pytest.raises(ChildProcessError, match="exited with code 7"):
-            with _write_atomic(path) as f:
+            with open(path, "w") as f:
                 write_rows(f, "state", np.arange(40))
     assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_failing_helper_in_psd_exits_3_and_leaves_no_file(tmp_path, capsys):
@@ -258,6 +258,21 @@ def test_a_failing_helper_in_psd_exits_3_and_leaves_no_file(tmp_path, capsys):
     assert code == 3 and len(forks) == 1
     assert capsys.readouterr().err == (
         "I/O failure: CSV formatting helper ended before chunk 1\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_a_helper_exit_status_in_psd_exits_3_and_leaves_no_file(tmp_path, capsys):
+    config = tmp_path / "large.cfg"
+    config.write_text("N = 32768\n")
+    out = tmp_path / "out"
+    real_exit = os._exit
+    with two_processes(min_rows=_FORK_MIN_ROWS) as forks, \
+            mock.patch.object(os, "_exit", lambda status: real_exit(7)):
+        code = main(["psd", "--preset", "fig1a", "--config", str(config), "--out", str(out)])
+    assert code == 3 and len(forks) == 1
+    assert capsys.readouterr().err == (
+        "I/O failure: CSV formatting helper exited with code 7\n"
     )
     assert list(out.iterdir()) == []
 

@@ -369,6 +369,58 @@ def test_evolve_long_time_reaches_product_formula():
     assert total_variation(out, psd_product(p).probs) <= 1e-8
 
 
+def _expm_laws(gen, p0, times, step=0.5):
+    """exp(Qt) p0 for each t of times (multiples of step) at 30 digits, from
+    mpmath's expm of Q step, applied t / step times: exp(Qt) = exp(Q step)^k
+    exactly, and the k products add under 1e-27 to the 30-digit error. The
+    rates enter exactly, as the floats the generator holds."""
+    n = gen.dimension
+    with mpmath.workdps(30):
+        q = mpmath.zeros(n, n)
+        for j, (b, d) in enumerate(zip(gen.birth.tolist(), gen.death.tolist())):
+            q[j, j] = -(mpmath.mpf(b) + mpmath.mpf(d))
+            if j < n - 1:
+                q[j + 1, j] = b
+            if j > 0:
+                q[j - 1, j] = d
+        propagator = mpmath.expm(q * step)
+        p = mpmath.matrix(np.asarray(p0, dtype=float).tolist())
+        laws, steps = [], 0
+        for t in times:
+            while steps * step < t:
+                p, steps = propagator * p, steps + 1
+            laws.append(np.array([float(x) for x in p]))
+    return laws
+
+
+@pytest.mark.parametrize("base, start", [
+    (FIG_A, 0), (FIG_B, 0),
+    (dict(FIG_A, r1=0.0), 15),  # no immigration: state 0 absorbs
+], ids=["fig1a", "fig1b", "no-immigration"])
+def test_transient_law_matches_mpmath_expm(base, start):
+    """Both routes of the transient law against an outside witness at N = 30:
+    evolve, and the dense legs of _checkpoints over the same times in one
+    call, as `alleechain evolve` runs them."""
+    gen = build_generator(make_params(base, 30))
+    if base["r1"] == 0.0:
+        assert gen.birth[0] == 0.0
+    p0 = np.eye(gen.dimension)[start]
+    times = [0.5, 5.0, 50.0]
+    exact = _expm_laws(gen, p0, times)
+    eps = float(np.finfo(float).eps)
+    for t, law, dense in zip(times, exact, _checkpoints(gen, p0, times)):
+        # The series drops at most _TRUNCATION_TOL of Poisson mass. Rounding
+        # is allowed 4 eps per state for each unit of rate * t. evolve sums
+        # about rate * t terms, each rounding an entry a few times, and the
+        # stochastic steps do not grow an earlier error. The dense route
+        # squares its short step s times, 2^s < 2 rate * t, and each squaring
+        # doubles the error before it and adds at most dimension * eps.
+        lt = gen.uniformization_rate() * t
+        bound = master_eq._TRUNCATION_TOL + 4.0 * gen.dimension * (lt + 1.0) * eps
+        assert np.abs(evolve(gen, p0, t) - law).sum() <= bound, t
+        assert np.abs(dense - law).sum() <= bound, t
+
+
 def test_evolve_term_budget_error(fig1a):
     # t = 1e5 needs the 19,019,329 series terms 0..19019328: at rate * t =
     # 18988665.9 the Poisson tail past 19019326 is 1.0015e-12 and past

@@ -65,6 +65,11 @@ def test_absorbing_origin_is_degenerate():
         stationary_from_rates([0.0, 2.0, 0.0], [0.0, 1.0, 4.0])
 
 
+def test_oracle_refuses_an_absorbing_origin():
+    with pytest.raises(DegenerateDistributionError, match="^state 0 is absorbing"):
+        stationary_nullspace_from_rates([0.0, 2.0, 0.0], [0.0, 1.0, 4.0])
+
+
 def test_interior_zero_rate_rejected():
     with pytest.raises(ValueError):
         stationary_from_rates([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0])
