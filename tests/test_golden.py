@@ -39,10 +39,12 @@ _ALL = ("psd", "threshold", "evolve", "simulate", "ode", "sweep")
 
 #: Manifest key -> (preset, subcommand, config text). The default modes of
 #: every subcommand on fig1a/fig1b and all but the long simulate on fig2a,
-#: plus the evolve checkpoint mode and the single-trajectory ode mode.
+#: plus the evolve checkpoint mode, the single-trajectory ode mode and a
+#: short fig2a simulate whose paths span several draw blocks.
 RUNS = {
     **{f"{p}/{c}": (p, c, "") for p in ("fig1a", "fig1b") for c in _ALL},
     **{f"fig2a/{c}": ("fig2a", c, "") for c in ("psd", "threshold", "evolve", "ode", "sweep")},
+    "fig2a/simulate": ("fig2a", "simulate", "runs = 2\nt_end = 5\nburn_in = 1\n"),
     "fig1b/evolve-checkpoints": ("fig1b", "evolve", "start = deltaN\ntimes = 1,10,100,500\n"),
     "fig1a/ode-x0": ("fig1a", "ode", "x0 = 0.5\n"),
 }
