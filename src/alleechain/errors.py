@@ -49,6 +49,10 @@ class QuadratureError(RuntimeError):
     bound exceeds the budget, or rounding sent the flow across a zero."""
 
 
+class JumpBudgetError(RuntimeError):
+    """A sample path needed more jumps than the simulator stores for one path."""
+
+
 class ConvergenceBudgetError(RuntimeError):
     """An iterative evolution hit its budget before reaching tolerance.
 

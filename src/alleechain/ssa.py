@@ -5,11 +5,20 @@ frequency arrays, and reproducible ensembles whose run j uses the seed
 base_seed + j, so results never depend on execution order. The ensemble
 summary does not echo its inputs (seeds, horizon, burn-in, epsilon).
 
-The sampler splits each block of draws. Python walks the states, the only
-part where each move depends on the one before; numpy forms the clock, the
-horizon cut and the absorption from the walk. The clock is an in-order
-cumsum of the same products, so a path has the bits of a loop that takes
-one draw at a time (tests/test_ssa.py keeps that loop as the reference).
+The sampler splits each block of draws. First the states are walked, the
+only part where each move depends on the one before; numpy then forms the
+clock, the horizon cut and the absorption from the walk. The clock is an
+in-order cumsum of the same products, so a path has the bits of a loop that
+takes one draw at a time (tests/test_ssa.py keeps that loop as the
+reference).
+
+The walk has two routes with the same result. The fixed-point walk guesses
+the whole block's path and corrects it with vectorized sweeps, each of
+which certifies a longer prefix; it finishes in a few sweeps where the
+up-move odds change slowly from state to state, as on a large chain. Where
+it does not finish within _MAX_SWEEPS sweeps, the run keeps the certified
+prefix and walks the rest of the run one draw at a time on a list. A path
+that needs more than _MAX_JUMPS jumps is refused with JumpBudgetError.
 """
 
 from __future__ import annotations
@@ -19,12 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
+from .errors import JumpBudgetError
 from .model import (
     ModelParams, _armed_x_plus, _check_finite, _check_integer, _is_integer, _within, rate_arrays,
 )
 
 #: Draws of each random stream simulate takes from the generator at a time.
 _BLOCK = 4096
+#: Sweeps of the fixed-point walk per block before a run turns to the list walk.
+_MAX_SWEEPS = 8
+#: Jumps one path may hold (16 bytes each), about 3.5 times those of a
+#: fig2a path to the preset's t_end = 1000.
+_MAX_JUMPS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +80,48 @@ class EnsembleSummary:
     first_trajectory: Trajectory
 
 
+def _list_walk(i: int, uniforms: np.ndarray, up: list) -> np.ndarray:
+    """The walk from state i, one draw at a time: the state before each draw,
+    then the state after the last. It moves up where the draw is below
+    up[state]."""
+    path = [i]
+    path += [i := i + 1 if u < up[i] else i - 1 for u in uniforms.tolist()]
+    return np.array(path, dtype=np.int64)
+
+
+def _fixed_point_walk(i: int, uniforms: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, int]:
+    """The walk of _list_walk as the fixed point of vectorized sweeps.
+
+    Returns (path, lo): path[:lo + 1] is the walk, and lo == uniforms.size
+    when the whole walk was found within _MAX_SWEEPS sweeps.
+
+    The first guess is the constant path i. A sweep reads each move at the
+    guessed state and sums the moves from the last certified state:
+    path[k + 1] = path[lo] + the sum of +-1 over draws lo..k. Let f be the
+    first index where the sweep changes the guess. Before f the guess was
+    the new path, so each move up to f was read at the state the new path
+    is in; the new path is therefore the walk up to and including f, at
+    least one state more than before. A sweep that changes nothing is the
+    walk, bit for bit. Guessed states past the certified prefix may leave
+    0..N, so the lookup clips them; what they read is never kept.
+    """
+    size = uniforms.size
+    ramp = np.arange(1, size + 1)
+    path = np.full(size + 1, i, dtype=np.int64)
+    lo = 0
+    for _ in range(_MAX_SWEEPS):
+        rest = np.cumsum(uniforms[lo:] < up.take(path[lo:-1], mode="clip"), dtype=np.int64)
+        rest *= 2  # ups - downs = 2 ups - draws
+        rest -= ramp[: size - lo]
+        rest += path[lo]
+        moved = rest[:-1] != path[lo + 1 : -1]
+        path[lo + 1 :] = rest
+        if not moved.any():
+            return path, size
+        lo += int(moved.argmax()) + 1
+    return path, lo
+
+
 def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajectory:
     """Exact simulation: exponential holding times, up-move odds b/(b+d).
 
@@ -75,15 +132,27 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     moves up when u < b/(b+d). A path that needs more jumps draws the next
     pair of blocks.
 
-    Per block, Python walks only the states, one comparison and one append
-    per draw, on plain lists. numpy then does the rest of the block at once:
-    the holding times e * inv[state before the jump], the clock as a cumsum
-    seeded with the carried time, the cut at the first time >= t_end
-    (searchsorted) and the first entry into an absorbing state. The block
-    keeps its jumps up to the earlier of the cut and the absorption. The
-    products are the same IEEE multiplications, and add.accumulate adds in
-    order, so every time has the bits of the loop t += e * inv[i] that takes
-    one draw at a time.
+    Per block, the states are walked first, by one of two routes with the
+    same result. The fixed-point walk (_fixed_point_walk) starts from the
+    constant path and sweeps the block with numpy until a sweep changes
+    nothing. Each sweep certifies the path up to its first change, so the
+    result is the walk itself. A block that is not done after _MAX_SWEEPS
+    sweeps keeps its certified prefix and walks the rest one draw at a time
+    on plain lists (_list_walk), and so does every later block of the run.
+    On the fig2a and fig2b presets (N = 5000) a block takes 2 to 7 sweeps;
+    on fig1a and fig1b (N = 100) it would take about 50 to 100, so their
+    runs turn to the list walk in their first block.
+
+    numpy then does the rest of the block at once: the holding times
+    e * inv[state before the jump], the clock as a cumsum seeded with the
+    carried time, the cut at the first time >= t_end (searchsorted) and the
+    first entry into an absorbing state. The block keeps its jumps up to
+    the earlier of the cut and the absorption. The products are the same
+    IEEE multiplications, and add.accumulate adds in order, so every time
+    has the bits of the loop t += e * inv[i] that takes one draw at a time.
+
+    Raises JumpBudgetError, once the block that holds it is drawn, for a
+    path that needs more than _MAX_JUMPS jumps before t_end.
     """
     n = params.capacity_n
     if not (_is_integer(x0) and 0 <= x0 <= n):
@@ -101,18 +170,25 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     # d > 0 above state 0, so only state 0 can be absorbing. Stepping up from
     # it keeps the walk past an absorption inside 0..N; that part is dropped.
     up[dead] = 1.0
-    up = up.tolist()
+    up_list = None  # set once the fixed-point walk hits its sweep cap
     rng = np.random.default_rng(seed)
     i = int(x0)
     t = 0.0
+    jumps = 0
     times = [np.zeros(1)]
     states = [np.full(1, i, dtype=np.int64)]
     absorbed = bool(dead[i])
     while not absorbed:
         exps = rng.standard_exponential(_BLOCK)
-        path = [i]  # the state before each draw, then the state after the last
-        path += [i := i + 1 if u < up[i] else i - 1 for u in rng.random(_BLOCK).tolist()]
-        path = np.array(path, dtype=np.int64)
+        uniforms = rng.random(_BLOCK)
+        if up_list is None:
+            path, lo = _fixed_point_walk(i, uniforms, up)
+            if lo < _BLOCK:
+                up_list = up.tolist()
+                path = np.concatenate((path[:lo], _list_walk(int(path[lo]), uniforms[lo:], up_list)))
+        else:
+            path = _list_walk(i, uniforms, up_list)
+        i = int(path[-1])
         clock = exps * inv[path[:-1]]
         clock[0] += t
         np.cumsum(clock, out=clock)
@@ -122,6 +198,13 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
         if hits.size:
             stop = int(hits[0]) + 1
             absorbed = True
+        if jumps + stop > _MAX_JUMPS:
+            raise JumpBudgetError(
+                f"the path from x0 = {x0} with seed {seed} needs more than {_MAX_JUMPS} jumps: "
+                f"jump {_MAX_JUMPS} comes at t = {float(clock[_MAX_JUMPS - jumps - 1])!r} "
+                f"of t_end = {t_end!r}"
+            )
+        jumps += stop
         times.append(clock[:stop])
         states.append(walk[:stop])
         if stop < _BLOCK:

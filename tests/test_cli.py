@@ -405,7 +405,7 @@ _TYPED_ERRORS = [
 @given(error=st.sampled_from(_TYPED_ERRORS), message=st.text(max_size=30))
 def test_typed_errors_map_to_exit_codes(tmp_path, error, message):
     """ValueError subclasses exit 2 and RuntimeError subclasses exit 3."""
-    assert len(_TYPED_ERRORS) == 7  # every exception class in errors.py
+    assert len(_TYPED_ERRORS) == 8  # every exception class in errors.py
     assert issubclass(error, ValueError) != issubclass(error, RuntimeError)
 
     def fail(cfg, params, out_dir):

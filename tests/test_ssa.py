@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from alleechain import (
+    JumpBudgetError,
     ModelParams,
+    build_generator,
     ensemble,
+    evolve,
     occupation_distribution,
     psd_product,
     simulate,
     total_variation,
 )
 from alleechain import ssa
+from alleechain.cli import main
 from alleechain.model import rate_arrays
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
@@ -74,8 +81,35 @@ def _per_draw_reference(params, x0, t_end, seed, block):
     return np.asarray(times), np.asarray(states), True
 
 
-def _assert_matches_reference(params, x0, t_end, seed, block=ssa._BLOCK):
-    with mock.patch.object(ssa, "_BLOCK", block):
+#: _MAX_SWEEPS values that choose the walk route: "list" sends every block
+#: to the list walk, and "fixed-point" lets every block finish on the
+#: fixed-point walk, which certifies at least one more state per sweep.
+ROUTES = {"list": 0, "capped": ssa._MAX_SWEEPS, "fixed-point": ssa._BLOCK}
+
+
+@contextlib.contextmanager
+def _walk_routes():
+    """Record the certified length lo of each fixed-point walk ("fixed") and
+    the draws of each list walk ("list") that simulate runs."""
+    record = {"fixed": [], "list": []}
+    fixed_point_walk, list_walk = ssa._fixed_point_walk, ssa._list_walk
+
+    def fixed_spy(*args):
+        path, lo = fixed_point_walk(*args)
+        record["fixed"].append(lo)
+        return path, lo
+
+    def list_spy(i, uniforms, up):
+        record["list"].append(uniforms.size)
+        return list_walk(i, uniforms, up)
+
+    with mock.patch.object(ssa, "_fixed_point_walk", fixed_spy), \
+            mock.patch.object(ssa, "_list_walk", list_spy):
+        yield record
+
+
+def _assert_matches_reference(params, x0, t_end, seed, block=ssa._BLOCK, sweeps=ssa._MAX_SWEEPS):
+    with mock.patch.object(ssa, "_BLOCK", block), mock.patch.object(ssa, "_MAX_SWEEPS", sweeps):
         traj = simulate(params, x0, t_end, seed)
     times, states, absorbed = _per_draw_reference(params, x0, t_end, seed, block)
     assert traj.times.tobytes() == times.tobytes()
@@ -99,9 +133,12 @@ def _no_immigration(capacity_n=20):
     t_end=st.floats(0.1, 20.0),
     seed=st.integers(0, 2**63 - 1),
     block=st.sampled_from([1, 2, 3, 7, 16, ssa._BLOCK]),
+    sweeps=st.sampled_from([0, 1, 2, ssa._MAX_SWEEPS]),
 )
-def test_blocks_match_per_draw_reference(params, start, t_end, seed, block):
-    _assert_matches_reference(params, round(start * params.capacity_n), t_end, seed, block)
+def test_blocks_match_per_draw_reference(params, start, t_end, seed, block, sweeps):
+    """Blocks of up to sweeps draws always finish on the fixed-point walk;
+    longer ones may hit the cap at any block and go on with the list walk."""
+    _assert_matches_reference(params, round(start * params.capacity_n), t_end, seed, block, sweeps)
 
 
 @settings(max_examples=20, deadline=None)
@@ -159,16 +196,138 @@ def test_cut_before_a_mid_block_absorption():
 @pytest.mark.parametrize("seed", range(5))
 def test_small_absorbing_chain_keeps_the_walk_in_range(capacity_n, seed):
     """The draws left in the block after state 0 is reached step nowhere
-    outside 0..N: no IndexError, and no wrap to state N."""
-    traj = _assert_matches_reference(_no_immigration(capacity_n), capacity_n - 1, 1e6, seed)
-    assert traj.absorbed and traj.states[-1] == 0
-    assert traj.times.size < ssa._BLOCK // 2
-    assert 0 <= traj.states.min() and traj.states.max() <= capacity_n
+    outside 0..N: no IndexError, and no wrap to state N. On the fixed-point
+    route the guesses past the certified prefix do leave 0..N; their
+    lookups are clipped. Checked on each route."""
+    params = _no_immigration(capacity_n)
+    for route, sweeps in ROUTES.items():
+        with _walk_routes() as record:
+            traj = _assert_matches_reference(params, capacity_n - 1, 1e6, seed, sweeps=sweeps)
+        assert bool(record["list"]) == (route != "fixed-point")
+        assert traj.absorbed and traj.states[-1] == 0
+        assert traj.times.size < ssa._BLOCK // 2
+        assert 0 <= traj.states.min() and traj.states.max() <= capacity_n
+
+
+def _assert_every_block_walked_by_fixed_point(params):
+    """On N = 5000 the odds change slowly, so each block's walk is found in
+    a few sweeps, and the list walk never runs."""
+    with _walk_routes() as record:
+        traj = _assert_matches_reference(params, 2500, 3.0, 12)
+    assert traj.times.size > 3 * ssa._BLOCK
+    assert record["fixed"] == [ssa._BLOCK] * len(record["fixed"]) and not record["list"]
 
 
 def test_fig2a_path_over_several_blocks_matches_reference(fig2a):
-    traj = _assert_matches_reference(fig2a, 2500, 3.0, 12)
-    assert traj.times.size > 3 * ssa._BLOCK
+    _assert_every_block_walked_by_fixed_point(fig2a)
+
+
+def test_fig2b_path_over_several_blocks_matches_reference(fig2b):
+    _assert_every_block_walked_by_fixed_point(fig2b)
+
+
+def test_cap_mid_run_switches_to_the_list_walk(fig2a):
+    """With a cap of 3 sweeps, blocks 0 and 1 finish on the fixed-point walk
+    and block 2 does not: its certified prefix is kept, the list walk
+    finishes it and walks every later block."""
+    with _walk_routes() as record:
+        traj = _assert_matches_reference(fig2a, 2500, 3.0, 7, sweeps=3)
+    capped = record["fixed"][2]
+    assert record["fixed"] == [ssa._BLOCK, ssa._BLOCK, capped] and 1 < capped < ssa._BLOCK
+    later = (traj.times.size - 1) // ssa._BLOCK - 2
+    assert later >= 1
+    assert record["list"] == [ssa._BLOCK - capped] + [ssa._BLOCK] * later
+
+
+def test_path_beyond_the_jump_budget_is_refused(fig2a):
+    """The budget counts stored jumps: a path with exactly budget jumps is
+    returned whole, and one more is refused in the block that holds it."""
+    full = simulate(fig2a, 2500, 3.0, 12)
+    jumps = full.times.size - 1
+    assert jumps > 3 * ssa._BLOCK
+    with mock.patch.object(ssa, "_MAX_JUMPS", jumps):
+        traj = simulate(fig2a, 2500, 3.0, 12)
+    assert traj.times.tobytes() == full.times.tobytes()
+    budget = 3 * ssa._BLOCK + 5
+    with mock.patch.object(ssa, "_MAX_JUMPS", budget):
+        with pytest.raises(JumpBudgetError) as refusal:
+            simulate(fig2a, 2500, 3.0, 12)
+    assert str(refusal.value) == (
+        f"the path from x0 = 2500 with seed 12 needs more than {budget} jumps: "
+        f"jump {budget} comes at t = {float(full.times[budget])!r} of t_end = 3.0"
+    )
+    with mock.patch.object(ssa, "_MAX_JUMPS", budget), \
+            mock.patch.object(ssa, "simulate", wraps=ssa.simulate) as runs:
+        with pytest.raises(JumpBudgetError):
+            ensemble(fig2a, 3, 2500, 3.0, 12, burn_in=1.0)
+    assert runs.call_count == 1
+
+
+def test_cli_refuses_a_path_beyond_the_jump_budget(tmp_path, capsys):
+    """At N = 2 with mu = 1.09e20 a path to t_end = 5 needs about 1e21 jumps.
+    The run stops at the budget, in 1.7 s on a 2-CPU host, exits 3 and
+    publishes nothing; without the budget it grew its memory until killed."""
+    config = tmp_path / "huge.cfg"
+    config.write_text("N = 2\nmu = 1.09e20\nr1 = 0.99\nt_end = 5\nburn_in = 1\nruns = 2\n")
+    out = tmp_path / "out"
+    start = time.monotonic()
+    code = main(["simulate", "--preset", "fig1a", "--config", str(config), "--out", str(out)])
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 3 and list(out.iterdir()) == []
+    assert err.startswith(
+        f"numerical failure: the path from x0 = 1 with seed 0 needs more than {ssa._MAX_JUMPS} jumps"
+    )
+    assert err.count("\n") == 1 and err.endswith(" of t_end = 5.0\n")
+    assert elapsed < 30.0
+
+
+def _chi_square(counts, expected):
+    """Pearson's statistic and its degrees of freedom over the cells with an
+    expected count of at least 5, the other states pooled into one cell (or,
+    when that expects fewer than 5, into the smallest kept cell)."""
+    keep = expected >= 5.0
+    observed = np.append(counts[keep], counts[~keep].sum())
+    expect = np.append(expected[keep], expected[~keep].sum())
+    if expect[-1] < 5.0:
+        smallest = expect[:-1].argmin()
+        observed[smallest] += observed[-1]
+        expect[smallest] += expect[-1]
+        observed, expect = observed[:-1], expect[:-1]
+    return float(((observed - expect) ** 2 / expect).sum()), observed.size - 1
+
+
+#: Runs per witness case and the false-alarm level of each, fixed before
+#: any result was seen; run j uses seed j.
+WITNESS_RUNS = 2000
+WITNESS_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("case, x0, t, route", [
+    ("fig1a N=30", 15, 5.0, "list"),
+    ("fig2a", 2500, 0.1, "fixed-point"),
+    ("absorbing N=20", 5, 1.0, "list"),
+])
+def test_state_at_t_follows_the_master_equation(case, x0, t, route):
+    """The state at time t over fixed seeds against evolve(delta_x0, t) by
+    Pearson's chi-square: an independent witness of the transient law, on
+    each walk route and on a chain whose state 0 absorbs."""
+    params = {
+        "fig1a N=30": lambda: make_params(FIG_A, 30),
+        "fig2a": lambda: make_params(FIG_A, 5000),
+        "absorbing N=20": _no_immigration,
+    }[case]()
+    gen = build_generator(params)
+    p0 = np.zeros(gen.dimension)
+    p0[x0] = 1.0
+    law = evolve(gen, p0, t)
+    with _walk_routes() as record:
+        finals = [simulate(params, x0, t, seed).states[-1] for seed in range(WITNESS_RUNS)]
+    assert bool(record["list"]) == (route == "list")
+    counts = np.bincount(finals, minlength=gen.dimension).astype(float)
+    stat, dof = _chi_square(counts, WITNESS_RUNS * law)
+    assert dof >= 5
+    assert stat <= chi2.isf(WITNESS_ALPHA, dof), (stat, dof)
 
 
 @settings(max_examples=15, deadline=None)
