@@ -82,8 +82,9 @@ def _per_draw_reference(params, x0, t_end, seed, block):
 
 
 #: _MAX_SWEEPS values that choose the walk route: "list" sends every block
-#: to the list walk, and "fixed-point" lets every block finish on the
-#: fixed-point walk, which certifies at least one more state per sweep.
+#: to the list walk, "capped" is the module's own cap, and "fixed-point"
+#: lets every block finish on the fixed-point walk, which certifies at
+#: least one more state per sweep.
 ROUTES = {"list": 0, "capped": ssa._MAX_SWEEPS, "fixed-point": ssa._BLOCK}
 
 
