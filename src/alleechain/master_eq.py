@@ -26,12 +26,14 @@ size of the chain:
 - On a larger chain each leg runs on a finite state projection (Munsky and
   Khammash 2006): a window of states around the support of the leg's start
   vector, bordered by two absorbing sink states that collect the mass the
-  full chain would move out of the window. The sink mass (the leak) is the
-  l1 distance of the window's interior from the exact leg, so the
-  renormalized leg is within twice its leak, plus the series truncation, of
-  the full-space leg. A leg whose leak exceeds _WINDOW_TOL is re-run on a
-  wider window, and one whose window reaches the whole space is plain
-  evolve.
+  full chain would move out of the window. The support is the smallest
+  interval that holds all but _TRIM_TOL of the start's mass; the rest (the
+  cut) is zeroed before the leg runs. The sink mass (the leak) is the l1
+  distance of the window's interior from the exact leg of the trimmed
+  start, so the renormalized leg is within 2 (cut + leak), plus the series
+  truncation, of the full-space leg. A leg whose leak exceeds _WINDOW_TOL
+  is re-run on a wider window, and one whose window reaches the whole
+  space is plain evolve on the untrimmed start.
 
 A zero step, on either route, leaves the vector as it is.
 
@@ -86,6 +88,10 @@ _WINDOW_MARGIN = 64
 
 #: Largest sink mass (l1 projection error) a windowed leg may leak.
 _WINDOW_TOL = 1e-12
+
+#: Share of a windowed leg's start mass left outside its support, at most
+#: half of it on each side; 0 makes the support the nonzero entries.
+_TRIM_TOL = 1e-14
 
 #: Largest chain, in states, whose converge legs and checkpoints use the dense
 #: propagator. Its O(n^3) squarings catch up with uniformization between 301
@@ -329,38 +335,61 @@ def _poisson_mixture(
 
 def _windowed_leg(
     gen: GeneratorMatrix, p: np.ndarray, t: float
-) -> tuple[np.ndarray, int, int, float]:
+) -> tuple[np.ndarray, int, int, float, float]:
     """exp(Qt) p on a finite state projection of the chain.
 
-    The window [lo, hi] is the support of p widened by _WINDOW_MARGIN states
-    on each side. The states lo - 1 and hi + 1, where they exist, become
+    The start's support is the smallest interval [first, last] that holds
+    all but _TRIM_TOL of p's mass, taken relative to p.sum(), with at most
+    half of that cut on each side: first from the running sums of p from
+    state 0, last from those of p from state N, so neither end reads the
+    rounding of a sum over the whole chain. Uniformization leaves every
+    state a leg reached positive, down to ~1e-300, and without the cut
+    each window would keep the whole last one. The start is zeroed outside
+    the support, so the sinks start empty, and the cut mass is the sum of
+    the zeroed entries.
+
+    The window [lo, hi] is the support widened by _WINDOW_MARGIN states on
+    each side. The states lo - 1 and hi + 1, where they exist, become
     absorbing sinks (both their rates are zeroed), and the leg is evolve on
     that sub-generator, whose uniformization rate covers the window only.
-    The interior is a lower bound on the exact leg and the sink mass is its
-    l1 distance from it; while that leak exceeds _WINDOW_TOL the margin
-    doubles and the leg is re-run. A window that reaches the whole space is
-    evolve on gen itself, bit for bit.
+    The interior is a lower bound on the exact leg from the trimmed start
+    and the sink mass is its l1 distance from it; while that leak exceeds
+    _WINDOW_TOL the margin doubles and the leg is re-run. A window that
+    reaches the whole space is evolve on gen and the untrimmed p, bit for
+    bit, with no cut. With both taken relative to the start's mass, the
+    leg is within 2 (cut + leak) in l1, plus the series truncation, of the
+    full-space leg: cutting and renormalizing moves the start by twice the
+    cut in l1, and exp(Qt) moves no two starts further apart. With
+    _TRIM_TOL = 0 the support is the nonzero entries of p.
 
-    Returns (probs, lo, hi, leak): probs is the interior scattered into a
-    full-length array and put on the simplex by _on_simplex, like every leg.
+    Returns (probs, lo, hi, leak, cut): probs is the interior scattered
+    into a full-length array and put on the simplex by _on_simplex, like
+    every leg.
     """
     last = gen.dimension - 1
-    support = np.flatnonzero(p)
+    share = 0.5 * _TRIM_TOL * float(p.sum())
+    # below[k] and above[k] hold the k states from 0 and from N; the running
+    # sums never fall, so each count is one more than the states cut there
+    below, above = (np.cumsum(np.concatenate(([0.0], q))) for q in (p, p[::-1]))
+    first, top = (int(np.count_nonzero(sums <= share)) - 1 for sums in (below, above))
+    end = last - top
     margin = _WINDOW_MARGIN
     while True:
-        lo, hi = max(int(support[0]) - margin, 0), min(int(support[-1]) + margin, last)
+        lo, hi = max(first - margin, 0), min(end + margin, last)
         if lo == 0 and hi == last:
-            return evolve(gen, p, t), 0, last, 0.0
+            return evolve(gen, p, t), 0, last, 0.0, 0.0
         start, stop = max(lo - 1, 0), min(hi + 2, last + 1)
         sinks = [0] * (lo > 0) + [stop - start - 1] * (hi < last)
         birth, death = gen.birth[start:stop].copy(), gen.death[start:stop].copy()
         birth[sinks] = death[sinks] = 0.0
-        sub = evolve(GeneratorMatrix(birth, death), p[start:stop], t)
+        kept = p[start:stop].copy()
+        kept[:first - start] = kept[end + 1 - start:] = 0.0
+        sub = evolve(GeneratorMatrix(birth, death), kept, t)
         leak = float(sub[sinks].sum())
         if leak <= _WINDOW_TOL:
             probs = np.zeros(gen.dimension)
             probs[lo:hi + 1] = sub[lo - start:hi + 1 - start]
-            return _on_simplex(probs), lo, hi, leak
+            return _on_simplex(probs), lo, hi, leak, float(below[first] + above[top])
         margin *= 2
 
 
@@ -508,11 +537,13 @@ def converge_to_stationary(
     On a chain of at most _DENSE_MAX_STATES states each leg's dense
     propagator is the square of the last one wherever that is the bits of
     a fresh build. On a larger chain each leg runs on a window of states
-    around the support of its start vector, bordered by absorbing sinks
-    that collect the mass leaking out (see _windowed_leg); in l1 such a leg
-    differs from the full-space evolve by at most twice its leak
-    (<= _WINDOW_TOL) plus the series truncation. The returned distance is
-    measured exactly on the returned vector.
+    around the support of its start vector, the smallest interval that
+    holds all but _TRIM_TOL of its mass, bordered by absorbing sinks that
+    collect the mass leaking out (see _windowed_leg); in l1 such a leg
+    differs from the full-space evolve by at most twice its cut
+    (<= _TRIM_TOL) plus its leak (<= _WINDOW_TOL), plus the series
+    truncation. The returned distance is measured exactly on the returned
+    vector.
 
     Raises:
         ValueError: tol is negative or not finite, max_horizon is not a

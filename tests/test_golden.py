@@ -172,6 +172,29 @@ def test_dense_evolve_stays_within_uniformization_bound(key, tmp_path):
     _assert_evolve_within(key, tmp_path, patch, 1e-12)
 
 
+#: fig2a/evolve as pinned before each window leg's start was trimmed to its
+#: mass; with _TRIM_TOL = 0 the run writes these bytes still.
+_UNTRIMMED_FIG2A_EVOLVE = {
+    "effective_config.cfg": "16d12200a1238f62f50904d897d02dffd9190dfaf18b3a99ce7a8aef0492c079",
+    "evolve_summary.json": "fde7885908cabd2343af10ed697afa875fcf31f46271c5b0355a125d4a3fe83b",
+    "final.csv": "38f8f6008936843cbdc5437078587c574e5467e2788fcfc1d91a5af3e164b791",
+}
+
+
+def test_trimmed_windows_stay_within_untrimmed_bound(manifest, tmp_path):
+    """Each window leg runs from its start trimmed to all but _TRIM_TOL of
+    its mass; each probability stays within 1e-13 of the untrimmed run
+    (_TRIM_TOL = 0, the former bytes), and converge mode reaches the same
+    horizon."""
+    patch = mock.patch.object(master_eq, "_TRIM_TOL", 0.0)
+    _assert_evolve_within("fig2a/evolve", tmp_path, patch, 1e-13)
+    untrimmed = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "old").iterdir())
+    }
+    assert untrimmed == _UNTRIMMED_FIG2A_EVOLVE
+
+
 def _log_space_weights(
     lt, t, truncation_tol=master_eq._TRUNCATION_TOL, *, cut=master_eq._series_weights
 ):

@@ -33,6 +33,7 @@ from alleechain import master_eq
 from alleechain.cli import _start_vector
 from alleechain.master_eq import (
     _DENSE_MAX_STATES,
+    _TRIM_TOL,
     _WINDOW_TOL,
     _checkpoints,
     _dense_propagator,
@@ -702,17 +703,17 @@ def _evolve_outputs():
 def _recorded_legs():
     """Record every leg converge_to_stationary runs.
 
-    Each record is (start, t, lo, hi, leak, raw): raw is the last evolve
-    output of the leg, that is the sub-generator's vector with the sinks
-    before the interior is renormalized, or the full-space result.
+    Each record is (start, t, lo, hi, leak, cut, raw): raw is the last
+    evolve output of the leg, that is the sub-generator's vector with the
+    sinks before the interior is renormalized, or the full-space result.
     """
     legs = []
 
     def leg(gen, p, t):
         with _evolve_outputs() as outputs:
-            probs, lo, hi, leak = _windowed_leg(gen, p, t)
-        legs.append((p, t, lo, hi, leak, outputs[-1]))
-        return probs, lo, hi, leak
+            probs, lo, hi, leak, cut = _windowed_leg(gen, p, t)
+        legs.append((p, t, lo, hi, leak, cut, outputs[-1]))
+        return probs, lo, hi, leak, cut
 
     # every chain takes the windowed route, however small
     with mock.patch.object(master_eq, "_windowed_leg", leg), \
@@ -765,10 +766,12 @@ def test_converge_windows_match_full_space_legs(seed, dimension, scale, bias, po
         return
 
     assert horizon == expected_horizon
-    leaks = sum(leak for *_, leak, _ in legs)
-    assert np.abs(probs - expected).max() <= leaks + 2e-12 * len(legs)
-    for start, t, lo, hi, leak, raw in legs:
+    # each leg is within 2 (cut + leak) in l1 of the full-space leg
+    errors = sum(2.0 * (leak + cut) for *_, leak, cut, _ in legs)
+    assert np.abs(probs - expected).max() <= errors + 2e-12 * len(legs)
+    for start, t, lo, hi, leak, cut, raw in legs:
         assert 0.0 <= leak <= _WINDOW_TOL
+        assert 0.0 <= cut <= _TRIM_TOL * start.sum()
         # finite state projection: the window's interior never exceeds the
         # exact leg from the same start, up to rounding slack
         interior = raw[int(lo > 0):][:hi - lo + 1]
@@ -934,10 +937,12 @@ def test_windowed_checkpoints_match_full_space_legs(seed, dimension, scale, bias
             expected = evolve(gen, expected, t - elapsed)
             done += 1
         elapsed = t
-        leaks = sum(leak for *_, leak, _ in legs[:done])
-        assert np.abs(got - expected).max() <= leaks + 2e-12 * done
+        errors = sum(2.0 * (leak + cut) for *_, leak, cut, _ in legs[:done])
+        assert np.abs(got - expected).max() <= errors + 2e-12 * done
         assert not got.flags.writeable and abs(got.sum() - 1.0) <= 1e-12
-    assert all(0.0 <= leak <= _WINDOW_TOL for *_, leak, _ in legs)
+    for start, _, _, _, leak, cut, _ in legs:
+        assert 0.0 <= leak <= _WINDOW_TOL
+        assert 0.0 <= cut <= _TRIM_TOL * start.sum()
 
 
 def test_doubling_checkpoint_steps_build_one_propagator(fig1a):
@@ -1019,8 +1024,11 @@ def test_fig2a_converge_stays_in_small_windows(fig2a):
         )
     assert horizon == 31.0 and achieved_tv <= 1e-8
     assert [t for _, t, *_ in legs] == [1.0, 2.0, 4.0, 8.0, 16.0]
-    for _, _, lo, hi, leak, raw in legs:
-        assert hi - lo + 1 < 400 and raw.size < 400
+    # the trimmed support stops following the mass once it has settled:
+    # the last two legs share one window (untrimmed, the tops were 256, 320)
+    assert legs[-1][2:4] == legs[-2][2:4]
+    for _, _, lo, hi, leak, _, raw in legs:
+        assert lo == 0 and hi <= 200 and raw.size <= 202
         assert leak <= _WINDOW_TOL
     assert not probs.flags.writeable and probs.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -1035,10 +1043,10 @@ def test_windowed_leg_widens_until_the_leak_is_small():
     gen = GeneratorMatrix(birth, death)
     p = np.eye(dimension)[0]
     with _evolve_outputs() as attempts:
-        probs, lo, hi, leak = _windowed_leg(gen, p, 2.0)
+        probs, lo, hi, leak, cut = _windowed_leg(gen, p, 2.0)
     exact = evolve(gen, p, 2.0)
     assert lo == 0 and master_eq._WINDOW_MARGIN < hi < dimension - 1
-    assert leak <= _WINDOW_TOL
+    assert leak <= _WINDOW_TOL and cut == 0.0
     assert np.abs(probs - exact).max() <= leak + 2e-12
 
     # the rejected first window [0, 64] with its sink at 65: the interior is
@@ -1055,9 +1063,132 @@ def test_windowed_leg_widens_until_the_leak_is_small():
 def test_windowed_leg_on_the_whole_space_is_evolve(fig1a):
     gen = build_generator(fig1a)
     p = np.full(gen.dimension, 1.0 / gen.dimension)
-    probs, lo, hi, leak = _windowed_leg(gen, p, 3.0)
-    assert (lo, hi, leak) == (0, gen.dimension - 1, 0.0)
+    probs, lo, hi, leak, cut = _windowed_leg(gen, p, 3.0)
+    assert (lo, hi, leak, cut) == (0, gen.dimension - 1, 0.0, 0.0)
     assert probs.tobytes() == evolve(gen, p, 3.0).tobytes()
+
+
+def _untrimmed_leg(gen, p, t):
+    """The window leg as it was before the trim, its support the nonzero
+    entries of p, kept as the witness of _windowed_leg at _TRIM_TOL = 0:
+    (probs, lo, hi, leak)."""
+    last = gen.dimension - 1
+    support = np.flatnonzero(p)
+    margin = master_eq._WINDOW_MARGIN
+    while True:
+        lo, hi = max(int(support[0]) - margin, 0), min(int(support[-1]) + margin, last)
+        if lo == 0 and hi == last:
+            return evolve(gen, p, t), 0, last, 0.0
+        start, stop = max(lo - 1, 0), min(hi + 2, last + 1)
+        sinks = [0] * (lo > 0) + [stop - start - 1] * (hi < last)
+        birth, death = gen.birth[start:stop].copy(), gen.death[start:stop].copy()
+        birth[sinks] = death[sinks] = 0.0
+        sub = evolve(GeneratorMatrix(birth, death), p[start:stop], t)
+        leak = float(sub[sinks].sum())
+        if leak <= _WINDOW_TOL:
+            probs = np.zeros(gen.dimension)
+            probs[lo:hi + 1] = sub[lo - start:hi + 1 - start]
+            return master_eq._on_simplex(probs), lo, hi, leak
+        margin *= 2
+
+
+def _assert_untrimmed_legs(gen, p0, steps):
+    """With _TRIM_TOL = 0 each leg from p0 over steps is the untrimmed leg:
+    the same window, leak and bits, and no cut."""
+    p = master_eq._frozen_copy(gen, p0)
+    with mock.patch.object(master_eq, "_TRIM_TOL", 0.0):
+        for t in steps:
+            probs, lo, hi, leak, cut = _windowed_leg(gen, p, t)
+            former, *window = _untrimmed_leg(gen, p, t)
+            assert (lo, hi, leak, cut) == (*window, 0.0)
+            assert probs.tobytes() == former.tobytes()
+            p = probs
+
+
+def test_untrimmed_fig2a_converge_legs_are_the_former_windows(fig2a):
+    gen = build_generator(fig2a)
+    _assert_untrimmed_legs(gen, np.eye(gen.dimension)[0], [1.0, 2.0, 4.0, 8.0, 16.0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(2, 400),
+    scale=st.floats(0.05, 50.0),
+    bias=st.floats(0.2, 5.0),
+    point_mass=st.booleans(),
+    steps=st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=4),
+)
+def test_untrimmed_legs_are_the_former_windows(seed, dimension, scale, bias, point_mass, steps):
+    rng = np.random.default_rng(seed)
+    gen = _drifting_generator(rng, dimension, scale, bias)
+    _assert_untrimmed_legs(gen, _bump_start(rng, dimension, point_mass), steps)
+
+
+def test_dust_around_a_point_mass_is_trimmed_to_its_window(fig2a):
+    # uniformization leaves dust down to ~1e-300 on every state it reached;
+    # cut, it leaves the point mass's own window, start and bits
+    gen = build_generator(fig2a)
+    point = np.eye(gen.dimension)[2500]
+    dusty = np.full(gen.dimension, 1e-300)
+    dusty[2500] = 1.0
+    got, clean = (_windowed_leg(gen, p, 0.01) for p in (dusty, point))
+    assert clean[1:] == (2436, 2564, clean[3], 0.0) and got[1:4] == clean[1:4]
+    assert got[0].tobytes() == clean[0].tobytes()
+    assert got[4] == pytest.approx(5000e-300, rel=1e-12)
+
+
+def test_mass_at_both_ends_keeps_the_whole_space(fig2a):
+    gen = build_generator(fig2a)
+    p = np.full(gen.dimension, 1e-300)
+    p[[0, -1]] = 0.5
+    probs, lo, hi, leak, cut = _windowed_leg(gen, p, 0.01)
+    assert (lo, hi, leak, cut) == (0, gen.dimension - 1, 0.0, 0.0)
+    assert probs.tobytes() == evolve(gen, p, 0.01).tobytes()
+
+
+def test_an_unnormalized_start_is_cut_relative_to_its_sum(fig2a):
+    # 1.2e-14 at each end is 4e-15 of a start of mass 3, under the 5e-15
+    # each side may lose, but 1.2e-14 of a start of mass 1
+    gen = build_generator(fig2a)
+    p = np.zeros(gen.dimension)
+    p[[0, -1]] = 1.2e-14
+    p[2500] = 3.0
+    probs, lo, hi, leak, cut = _windowed_leg(gen, p, 0.01)
+    assert (lo, hi) == (2436, 2564) and cut == 2.4e-14 <= _TRIM_TOL * p.sum()
+    exact = evolve(gen, p, 0.01)
+    assert np.abs(probs - exact).sum() <= 2.0 * (cut / p.sum() + leak) + 1e-13
+    p[2500] = 1.0
+    assert _windowed_leg(gen, p, 0.01)[1:] == (0, gen.dimension - 1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dust", [1e-18, 1.0001e-18])
+@pytest.mark.parametrize("dust_above", [False, True], ids=["below", "above"])
+def test_dust_at_the_threshold_is_cut_within_half_the_tolerance(fig2a, dust_above, dust):
+    # 5000 entries of dust on one side of a point mass: about 5e-15 in all,
+    # the share each side may lose; the end on the dust's side comes from
+    # the sums taken from that side, since 1 + 1e-18 rounds to 1. Over
+    # t = 1e-3 the mass moves a few states, so the first window holds.
+    gen = build_generator(fig2a)
+    p = np.full(gen.dimension, dust)
+    p[-1] = 1.0
+    if dust_above:
+        p = p[::-1].copy()
+    share = 0.5 * _TRIM_TOL * p.sum()
+    probs, lo, hi, leak, cut = _windowed_leg(gen, p, 1e-3)
+    margin = master_eq._WINDOW_MARGIN
+    # the support's end on the dust's side, and the states cut there
+    if dust_above:
+        assert lo == 0
+        kept, dropped = p[hi - margin:], p[hi - margin + 1:]
+    else:
+        assert hi == gen.dimension - 1
+        kept, dropped = p[:lo + margin + 1][::-1], p[:lo + margin][::-1]
+    assert leak <= _WINDOW_TOL and cut <= share
+    assert cut == pytest.approx(math.fsum(dropped), rel=1e-12, abs=0.0)
+    # the support is the smallest: one more state would cut more than share
+    assert math.fsum(kept) > share * (1.0 - 1e-12)
+    assert (dropped.size == 5000) == (dust == 1e-18)
 
 
 def test_total_variation_known_values():
