@@ -1025,7 +1025,7 @@ def test_fig2a_converge_stays_in_small_windows(fig2a):
     assert horizon == 31.0 and achieved_tv <= 1e-8
     assert [t for _, t, *_ in legs] == [1.0, 2.0, 4.0, 8.0, 16.0]
     # the trimmed support stops following the mass once it has settled:
-    # the last two legs share one window (untrimmed, the tops were 256, 320)
+    # the last two legs share one window (dust would widen them to 256, 320)
     assert legs[-1][2:4] == legs[-2][2:4]
     for _, _, lo, hi, leak, _, raw in legs:
         assert lo == 0 and hi <= 200 and raw.size <= 202
