@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Subcommands:
+Subcommands, listed once in the command table _COMMANDS, which also holds
+each one's function and the keys it accepts beyond the model's:
   psd        stationary distribution CSV plus mode summary JSON
   threshold  rate-ratio integral classification plus capacity-sweep tails
   evolve     master-equation evolution to the stationary law
@@ -66,20 +67,6 @@ PRESETS = {
 
 _MODEL_KEYS = set(CONFIG_KEYS)
 
-#: Non-model keys each subcommand accepts, with defaults injected when the
-#: run starts so the emitted effective config is complete.
-_COMMAND_KEYS = {
-    "psd": {},
-    "threshold": {"n_list": "500,1000,2000,5000", "epsilon": "0.05"},
-    "evolve": {"start": "delta0", "tol": "1e-8", "max_horizon": "1e6", "times": ""},
-    "simulate": {
-        "runs": "8", "x0": "", "t_end": "1000.0", "burn_in": "100.0",
-        "seed": "0", "epsilon": "0.05",
-    },
-    "ode": {"x0": "", "t_end": "1000.0", "grid": "100"},
-    "sweep": {"n_list": "100,200,400,800"},
-}
-
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as f:
@@ -103,7 +90,8 @@ def _resolve_config(args, command: str) -> dict[str, str]:
     if not cfg:
         raise ValueError("no parameters: pass --preset, --config or both")
 
-    allowed = _MODEL_KEYS | set(_COMMAND_KEYS[command])
+    defaults = _COMMANDS[command][1]
+    allowed = _MODEL_KEYS | set(defaults)
     for key in ("seed", "n_list", "epsilon"):
         value = getattr(args, key)
         if value is None:
@@ -115,7 +103,7 @@ def _resolve_config(args, command: str) -> dict[str, str]:
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    for key, default in _COMMAND_KEYS[command].items():
+    for key, default in defaults.items():
         cfg.setdefault(key, default)
     return cfg
 
@@ -246,13 +234,19 @@ def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
         _csv.write_rows(f, "N,i_plus,mode_density,scaled_gap,discrete_exponent", *zip(*rows))
 
 
+#: The one list of subcommands: each name's function and the non-model keys
+#: it accepts, with defaults injected when the run starts so the emitted
+#: effective config is complete.
 _COMMANDS = {
-    "psd": cmd_psd,
-    "threshold": cmd_threshold,
-    "evolve": cmd_evolve,
-    "simulate": cmd_simulate,
-    "ode": cmd_ode,
-    "sweep": cmd_sweep,
+    "psd": (cmd_psd, {}),
+    "threshold": (cmd_threshold, {"n_list": "500,1000,2000,5000", "epsilon": "0.05"}),
+    "evolve": (cmd_evolve, {"start": "delta0", "tol": "1e-8", "max_horizon": "1e6", "times": ""}),
+    "simulate": (cmd_simulate, {
+        "runs": "8", "x0": "", "t_end": "1000.0", "burn_in": "100.0",
+        "seed": "0", "epsilon": "0.05",
+    }),
+    "ode": (cmd_ode, {"x0": "", "t_end": "1000.0", "grid": "100"}),
+    "sweep": (cmd_sweep, {"n_list": "100,200,400,800"}),
 }
 
 
@@ -262,15 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Birth-death chain numerics for the logistic model "
         "with mate limitation and immigration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="flat key = value parameter file")
-        p.add_argument("--preset", help=f"named parameter set: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="base RNG seed (simulate)")
-        p.add_argument("--n-list", help="comma-separated capacities (threshold, sweep)")
-        p.add_argument("--epsilon", type=float, help="tail threshold (threshold, simulate)")
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", help="flat key = value parameter file")
+    parser.add_argument("--preset", help=f"named parameter set: {', '.join(sorted(PRESETS))}")
+    parser.add_argument("--out", default=".", help="output directory (default: current)")
+    parser.add_argument("--seed", type=int, help="base RNG seed (simulate)")
+    parser.add_argument("--n-list", help="comma-separated capacities (threshold, sweep)")
+    parser.add_argument("--epsilon", type=float, help="tail threshold (threshold, simulate)")
     return parser
 
 
@@ -283,7 +275,7 @@ def main(argv=None) -> int:
         params = params_from_config(cfg)
         with tempfile.TemporaryDirectory(dir=out_dir) as stage:
             stage = Path(stage)
-            _COMMANDS[args.command](cfg, params, stage)
+            _COMMANDS[args.command][0](cfg, params, stage)
             # Re-emit the model keys canonically so the round-trip is exact even
             # if the input config spelled numbers differently.
             cfg.update(params_to_config(params))

@@ -98,6 +98,13 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_capacity(n) -> None:
+    """Raise ValueError unless n is an integer capacity N >= 2."""
+    _check_integer("capacity_n", n)
+    if n < 2:
+        raise ValueError(f"capacity_n must be an integer >= 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All model constants plus the per-state immigration schedule.
@@ -141,10 +148,8 @@ class ModelParams:
             raise ValueError("delta3 must be > 0")
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
-        n = self.capacity_n
-        if not _is_integer(n) or n < 2:
-            raise ValueError(f"capacity_n must be an integer >= 2, got {n!r}")
-        object.__setattr__(self, "capacity_n", int(n))
+        _check_capacity(self.capacity_n)
+        object.__setattr__(self, "capacity_n", int(self.capacity_n))
         if not isinstance(self.immigration, ImmigrationSpec):
             raise ValueError("immigration must be an ImmigrationSpec")
         if len(self.immigration) != self.capacity_n:
@@ -166,7 +171,7 @@ class ModelParams:
         r1: float,
     ) -> "ModelParams":
         """Build params with a constant immigration schedule R_1i = r1."""
-        _check_integer("capacity_n", capacity_n)
+        _check_capacity(capacity_n)
         return cls(
             lam, mu, delta1, delta2, delta3, theta, int(capacity_n),
             ImmigrationSpec.constant(r1, int(capacity_n)),
@@ -457,6 +462,7 @@ def params_from_config(mapping) -> ModelParams:
     length N.
     """
     n = config_int(mapping, "N")
+    _check_capacity(n)
     r1 = _config_value(
         mapping, "r1", lambda raw: [float(v) for v in str(raw).split(",")],
         "a number or a comma list of numbers",

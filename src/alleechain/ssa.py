@@ -16,9 +16,10 @@ The walk has two routes with the same result. The fixed-point walk guesses
 the whole block's path and corrects it with vectorized sweeps, each of
 which certifies a longer prefix; it finishes in a few sweeps where the
 up-move odds change slowly from state to state, as on a large chain. Where
-it does not finish within _MAX_SWEEPS sweeps, the run keeps the certified
-prefix and walks the rest of the run one draw at a time on a list. A path
-that needs more than _MAX_JUMPS jumps is refused with JumpBudgetError.
+it does not finish within _MAX_SWEEPS sweeps, the list walk takes that
+whole block from its start, one draw at a time, and every later block of
+the run. A path that needs more than _MAX_JUMPS jumps is refused with
+JumpBudgetError.
 """
 
 from __future__ import annotations
@@ -89,11 +90,9 @@ def _list_walk(i: int, uniforms: np.ndarray, up: list) -> np.ndarray:
     return np.array(path, dtype=np.int64)
 
 
-def _fixed_point_walk(i: int, uniforms: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, int]:
-    """The walk of _list_walk as the fixed point of vectorized sweeps.
-
-    Returns (path, lo): path[:lo + 1] is the walk, and lo == uniforms.size
-    when the whole walk was found within _MAX_SWEEPS sweeps.
+def _fixed_point_walk(i: int, uniforms: np.ndarray, up: np.ndarray) -> np.ndarray | None:
+    """The walk of _list_walk as the fixed point of vectorized sweeps, or
+    None when it is not found within _MAX_SWEEPS sweeps.
 
     The first guess is the constant path i. A sweep reads each move at the
     guessed state and sums the moves from the last certified state:
@@ -117,9 +116,9 @@ def _fixed_point_walk(i: int, uniforms: np.ndarray, up: np.ndarray) -> tuple[np.
         moved = rest[:-1] != path[lo + 1 : -1]
         path[lo + 1 :] = rest
         if not moved.any():
-            return path, size
+            return path
         lo += int(moved.argmax()) + 1
-    return path, lo
+    return None
 
 
 def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajectory:
@@ -137,8 +136,9 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     constant path and sweeps the block with numpy until a sweep changes
     nothing. Each sweep certifies the path up to its first change, so the
     result is the walk itself. A block that is not done after _MAX_SWEEPS
-    sweeps keeps its certified prefix and walks the rest one draw at a time
-    on plain lists (_list_walk), and so does every later block of the run.
+    sweeps is walked whole, from its start, one draw at a time on plain
+    lists (_list_walk), and so is every later block of the run. That walk
+    repeats the prefix the sweeps certified, bit for bit.
     On the fig2a and fig2b presets (N = 5000) a block takes 2 to 7 sweeps;
     on fig1a and fig1b (N = 100) it would take about 50 to 100, so their
     runs turn to the list walk in their first block.
@@ -170,7 +170,7 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     # d > 0 above state 0, so only state 0 can be absorbing. Stepping up from
     # it keeps the walk past an absorption inside 0..N; that part is dropped.
     up[dead] = 1.0
-    up_list = None  # set once the fixed-point walk hits its sweep cap
+    up_list = None  # set once a block's fixed-point walk hits its sweep cap
     rng = np.random.default_rng(seed)
     i = int(x0)
     t = 0.0
@@ -181,12 +181,9 @@ def simulate(params: ModelParams, x0: int, t_end: float, seed: int) -> Trajector
     while not absorbed:
         exps = rng.standard_exponential(_BLOCK)
         uniforms = rng.random(_BLOCK)
-        if up_list is None:
-            path, lo = _fixed_point_walk(i, uniforms, up)
-            if lo < _BLOCK:
-                up_list = up.tolist()
-                path = np.concatenate((path[:lo], _list_walk(int(path[lo]), uniforms[lo:], up_list)))
-        else:
+        path = None if up_list else _fixed_point_walk(i, uniforms, up)
+        if path is None:
+            up_list = up_list or up.tolist()
             path = _list_walk(i, uniforms, up_list)
         i = int(path[-1])
         clock = exps * inv[path[:-1]]

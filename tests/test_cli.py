@@ -48,6 +48,56 @@ def test_psd_outputs(tmp_path):
     assert "lambda = 1.4\n" in cfg
 
 
+def test_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["--help"])
+    assert usage.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("psd", "threshold", "evolve", "simulate", "ode", "sweep"):
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--preset", "fig1a"], ["bogus", "--preset", "fig1a"], ["psd", "--preset", "fig1a", "--bogus"],
+], ids=["nothing", "no command", "unknown command", "unknown flag"])
+def test_usage_errors_exit_2_before_out_is_made(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as usage:
+        main([*argv, "--out", str(out)] if argv else argv)
+    assert usage.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: alleechain")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["simulate", "--seed", "5"], "runs = 1\nt_end = 5\nburn_in = 1\n", "seed = 5\n"),
+    (["sweep", "--n-list", "50,60"], "", "n_list = 50,60\n"),
+    (["threshold", "--epsilon", "0.0625", "--n-list", "100"], "", "epsilon = 0.0625\n"),
+], ids=["seed", "n-list", "epsilon"])
+def test_each_flag_reaches_its_config_key(tmp_path, argv, config, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert run(*argv, "--preset", "fig1a", "--config", str(path), "--out", str(out)) == 0
+    assert line in read(out / "effective_config.cfg")
+
+
+@pytest.mark.parametrize("capacity", [0, -5])
+@pytest.mark.parametrize("command", ["psd", "threshold", "sweep"])
+def test_a_capacity_below_two_is_config_error(tmp_path, capsys, command, capacity):
+    """A config N (psd) or an --n-list entry (threshold, sweep) of 0 or -5
+    reports the capacity rule, not the empty or negative schedule."""
+    config = tmp_path / "n.cfg"
+    config.write_text(f"N = {capacity}\n" if command == "psd" else "")
+    out = tmp_path / "out"
+    argv = [command, "--preset", "fig1a", "--config", str(config), "--out", str(out)]
+    if command != "psd":
+        argv.append(f"--n-list={capacity}")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: capacity_n must be an integer >= 2, got {capacity}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_missing_parameters_is_config_error(tmp_path, capsys):
     assert run("psd", "--out", str(tmp_path)) == 2
     assert "preset" in capsys.readouterr().err
@@ -413,7 +463,7 @@ def test_typed_errors_map_to_exit_codes(tmp_path, error, message):
 
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     stderr = io.StringIO()
-    with mock.patch.dict(_COMMANDS, psd=fail), contextlib.redirect_stderr(stderr):
+    with mock.patch.dict(_COMMANDS, psd=(fail, {})), contextlib.redirect_stderr(stderr):
         code = main(["psd", "--preset", "fig1a", "--out", str(out)])
     assert list(out.iterdir()) == []
     if issubclass(error, ValueError):
@@ -433,7 +483,7 @@ def test_memory_and_arithmetic_errors_exit_3(tmp_path, capsys, error, prefix):
         raise error
 
     out = tmp_path / "out"
-    with mock.patch.dict(_COMMANDS, psd=fail):
+    with mock.patch.dict(_COMMANDS, psd=(fail, {})):
         assert run("psd", "--preset", "fig1a", "--out", str(out)) == 3
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
     assert list(out.iterdir()) == []

@@ -332,6 +332,20 @@ def test_with_capacity_resizes_constant_schedule():
         varying.with_capacity(10)
 
 
+@pytest.mark.parametrize("capacity", [0, -5])
+def test_a_capacity_below_two_is_refused_before_the_schedule_is_built(capacity):
+    """N <= 0 once read as an empty schedule (N = 0) or reached numpy's
+    negative-dimension error (N = -5); each constructor reports the capacity."""
+    message = rf"^capacity_n must be an integer >= 2, got {capacity}$"
+    with pytest.raises(ValueError, match=message):
+        make_params(FIG_A, capacity)
+    with pytest.raises(ValueError, match=message):
+        make_params(FIG_A, 100).with_capacity(capacity)
+    config = params_to_config(make_params(FIG_A, 100))
+    with pytest.raises(ValueError, match=message):
+        params_from_config({**config, "N": str(capacity)})
+
+
 @pytest.mark.parametrize("capacity", [250.9, 250.0])
 def test_with_capacity_rejects_a_non_integer_capacity(capacity):
     with pytest.raises(ValueError, match=rf"^capacity_n must be an integer, got {capacity!r}$"):

@@ -90,15 +90,15 @@ ROUTES = {"list": 0, "capped": ssa._MAX_SWEEPS, "fixed-point": ssa._BLOCK}
 
 @contextlib.contextmanager
 def _walk_routes():
-    """Record the certified length lo of each fixed-point walk ("fixed") and
-    the draws of each list walk ("list") that simulate runs."""
+    """Record the draws of each fixed-point walk ("fixed"; None where it hit
+    the sweep cap) and of each list walk ("list") that simulate runs."""
     record = {"fixed": [], "list": []}
     fixed_point_walk, list_walk = ssa._fixed_point_walk, ssa._list_walk
 
     def fixed_spy(*args):
-        path, lo = fixed_point_walk(*args)
-        record["fixed"].append(lo)
-        return path, lo
+        path = fixed_point_walk(*args)
+        record["fixed"].append(None if path is None else path.size - 1)
+        return path
 
     def list_spy(i, uniforms, up):
         record["list"].append(uniforms.size)
@@ -229,15 +229,14 @@ def test_fig2b_path_over_several_blocks_matches_reference(fig2b):
 
 def test_cap_mid_run_switches_to_the_list_walk(fig2a):
     """With a cap of 3 sweeps, blocks 0 and 1 finish on the fixed-point walk
-    and block 2 does not: its certified prefix is kept, the list walk
-    finishes it and walks every later block."""
+    and block 2 does not: the list walk walks all of block 2, from its
+    start, and every later block."""
     with _walk_routes() as record:
         traj = _assert_matches_reference(fig2a, 2500, 3.0, 7, sweeps=3)
-    capped = record["fixed"][2]
-    assert record["fixed"] == [ssa._BLOCK, ssa._BLOCK, capped] and 1 < capped < ssa._BLOCK
+    assert record["fixed"] == [ssa._BLOCK, ssa._BLOCK, None]
     later = (traj.times.size - 1) // ssa._BLOCK - 2
     assert later >= 1
-    assert record["list"] == [ssa._BLOCK - capped] + [ssa._BLOCK] * later
+    assert record["list"] == [ssa._BLOCK] * (1 + later)
 
 
 def test_path_beyond_the_jump_budget_is_refused(fig2a):
