@@ -334,8 +334,9 @@ def test_with_capacity_resizes_constant_schedule():
 
 @pytest.mark.parametrize("capacity", [0, -5])
 def test_a_capacity_below_two_is_refused_before_the_schedule_is_built(capacity):
-    """N <= 0 once read as an empty schedule (N = 0) or reached numpy's
-    negative-dimension error (N = -5); each constructor reports the capacity."""
+    """Each constructor checks N before it builds the constant schedule,
+    which would fail first with an empty-vector (N = 0) or numpy's
+    negative-dimension message (N = -5)."""
     message = rf"^capacity_n must be an integer >= 2, got {capacity}$"
     with pytest.raises(ValueError, match=message):
         make_params(FIG_A, capacity)
