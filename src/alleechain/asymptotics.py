@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _csv
+from .deterministic import _log1p
 from .errors import AssumptionError
 from .model import (
     ModelParams,
@@ -85,12 +86,11 @@ def rate_ratio(params: ModelParams, x):
 
 def _mean_log1p(z: complex) -> complex:
     """Mean of log(1 + t z) over t in [0, 1], ((1 + z) log(1 + z) - z) / z,
-    for a real or complex z off (-inf, -1]; its absolute error is a few
-    rounding units, the size of the terms it sums."""
+    for a real or complex z off (-inf, -1], through the one _log1p; its
+    absolute error is a few rounding units, the size of the terms it sums."""
     if z == 0:
         return 0.0
-    log_1pz = cmath.log(1.0 + z) if isinstance(z, complex) else math.log1p(z)
-    return ((1.0 + z) * log_1pz - z) / z
+    return ((1.0 + z) * _log1p(z) - z) / z
 
 
 def markov_exponent(params: ModelParams) -> ThresholdReport:
@@ -104,9 +104,10 @@ def markov_exponent(params: ModelParams) -> ThresholdReport:
     and D(x) / D(0) = (1 + s1 x)(1 + s2 x), where s1 + s2 = (1 + delta2
     theta) / D(0) and s1 s2 = delta2 / D(0). Each factor 1 + s x
     contributes X times the mean of log(1 + t s X) over t in [0, 1] to the
-    integral up to X = x_plus, which is (x - r) log|x - r| - x between the
-    ends for a real s (r = -1 / s) and its log-and-arctan real part for a
-    complex pair s1 = conj(s2); delta1 = 0 and delta2 = 0 drop a factor.
+    integral up to X = x_plus. The pair s1, s2 is real or complex
+    conjugate; either way s1 takes the principal square root and s2 =
+    s1 s2 / s1, and the real part of the sum of their two terms is the
+    denominator's share; delta1 = 0 and delta2 = 0 drop a factor.
     Every term is O(X) and computed to a few rounding units, so the value
     is within about 1e-15 of the exact integral, far inside CRITICAL_TOL.
 
@@ -124,13 +125,8 @@ def markov_exponent(params: ModelParams) -> ThresholdReport:
     theta, delta2 = params.theta, params.delta2
     d0 = theta * (1.0 + params.delta3)
     total, product = (1.0 + delta2 * theta) / d0, delta2 / d0
-    spread = total * total - 4.0 * product
-    if spread >= 0.0:
-        s1 = 0.5 * (total + math.sqrt(spread))
-        denominator = _mean_log1p(s1 * x_plus) + _mean_log1p(product / s1 * x_plus)
-    else:  # a complex pair: the two terms are conjugate
-        s1 = complex(0.5 * total, 0.5 * math.sqrt(-spread))
-        denominator = 2.0 * _mean_log1p(s1 * x_plus).real
+    s1 = 0.5 * (total + cmath.sqrt(total * total - 4.0 * product))
+    denominator = (_mean_log1p(s1 * x_plus) + _mean_log1p(product / s1 * x_plus)).real
     value = x_plus * (
         math.log(rate_ratio(params, 0.0))
         + _mean_log1p(-params.delta1 * x_plus)

@@ -10,19 +10,20 @@ the witness for the grid); it alone imports scipy.integrate, when it runs.
 The basin grid follows no trajectory: the flow is scalar, so the sign of
 f(x0) and the zeros of f name the attractor, and separation of variables
 gives the time to reach its neighbourhood, T(x0) = integral of dx / f(x).
-1 / f is rational, so T has a closed form in logarithms and an arctan
-(_hitting_time), with a bound on its rounding error; a grid point fails
-with QuadratureError where that bound exceeds 1e-6 of T, which is where
-rounding in f decides the time. A grid point reads "undecided" when T
-exceeds the horizon or when the flow stops at a zero of f that is no armed
-attractor. With an inflow alpha (1 - x) the right-hand side g has
-(theta + x) g(x) = -P(x) for a cubic P in the balance coefficients; its
-roots are the equilibria, and g'(r) = -P'(r) / (theta + r) at a root r
-decides their stability (`immigration_equilibria`).
+1 / f is rational, so T is the real part of a closed form in logarithms
+over the real or complex zeros of f (_hitting_time), with a bound on its
+rounding error; a grid point fails with QuadratureError where that bound
+exceeds 1e-6 of T, which is where rounding in f decides the time. A grid
+point reads "undecided" when T exceeds the horizon or when the flow stops
+at a zero of f that is no armed attractor. With an inflow alpha (1 - x)
+the right-hand side g has (theta + x) g(x) = -P(x) for a cubic P in the
+balance coefficients; its roots are the equilibria, and g'(r) = -P'(r) /
+(theta + r) at a root r decides their stability (`immigration_equilibria`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -211,44 +212,65 @@ def _flow_target(params: ModelParams, x0: float, x_plus: float | None) -> tuple[
     return TO_ZERO, PROXIMITY
 
 
-def _log_ratio(x0: float, x1: float, r: float) -> tuple[float, float]:
-    """Integral of 1 / (x - r) from x0 to x1, log((x1 - r) / (x0 - r)), for
-    a real r off [x0, x1], with the size of what it sums.
+def _log1p(u: complex) -> complex:
+    """log(1 + u) for a real or complex u = ur + i ui off (-inf, -1]:
+    math.log1p where ui is 0, and otherwise the principal value
+    0.5 log1p(ur (2 + ur) + ui^2) + i atan2(ui, 1 + ur), whose real part
+    takes |1 + u|^2 - 1 without forming 1 + u, so that a small u cancels
+    nothing."""
+    if not u.imag:
+        return math.log1p(u.real)
+    ur, ui = u.real, u.imag
+    return complex(0.5 * math.log1p(ur * (2.0 + ur) + ui * ui), math.atan2(ui, 1.0 + ur))
 
-    A ratio near 1 goes through log1p((x1 - x0) / (x0 - r)); any other
+
+def _log_ratio(x0: float, x1: float, r: complex) -> tuple[complex, float]:
+    """Integral of 1 / (x - r) from x0 to x1, log((x1 - r) / (x0 - r)), for
+    a real or complex r off [x0, x1], with the size of what it sums.
+
+    A ratio near 1 goes through _log1p((x1 - x0) / (x0 - r)); any other
     through the quotient itself, whose factors come out exact or correctly
-    rounded, as x1 - r does at the PROXIMITY offset from an attractor.
+    rounded, as x1 - r does at the PROXIMITY offset from an attractor. The
+    principal logarithm is the integral, since a segment subtends less than
+    pi from any point off it.
     """
     u = (x1 - x0) / (x0 - r)
-    value = math.log1p(u) if abs(u) < 0.5 else math.log((x1 - r) / (x0 - r))
+    if abs(u) < 0.5:
+        value = _log1p(u)
+    else:
+        ratio = (x1 - r) / (x0 - r)
+        value = cmath.log(ratio) if ratio.imag else math.log(ratio.real)
     return value, abs(value)
 
 
-def _pair_integral(x0: float, x1: float, p: float, s: float) -> tuple[float, float]:
-    """Integral of 1 / ((x - p)(x - s)) from x0 to x1 for real p, s off
-    [x0, x1], equal or not, with the size of what it sums.
+def _pair_integral(x0: float, x1: float, p: complex, s: complex) -> tuple[complex, float]:
+    """Integral of 1 / ((x - p)(x - s)) from x0 to x1 for real or complex
+    p, s off [x0, x1], equal or not, with the size of what it sums.
 
     The divided difference (L(p) - L(s)) / (p - s) of the log ratios is
     log1p(u) / (p - s) with u = (x1 - x0)(p - s) / ((x0 - p)(x1 - s)); for
     small u it is taken as log1p(u) / u times u / (p - s), so nearby and
-    equal zeros cancel nothing.
+    equal zeros cancel nothing. For a conjugate pair log1p(u) equals
+    L(p) - L(s) only modulo 2 pi i (a path past the vertex of a narrow pair
+    turns each log ratio by almost pi), so such a pair takes the two log
+    ratios, whose real parts cancel exactly.
     """
     scale = (x1 - x0) / ((x0 - p) * (x1 - s))
     u = scale * (p - s)
-    if abs(u) < 0.5:
-        value = scale * math.log1p(u) / u if u else scale
+    if abs(u) < 0.5 and p.imag * s.imag >= 0.0:
+        value = scale * _log1p(u) / u if u else scale
         return value, abs(value)
     (lp, size_p), (ls, size_s) = _log_ratio(x0, x1, p), _log_ratio(x0, x1, s)
     return (lp - ls) / (p - s), (size_p + size_s) / abs(p - s)
 
 
-def _reciprocal_integral(x0: float, x1: float, nodes: tuple[float, ...]) -> tuple[float, float]:
-    """Integral of 1 / prod(x - n) over up to three real nodes n off
-    [x0, x1], from x0 to x1, with the size of what it sums.
+def _reciprocal_integral(x0: float, x1: float, nodes: tuple[complex, ...]) -> tuple[complex, float]:
+    """Integral of 1 / prod(x - n) over up to three real or complex nodes n
+    off [x0, x1], from x0 to x1, with the size of what it sums.
 
-    Three nodes take the divided difference of the two outer pairs over the
-    widest gap, so two close nodes cancel nothing; three equal ones take
-    the integral of (x - n)^-3.
+    Three nodes, ordered by real and then imaginary part, take the divided
+    difference of the two outer pairs over the widest gap, so two close
+    nodes cancel nothing; three equal ones take the integral of (x - n)^-3.
     """
     if not nodes:
         return x1 - x0, abs(x1 - x0)
@@ -256,12 +278,12 @@ def _reciprocal_integral(x0: float, x1: float, nodes: tuple[float, ...]) -> tupl
         return _log_ratio(x0, x1, nodes[0])
     if len(nodes) == 2:
         return _pair_integral(x0, x1, *nodes)
-    n1, n2, n3 = sorted(nodes)
+    n1, n2, n3 = sorted(nodes, key=lambda n: (n.real, n.imag))
     if n1 == n3:
         value = 0.5 * (1.0 / (x0 - n1) ** 2 - 1.0 / (x1 - n1) ** 2)
         return value, abs(value)
     (upper, size_u), (lower, size_l) = _pair_integral(x0, x1, n2, n3), _pair_integral(x0, x1, n1, n2)
-    return (upper - lower) / (n3 - n1), (size_u + size_l) / (n3 - n1)
+    return (upper - lower) / (n3 - n1), (size_u + size_l) / abs(n3 - n1)
 
 
 def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, float]:
@@ -270,24 +292,23 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
 
     For x > 0, f(x) = -mu x q(x) / (theta + x) with q(x) = a x^2 - b x + c
     from the balance coefficients, so T = -(1 / mu) times the integral of
-    theta / (x q) + 1 / q. With q = lead * prod(x - n) over its real zeros
-    n (two for a > 0, as _balance_roots forms them; c / b for a = 0, or
-    where a zero overflows; none for a = b = 0, or where a x^2 - b x stays
-    below the rounding of c on the path) both
-    parts are divided differences of log ratios (_reciprocal_integral). A
-    complex pair m +- i beta (a > 0, negative discriminant) gives q = a Q
-    with Q = (x - m)^2 + beta^2, the arctan integral V of 1 / Q, and
-    1 / (x Q) = (1 / x - (x - 2m) / Q) / Q(0).
+    theta / (x q) + 1 / q. With q = lead * prod(x - n) over its zeros n
+    (two for a > 0: the real ones as _balance_roots forms them, or the
+    complex pair m +- i beta where the discriminant is negative; c / b for
+    a = 0, or where a zero overflows; none for a = b = 0, or where
+    a x^2 - b x stays below the rounding of c on the path) both parts are
+    divided differences of log ratios (_reciprocal_integral), and T is the
+    real part of their sum.
 
     The bound adds two things, each eps times a sum of magnitudes:
     - the evaluation: the sizes of the terms that are summed;
     - the coefficients: rounding moves q(x) by up to eps W(x), with
       W = a x^2 + (R0 + 1 + theta a) x + theta (1 + delta3 + R0), a
-      relative error W / |q| in 1 / f. At each end of the path, and at a
-      vertex m the path passes, it counts over the distance to the nearest
-      zero of q, or over the logarithmic reach of the pole of 1 / f at 0,
-      whichever is shorter. In 40-digit checks the error stayed below
-      this bound (tests/test_deterministic.py).
+      relative error W / |q| in 1 / f. At each end of the path, and at the
+      vertex m of a complex pair where the path passes it, it counts over
+      the distance to the nearest zero of q, or over the logarithmic reach
+      of the pole of 1 / f at 0, whichever is shorter. In 40-digit checks
+      the error stayed below this bound (tests/test_deterministic.py).
 
     Raises:
         QuadratureError: a zero of q lies on the path, where rounding in f
@@ -298,60 +319,34 @@ def _hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, flo
     r0, theta, mu = basic_reproduction_ratio(params), params.theta, params.mu
     w2, w1, w0 = a, r0 + 1.0 + theta * a, theta * (1.0 + params.delta3 + r0)
     low, high = min(x0, x1), max(x0, x1)
-    ends = [x0, x1]
     # a x^2 - b x below the rounding of c all along the path: q = c there,
     # where a subnormal a would overflow the zeros or the pair's beta^2
     flat = (a * high + abs(b)) * high <= _EPS * abs(c)
     if a > 0.0 and disc < 0.0 and not flat:
         m, beta = b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
-        log_x, size_x = _log_ratio(x0, x1, 0.0)
-        q0 = (x0 - m) ** 2 + beta * beta
-        v = (x1 - x0) * (x1 + x0 - 2.0 * m) / q0  # Q(x1) / Q(x0) - 1
-        log_q = math.log1p(v) if abs(v) < 0.5 else math.log(((x1 - m) ** 2 + beta * beta) / q0)
-        arc = math.atan2(beta * (x1 - x0), beta * beta + (x0 - m) * (x1 - m)) / beta
-        vertex = m * m + beta * beta
-        integral = theta * (log_x - 0.5 * log_q + m * arc) / vertex + arc
-        size = theta * (size_x + 0.5 * abs(log_q) + abs(m * arc)) / vertex + abs(arc)
-        lead = a
-
-        def q(x):
-            return a * ((x - m) ** 2 + beta * beta)
-
-        def zero_distance(x):
-            return math.hypot(x - m, beta)
-
-        if low < m < high:
-            ends.append(m)
+        nodes, lead = (complex(m, -beta), complex(m, beta)), a
+    elif zeros is not None and not flat and all(map(math.isfinite, zeros)):
+        nodes, lead = zeros, a
+    elif b != 0.0 and not flat:  # a = 0, or a x^2 below the float range wherever b x is not
+        nodes, lead = (c / b,), -b
     else:
-        if zeros is not None and not flat and all(map(math.isfinite, zeros)):
-            nodes, lead = zeros, a
-        elif b != 0.0 and not flat:  # a = 0, or a x^2 below the float range wherever b x is not
-            nodes, lead = (c / b,), -b
-        else:
-            nodes, lead = (), c
-        if any(low <= n <= high for n in nodes):
-            raise QuadratureError(
-                f"a zero of f lies on the path from x0 = {x0} to {x1}: rounding in f decides "
-                "the direction of the flow"
-            )
-        (with_pole, size_p), (plain, size_q) = (
-            _reciprocal_integral(x0, x1, (0.0, *nodes)), _reciprocal_integral(x0, x1, nodes)
+        nodes, lead = (), c
+    if any(not n.imag and low <= n.real <= high for n in nodes):
+        raise QuadratureError(
+            f"a zero of f lies on the path from x0 = {x0} to {x1}: rounding in f decides "
+            "the direction of the flow"
         )
-        integral, size = theta * with_pole + plain, theta * size_p + size_q
-
-        def q(x):
-            return lead * math.prod(x - n for n in nodes)
-
-        def zero_distance(x):
-            return min((abs(x - n) for n in nodes), default=math.inf)
-
-    hitting_time = -integral / (mu * lead)
+    (with_pole, size_p), (plain, size_q) = (
+        _reciprocal_integral(x0, x1, (0.0, *nodes)), _reciprocal_integral(x0, x1, nodes)
+    )
+    hitting_time = -(theta * with_pole + plain).real / (mu * lead)
     coefficients = 0.0
-    for x in ends:
-        q_x = abs(q(x))
-        reach = min(zero_distance(x), x * (1.0 + math.log1p((high - low) / x)))
+    for x in (x0, x1, *(n.real for n in nodes if n.imag > 0.0 and low < n.real < high)):
+        q_x = abs(lead * math.prod(x - n for n in nodes))
+        zero_distance = min((abs(x - n) for n in nodes), default=math.inf)
+        reach = min(zero_distance, x * (1.0 + math.log1p((high - low) / x)))
         coefficients += ((w2 * x + w1) * x + w0) / q_x * (theta + x) / (x * q_x) * reach
-    return hitting_time, _EPS * (size / abs(lead) + coefficients) / mu
+    return hitting_time, _EPS * ((theta * size_p + size_q) / abs(lead) + coefficients) / mu
 
 
 def _basin_point(params: ModelParams, x0: float, t_end: float) -> tuple[str, float]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -158,6 +161,47 @@ def test_markov_exponent_covers_a_complex_denominator_pair():
     assert report.bistability_holds and report.capacity_interior
     x_plus = equilibria(params).x_plus
     assert abs(markov_exponent(params).integral_value - _mp_exponent(params, x_plus)) <= 1e-12
+
+
+def _conjugate_pair_exponent(params: ModelParams) -> float:
+    """markov_exponent's integral in the former form for a complex
+    denominator pair s1 = conj(s2): twice the real part of the term of s1,
+    through cmath.log(1 + z)."""
+    def mean_log1p(z):
+        if z == 0:
+            return 0.0
+        log_1pz = cmath.log(1.0 + z) if isinstance(z, complex) else math.log1p(z)
+        return ((1.0 + z) * log_1pz - z) / z
+
+    x_plus = equilibria(params).x_plus
+    theta, delta2 = params.theta, params.delta2
+    d0 = theta * (1.0 + params.delta3)
+    total, product = (1.0 + delta2 * theta) / d0, delta2 / d0
+    s1 = complex(0.5 * total, 0.5 * math.sqrt(4.0 * product - total * total))
+    return x_plus * (
+        math.log(rate_ratio(params, 0.0))
+        + mean_log1p(-params.delta1 * x_plus)
+        + mean_log1p(x_plus / theta)
+        - 2.0 * mean_log1p(s1 * x_plus).real
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.floats(0.01, 1.0),
+    delta1=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    delta2=st.floats(0.0, 5.0),
+    zeros=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(theta=0.72, delta1=0.2, delta2=0.5, zeros=[0.3, 0.9])
+def test_complex_denominator_pair_matches_the_former_form(theta, delta1, delta2, zeros):
+    assume(delta1 * (theta + sum(zeros)) < 0.99 and delta1 + delta2 >= 0.01)
+    params = _threshold_params(theta, delta1, delta2, *zeros)
+    assume((1.0 + delta2 * theta) ** 2 < 4.0 * delta2 * theta * (1.0 + params.delta3))
+    report = check_assumptions(params)
+    assume(report.bistability_holds and report.capacity_interior)
+    value = markov_exponent(params).integral_value
+    assert abs(value - _conjugate_pair_exponent(params)) <= 4e-15
 
 
 @pytest.mark.parametrize("base", [FIG_A, FIG_B], ids=["fig1a", "fig1b"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 import time
 
 import mpmath
@@ -24,9 +25,20 @@ from alleechain import (
     integrate,
     ode_rhs,
 )
-from alleechain.deterministic import PROXIMITY, _basin_point, _flow_target, _hitting_time
+from alleechain.deterministic import (
+    _ROUNDING_BUDGET,
+    PROXIMITY,
+    _basin_point,
+    _flow_target,
+    _hitting_time,
+)
 from alleechain.errors import QuadratureError
-from alleechain.model import _armed_x_plus, _balance_roots, balance_coefficients
+from alleechain.model import (
+    _armed_x_plus,
+    _balance_roots,
+    balance_coefficients,
+    basic_reproduction_ratio,
+)
 
 from conftest import FIG_A, FIG_B, boundary_params, make_params
 
@@ -202,6 +214,15 @@ _SUBNORMAL_DELTA1 = ModelParams.from_constants(
     lam=1.0, mu=1.0, delta1=4.450147715e-315, delta2=0.0, delta3=1.0, theta=0.25,
     capacity_n=2, r1=1.0,
 )
+#: A narrow complex pair of zeros of q, m +- i beta with m = 0.43 and
+#: beta = 2.7e-3: the flow from 1 to the PROXIMITY boundary passes the
+#: vertex, so each log ratio of the pair turns by almost pi and log1p of
+#: their combined quotient is 2 pi i off. It reaches the boundary at
+#: t = 61.401848773902884 (to_zero).
+_NARROW_PAIR = ModelParams.from_constants(
+    lam=2.0, mu=1.0, delta1=1.0, delta2=0.0, delta3=2.57080078125, theta=0.0625,
+    capacity_n=20, r1=0.5,
+)
 #: With inflow _NEAR_POLE_ALPHA the middle immigration equilibrium lies
 #: 4.6e-8 below the pole at -theta, closer than a 1e-7 difference step.
 _NEAR_POLE = ModelParams.from_constants(
@@ -304,6 +325,7 @@ def basin_cases(draw):
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.05, 1000.0))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.5, 60.0))
 @example(case=(_SUBNORMAL_DELTA1, 1.0, 60.0))
+@example(case=(_NARROW_PAIR, 1.0, 1000.0))
 def test_basin_point_matches_rk45(case):
     params, x0, t_end = case
     _, zeros = _balance_roots(params)
@@ -477,6 +499,27 @@ def test_basin_point_matches_40_digit_quadrature(base):
         assert abs(t_final - exact) <= 1e-9 * exact
 
 
+def _powers_of_ten(low: float, high: float):
+    """10^-k for k drawn from [low, high]."""
+    return st.floats(low, high).map(lambda k: 10.0 ** -k)
+
+
+@st.composite
+def near_double_root(draw, offset):
+    """Constants with delta3 a relative offset (drawn from the strategy
+    offset) beyond the double root of the balance quadratic: below it two
+    close real zeros, above it a complex pair."""
+    mu, theta = draw(st.floats(0.5, 2.0)), draw(st.floats(0.01, 0.3))
+    delta1, delta2, r0 = draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)), draw(st.floats(1.05, 3.0))
+    a = r0 * delta1 + delta2
+    assume(r0 - 1.0 - theta * a > 0.01)  # the vertex b / 2a lies above 0
+    double = (1.0 - r0 - theta * a) ** 2 / (4.0 * theta * a)
+    return ModelParams.from_constants(
+        lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2, delta3=double * (1.0 + draw(offset)),
+        theta=theta, capacity_n=4, r1=0.5,
+    )
+
+
 @st.composite
 def hitting_cases(draw):
     """A start and the boundary its flow reaches, on constants of one of
@@ -488,26 +531,18 @@ def hitting_cases(draw):
     ))
     if shape == "boundary":
         params = draw(boundary_params(max_capacity=4))
+    elif shape == "near double root":
+        offset = _powers_of_ten(4.0, 12.0)
+        params = draw(near_double_root(offset | offset.map(lambda d: -d)))
+    elif shape == "complex pair":
+        params = draw(near_double_root(st.floats(0.01, 1.0)))
     else:
         mu, theta = draw(st.floats(0.5, 2.0)), draw(st.floats(0.01, 0.3))
         delta1 = 0.0 if shape == "no density dependence" else draw(st.floats(0.05, 1.0))
-        near_double = shape in ("near double root", "complex pair")
-        delta2 = draw(st.floats(0.0, 0.5)) if near_double else 0.0
         r0 = draw(st.floats(1.05, 3.0))
-        a = r0 * delta1 + delta2
-        if near_double:
-            assume(r0 - 1.0 - theta * a > 0.01)  # the vertex b / 2a lies above 0
-            double = (1.0 - r0 - theta * a) ** 2 / (4.0 * theta * a)
-            if shape == "near double root":
-                offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(4.0, 12.0))
-            else:
-                offset = draw(st.floats(0.01, 1.0))
-            delta3 = double * (1.0 + offset)
-        else:
-            delta3 = draw(st.floats(0.1, 3.0))
         params = ModelParams.from_constants(
-            lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2, delta3=delta3, theta=theta,
-            capacity_n=4, r1=0.5,
+            lam=r0 * mu, mu=mu, delta1=delta1, delta2=0.0, delta3=draw(st.floats(0.1, 3.0)),
+            theta=theta, capacity_n=4, r1=0.5,
         )
     x0 = draw(st.floats(0.0, 1.0))
     x_plus = _armed_x_plus(params)
@@ -522,6 +557,7 @@ def hitting_cases(draw):
 @example(case=(_DOUBLE_ROOT, 0.2, PROXIMITY))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.05, PROXIMITY))
 @example(case=(_SUBNORMAL_DELTA1, 1.0, PROXIMITY))
+@example(case=(_NARROW_PAIR, 1.0, PROXIMITY))
 def test_hitting_time_matches_40_digit_quadrature(case):
     params, x0, boundary = case
     try:
@@ -538,3 +574,63 @@ def test_hitting_time_matches_40_digit_quadrature(case):
         interior = [m + sign * beta * 8.0 ** k for sign in (-1.0, 0.0, 1.0) for k in range(8)]
     exact = _mp_hitting_time(params, x0, boundary, interior)
     assert abs(hitting_time - exact) <= 1e-9 * abs(exact) + rounding
+
+
+def _arctan_hitting_time(params: ModelParams, x0: float, x1: float) -> tuple[float, float]:
+    """_hitting_time and its rounding bound in the former form for a
+    complex pair of zeros m +- i beta of q (a > 0, negative discriminant):
+    q = a Q with Q = (x - m)^2 + beta^2, the arctan integral V of 1 / Q, and
+    1 / (x Q) = (1 / x - (x - 2m) / Q) / Q(0)."""
+    a, b, _ = balance_coefficients(params)
+    disc, _ = _balance_roots(params)
+    r0, theta, mu = basic_reproduction_ratio(params), params.theta, params.mu
+    w2, w1, w0 = a, r0 + 1.0 + theta * a, theta * (1.0 + params.delta3 + r0)
+    low, high = min(x0, x1), max(x0, x1)
+    m, beta = b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
+    u = (x1 - x0) / x0
+    log_x = math.log1p(u) if abs(u) < 0.5 else math.log(x1 / x0)
+    q0 = (x0 - m) ** 2 + beta * beta
+    v = (x1 - x0) * (x1 + x0 - 2.0 * m) / q0  # Q(x1) / Q(x0) - 1
+    log_q = math.log1p(v) if abs(v) < 0.5 else math.log(((x1 - m) ** 2 + beta * beta) / q0)
+    arc = math.atan2(beta * (x1 - x0), beta * beta + (x0 - m) * (x1 - m)) / beta
+    vertex = m * m + beta * beta
+    integral = theta * (log_x - 0.5 * log_q + m * arc) / vertex + arc
+    size = theta * (abs(log_x) + 0.5 * abs(log_q) + abs(m * arc)) / vertex + abs(arc)
+    coefficients = 0.0
+    for x in [x0, x1, m] if low < m < high else [x0, x1]:
+        q_x = a * ((x - m) ** 2 + beta * beta)
+        reach = min(math.hypot(x - m, beta), x * (1.0 + math.log1p((high - low) / x)))
+        coefficients += ((w2 * x + w1) * x + w0) / q_x * (theta + x) / (x * q_x) * reach
+    return -integral / (mu * a), sys.float_info.epsilon * (size / a + coefficients) / mu
+
+
+@st.composite
+def complex_pair_cases(draw):
+    """Constants with a complex pair of zeros of q, delta3 a relative
+    1e-18..1 beyond the double root, and a start anywhere on (PROXIMITY, 1]
+    or within a relative 1e-10..1 of the vertex m, on either side."""
+    params = draw(near_double_root(_powers_of_ten(0.0, 18.0)))
+    a, b, _ = balance_coefficients(params)
+    assume(_balance_roots(params)[0] < 0.0)
+    if draw(st.booleans()):
+        x0 = draw(st.floats(0.0, 1.0))
+    else:
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        x0 = b / (2.0 * a) * (1.0 + side * 10.0 ** -draw(st.floats(0.0, 10.0)))
+    assume(PROXIMITY < x0 <= 1.0)
+    return params, x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=complex_pair_cases())
+@example(case=(_NARROW_PAIR, 1.0))
+def test_complex_pair_matches_the_former_arctan_form(case):
+    params, x0 = case
+    hitting_time, rounding = _hitting_time(params, x0, PROXIMITY)
+    former_time, former_rounding = _arctan_hitting_time(params, x0, PROXIMITY)
+    assert abs(hitting_time - former_time) <= 2e-15 * former_time
+    assert rounding >= former_rounding
+    # the same draws exceed the rounding budget, where _basin_point raises QuadratureError
+    assert (rounding <= _ROUNDING_BUDGET * hitting_time) == (
+        former_rounding <= _ROUNDING_BUDGET * former_time
+    )
