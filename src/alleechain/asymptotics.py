@@ -86,8 +86,9 @@ def rate_ratio(params: ModelParams, x):
 
 def _mean_log1p(z: complex) -> complex:
     """Mean of log(1 + t z) over t in [0, 1], ((1 + z) log(1 + z) - z) / z,
-    for a real or complex z off (-inf, -1], through the one _log1p; its
-    absolute error is a few rounding units, the size of the terms it sums."""
+    for a real or complex z off (-inf, -1], with the principal logarithm
+    (_log1p); its absolute error is a few rounding units, the size of the
+    terms it sums."""
     if z == 0:
         return 0.0
     return ((1.0 + z) * _log1p(z) - z) / z
@@ -104,10 +105,11 @@ def markov_exponent(params: ModelParams) -> ThresholdReport:
     and D(x) / D(0) = (1 + s1 x)(1 + s2 x), where s1 + s2 = (1 + delta2
     theta) / D(0) and s1 s2 = delta2 / D(0). Each factor 1 + s x
     contributes X times the mean of log(1 + t s X) over t in [0, 1] to the
-    integral up to X = x_plus. The pair s1, s2 is real or complex
-    conjugate; either way s1 takes the principal square root and s2 =
-    s1 s2 / s1, and the real part of the sum of their two terms is the
-    denominator's share; delta1 = 0 and delta2 = 0 drop a factor.
+    integral up to X = x_plus. s1 and s2 are real or a complex conjugate
+    pair; either way s1 = (s1 + s2 + sqrt((s1 - s2)^2)) / 2 with the
+    principal complex square root, s2 = s1 s2 / s1, and the denominator
+    contributes the real part of the sum of their two terms; delta1 = 0
+    and delta2 = 0 drop a factor.
     Every term is O(X) and computed to a few rounding units, so the value
     is within about 1e-15 of the exact integral, far inside CRITICAL_TOL.
 

@@ -214,11 +214,11 @@ _SUBNORMAL_DELTA1 = ModelParams.from_constants(
     lam=1.0, mu=1.0, delta1=4.450147715e-315, delta2=0.0, delta3=1.0, theta=0.25,
     capacity_n=2, r1=1.0,
 )
-#: A narrow complex pair of zeros of q, m +- i beta with m = 0.43 and
-#: beta = 2.7e-3: the flow from 1 to the PROXIMITY boundary passes the
+#: A narrow complex pair of zeros of q, m +- i beta with m = 0.21875 and
+#: beta = 0.03515625: the flow from 1 to the PROXIMITY boundary passes the
 #: vertex, so each log ratio of the pair turns by almost pi and log1p of
-#: their combined quotient is 2 pi i off. It reaches the boundary at
-#: t = 61.401848773902884 (to_zero).
+#: their combined quotient is 2 pi i off. The flow reaches the boundary
+#: (to_zero) at t = 61.4018487739029; through that log1p it read 57.1 less.
 _NARROW_PAIR = ModelParams.from_constants(
     lam=2.0, mu=1.0, delta1=1.0, delta2=0.0, delta3=2.57080078125, theta=0.0625,
     capacity_n=20, r1=0.5,
@@ -616,7 +616,7 @@ def complex_pair_cases(draw):
         x0 = draw(st.floats(0.0, 1.0))
     else:
         side = draw(st.sampled_from([-1.0, 1.0]))
-        x0 = b / (2.0 * a) * (1.0 + side * 10.0 ** -draw(st.floats(0.0, 10.0)))
+        x0 = b / (2.0 * a) * (1.0 + side * draw(_powers_of_ten(0.0, 10.0)))
     assume(PROXIMITY < x0 <= 1.0)
     return params, x0
 
