@@ -4,9 +4,13 @@ A finite birth-death chain on {0, ..., N} whose per-capita rates carry a
 weak Allee effect, together with the tools needed to study it: exact
 stationary distributions, master-equation evolution, Gillespie sampling,
 the large-N threshold classification, and the deterministic density limit.
+
+``__all__`` is derived from the names the imports below bind, so a helper
+imported here for the package's own use takes an underscore alias (as
+``_ModuleType`` does); any other name becomes public API.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .asymptotics import (
     CRITICAL,
@@ -83,63 +87,10 @@ from .stationary import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionError",
-    "AssumptionReport",
-    "CRITICAL",
-    "ComplexRootError",
-    "ConvergenceBudgetError",
-    "ConvergenceDiagnostic",
-    "CubicRoots",
-    "DegenerateDistributionError",
-    "EXTINCTION",
-    "EnsembleSummary",
-    "EquilibriumPair",
-    "GeneratorMatrix",
-    "ImmigrationEquilibria",
-    "ImmigrationSpec",
-    "JumpBudgetError",
-    "ModeProfile",
-    "ModelParams",
-    "OdeTrajectory",
-    "OracleSolveError",
-    "PERSISTENCE",
-    "QuadratureError",
-    "StationaryDistribution",
-    "TO_X_PLUS",
-    "TO_ZERO",
-    "ThresholdReport",
-    "Trajectory",
-    "UNDECIDED",
-    "UnimodalProfileError",
-    "basic_reproduction_ratio",
-    "build_generator",
-    "check_assumptions",
-    "converge_to_stationary",
-    "discrete_markov_exponent",
-    "ensemble",
-    "equilibria",
-    "evolve",
-    "immigration_equilibria",
-    "immigration_ode_rhs",
-    "integrate",
-    "limit_distribution_diagnostic",
-    "markov_exponent",
-    "mode_cubic_coefficients",
-    "mode_profile",
-    "mode_scaling_check",
-    "occupation_distribution",
-    "ode_rhs",
-    "params_from_config",
-    "params_to_config",
-    "parse_config",
-    "psd_nullspace_oracle",
-    "psd_product",
-    "rate_arrays",
-    "rate_ratio",
-    "simulate",
-    "solve_mode_cubic",
-    "stationary_from_rates",
-    "stationary_nullspace_from_rates",
-    "total_variation",
-]
+#: The public names are those the imports above bind, less the submodules
+#: that importing them binds as attributes of the package and the helpers
+#: imported under an underscore alias.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -36,33 +36,28 @@ from . import _csv, asymptotics, deterministic, master_eq, ssa, stationary
 from .model import (
     CONFIG_KEYS,
     ModelParams,
-    _config_value,
     config_float,
     config_int,
-    config_int_list,
+    config_list,
     parse_config,
     params_from_config,
     params_to_config,
 )
 
-#: Figure-caption parameter sets; the canonical reference configurations.
+#: The two regimes of the figure captions: their six rate constants.
+_REGIMES = {
+    "a": {"lambda": "1.4", "mu": "1.0", "delta1": "0.45", "delta2": "0.1",
+          "delta3": "1.45", "theta": "0.03"},
+    "b": {"lambda": "1.7", "mu": "1.0", "delta1": "0.9", "delta2": "0.0",
+          "delta3": "1.7", "theta": "0.03"},
+}
+
+#: Figure-caption parameter sets, the canonical reference configurations:
+#: each regime at N = 100 (Fig. 1) and at N = 5000 (Fig. 2).
 PRESETS = {
-    "fig1a": {
-        "lambda": "1.4", "mu": "1.0", "delta1": "0.45", "delta2": "0.1",
-        "delta3": "1.45", "theta": "0.03", "N": "100", "r1": "0.99",
-    },
-    "fig1b": {
-        "lambda": "1.7", "mu": "1.0", "delta1": "0.9", "delta2": "0.0",
-        "delta3": "1.7", "theta": "0.03", "N": "100", "r1": "0.99",
-    },
-    "fig2a": {
-        "lambda": "1.4", "mu": "1.0", "delta1": "0.45", "delta2": "0.1",
-        "delta3": "1.45", "theta": "0.03", "N": "5000", "r1": "0.99",
-    },
-    "fig2b": {
-        "lambda": "1.7", "mu": "1.0", "delta1": "0.9", "delta2": "0.0",
-        "delta3": "1.7", "theta": "0.03", "N": "5000", "r1": "0.99",
-    },
+    f"fig{fig}{regime}": {**constants, "N": n, "r1": "0.99"}
+    for fig, n in (("1", "100"), ("2", "5000"))
+    for regime, constants in _REGIMES.items()
 }
 
 _MODEL_KEYS = set(CONFIG_KEYS)
@@ -117,9 +112,9 @@ def cmd_psd(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_threshold(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    diagnostic = asymptotics.limit_distribution_diagnostic(
-        params, config_int_list(cfg, "n_list"), config_float(cfg, "epsilon")
-    )
+    n_list = config_list(cfg, "n_list", int, "a comma list of integers", "integers")
+    epsilon = config_float(cfg, "epsilon")
+    diagnostic = asymptotics.limit_distribution_diagnostic(params, n_list, epsilon)
     _write_json(out_dir / "threshold.json", diagnostic.report.to_summary())
     with open(out_dir / "diagnostic.csv", "w") as f:
         diagnostic.to_csv(f)
@@ -150,10 +145,7 @@ def _start_vector(label: str, dimension: int) -> np.ndarray:
 def cmd_evolve(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
     gen = master_eq.build_generator(params)
     p = _start_vector(cfg["start"], gen.dimension)
-    times = _config_value(
-        cfg, "times", lambda raw: [float(v) for v in raw.split(",") if v.strip()],
-        "a comma list of numbers",
-    )
+    times = config_list(cfg, "times", float, "a comma list of numbers")
     tol, max_horizon = config_float(cfg, "tol"), config_float(cfg, "max_horizon")
     master_eq._check_converge_settings(tol, max_horizon)  # checkpoint mode too
     if times:
@@ -229,7 +221,8 @@ def cmd_ode(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
 
 
 def cmd_sweep(cfg: dict[str, str], params: ModelParams, out_dir: Path) -> None:
-    rows = stationary.mode_scaling_check(params, config_int_list(cfg, "n_list"))
+    n_list = config_list(cfg, "n_list", int, "a comma list of integers", "integers")
+    rows = stationary.mode_scaling_check(params, n_list)
     with open(out_dir / "sweep.csv", "w") as f:
         _csv.write_rows(f, "N,i_plus,mode_density,scaled_gap,discrete_exponent", *zip(*rows))
 

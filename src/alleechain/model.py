@@ -131,7 +131,7 @@ class ModelParams:
     immigration: ImmigrationSpec
 
     def __post_init__(self):
-        for name in ("lam", "mu", "delta1", "delta2", "delta3", "theta"):
+        for _, name in _CONSTANT_KEYS:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
@@ -443,14 +443,17 @@ def config_int(mapping, key) -> int:
     return _config_value(mapping, key, lambda raw: int(str(raw)), "an integer")
 
 
-def config_int_list(mapping, key) -> list[int]:
-    """Comma-separated integers of a config key; at least one is required."""
+def config_list(mapping, key, item, what: str, noun: str | None = None) -> list:
+    """Comma-separated entries of a config key, each read by item; blank
+    entries are skipped, so '1,5,' lists two. ValueError names the key, and
+    what says what a malformed value should have been. With a noun, the list
+    must hold at least one entry, and an empty one is reported as listing
+    no noun."""
     values = _config_value(
-        mapping, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()],
-        "a comma list of integers",
+        mapping, key, lambda raw: [item(v) for v in str(raw).split(",") if v.strip()], what
     )
-    if not values:
-        raise ValueError(f"config key {key!r} lists no integers: {mapping[key]!r}")
+    if noun is not None and not values:
+        raise ValueError(f"config key {key!r} lists no {noun}: {mapping[key]!r}")
     return values
 
 
@@ -459,14 +462,11 @@ def params_from_config(mapping) -> ModelParams:
 
     Required keys: lambda, mu, delta1, delta2, delta3, theta, N, r1.
     r1 accepts a scalar (constant schedule) or a comma-separated vector of
-    length N.
+    length N; blank entries are skipped, as in every config list.
     """
     n = config_int(mapping, "N")
     _check_capacity(n)
-    r1 = _config_value(
-        mapping, "r1", lambda raw: [float(v) for v in str(raw).split(",")],
-        "a number or a comma list of numbers",
-    )
+    r1 = config_list(mapping, "r1", float, "a number or a comma list of numbers", "numbers")
     schedule = ImmigrationSpec.constant(r1[0], n) if len(r1) == 1 else ImmigrationSpec(r1)
     constants = {field: config_float(mapping, key) for key, field in _CONSTANT_KEYS}
     return ModelParams(**constants, capacity_n=n, immigration=schedule)

@@ -15,7 +15,7 @@ stay well inside double range up to capacities of a million.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -280,11 +280,7 @@ class ModeProfile:
 
     def to_summary(self) -> dict:
         return {
-            "bimodal": self.bimodal,
-            "major_mode": self.major_mode,
-            "minor_mode": self.minor_mode,
-            "i_minus": self.i_minus,
-            "i_plus": self.i_plus,
+            **asdict(self), "bimodal": self.bimodal, "minor_mode": self.minor_mode,
             "segments": [list(seg) for seg in self.segments],
         }
 

@@ -4,7 +4,8 @@ The corpus is rejection-sampled so every draw satisfies the full
 assumption set (threshold chain, density dependence, positive
 discriminant, interior carrying capacity). Sampling is seeded, so test
 runs are reproducible. The hypothesis strategy boundary_params draws
-across those assumptions instead.
+across those assumptions instead, and bistable_domain draws inside them
+by the equilibria, with the examples of BISTABLE_EDGES at its edges.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
@@ -85,6 +87,74 @@ def boundary_params(draw, max_capacity: int = 300) -> ModelParams:
         lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2, delta3=delta3, theta=theta,
         capacity_n=draw(st.integers(2, max_capacity)), r1=draw(st.floats(0.01, 1.0)),
     )
+
+
+def bistable_case(
+    x_minus, x_plus, theta=0.03, mu=1.0, delta1=0.45, delta2=0.1,
+) -> tuple[ModelParams, float, float]:
+    """(params, x_minus, x_plus) for the constants whose balance quadratic
+    has the zeros x_minus < x_plus, as bistable_domain draws them.
+
+    With s = x_minus + x_plus, b = a s and c = a x_minus x_plus give
+    R0 = (1 + delta2 (s + theta)) / (1 - delta1 (s + theta)), a = R0 delta1
+    + delta2 and delta3 = R0 - 1 + a x_minus x_plus / theta; lambda = R0 mu.
+    Needs delta1 (s + theta) < 1.
+    """
+    reach = theta + x_minus + x_plus
+    r0 = (1.0 + delta2 * reach) / (1.0 - delta1 * reach)
+    a = r0 * delta1 + delta2
+    params = ModelParams.from_constants(
+        lam=r0 * mu, mu=mu, delta1=delta1, delta2=delta2,
+        delta3=r0 - 1.0 + a * x_minus * x_plus / theta, theta=theta, capacity_n=10, r1=0.5,
+    )
+    return params, x_minus, x_plus
+
+
+#: The least gap x+* - x-* that bistable_domain draws, and the least
+#: distance of x+* below 1 and of delta1 (s + theta) below 1 (as a
+#: fraction). Closer, rounding in the map makes the discriminant 0 or x+*
+#: exceed 1.
+MIN_GAP, MIN_ROOM = 1e-6, 1e-6
+
+
+@st.composite
+def bistable_domain(draw) -> tuple[ModelParams, float, float]:
+    """(params, x_minus, x_plus): constants drawn by their equilibria, so
+    that every draw is bistable with interior capacity.
+
+    Draws x+* in [1e-3, 1 - MIN_ROOM], the gap x+* - x-* log-uniform from
+    MIN_GAP to all but a millionth of x+*, theta in [1e-6, 1], mu in
+    [0.5, 2], delta2 0 or in [0.01, 5], and delta1 0 or up to (1 - MIN_ROOM)
+    of the least of 1 and 1 / (s + theta), at least 0.01 of it; delta1 and
+    delta2 are not both 0, so a > 0.
+    """
+    x_plus = draw(st.floats(1e-3, 1.0 - MIN_ROOM))
+    widest = -math.log10(x_plus * (1.0 - MIN_ROOM))
+    x_minus = x_plus - 10.0 ** -draw(st.floats(widest, -math.log10(MIN_GAP)))
+    theta, mu = draw(st.floats(1e-6, 1.0)), draw(st.floats(0.5, 2.0))
+    delta2 = draw(st.just(0.0) | st.floats(0.01, 5.0))
+    share = st.floats(0.01, 1.0 - MIN_ROOM)
+    delta1 = draw(share if delta2 == 0.0 else st.just(0.0) | share)
+    delta1 *= min(1.0, 1.0 / (theta + x_minus + x_plus))
+    return bistable_case(x_minus, x_plus, theta, mu, delta1, delta2)
+
+
+#: Draws of bistable_domain at its edges, by name.
+BISTABLE_EDGES = {
+    "x_minus -> 0": bistable_case(0.5 - 0.5 * (1.0 - MIN_ROOM), 0.5),
+    "x_plus -> 1": bistable_case(0.3, 1.0 - MIN_ROOM),
+    "x_minus -> x_plus": bistable_case(0.5 - MIN_GAP, 0.5),
+    "theta -> 0": bistable_case(0.1, 0.8, theta=1e-6),
+    "delta1 -> 1 / (s + theta)": bistable_case(0.3, 0.9, delta1=(1.0 - MIN_ROOM) / 1.23),
+}
+
+
+def at_bistable_edges(test):
+    """Add each case of BISTABLE_EDGES as an explicit example of the
+    hypothesis test, whose drawn argument is case."""
+    for case in BISTABLE_EDGES.values():
+        test = example(case=case)(test)
+    return test
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ option can only be added (or kept) by editing OPTIONS on purpose.
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 
 import alleechain
 
@@ -49,3 +51,17 @@ def test_public_options_are_pinned():
         if param.default is not inspect.Parameter.empty
     }
     assert found == OPTIONS
+
+
+def test_all_lists_the_public_names_of_the_submodules():
+    # __all__ is derived from the names the package's import block binds, so
+    # a stray import there (say, typing.Any) would show up in it
+    submodules = [
+        importlib.import_module(f"alleechain.{info.name}")
+        for info in pkgutil.iter_modules(alleechain.__path__)
+    ]
+    for name in alleechain.__all__:
+        obj = getattr(alleechain, name)
+        assert not name.startswith("_") and not inspect.ismodule(obj), name
+        assert any(vars(module).get(name, object()) is obj for module in submodules), name
+    assert alleechain.__all__ == sorted(alleechain.__all__)

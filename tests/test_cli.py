@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 import alleechain
 from alleechain import ThresholdReport, errors, mode_profile, mode_scaling_check, psd_product
-from alleechain import deterministic, ssa
-from alleechain.cli import _COMMANDS, main
+from alleechain import deterministic, params_from_config, ssa
+from alleechain.cli import _COMMANDS, PRESETS, main
 
-from conftest import FIG_A, make_params
+from conftest import FIG_A, FIG_B, make_params
 
 
 def run(*argv) -> int:
@@ -441,6 +441,42 @@ def test_r1_messages(tmp_path, capsys, r1, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("r1", ["", ","])
+def test_r1_that_lists_no_number_is_config_error(tmp_path, capsys, r1):
+    code, out = _run_with_config(tmp_path, "psd", f"r1 = {r1}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config key 'r1' lists no numbers: {r1!r}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, listed", [
+    ("psd", "r1 = 0.99"),
+    ("sweep", "n_list = 100,200"),
+    ("evolve", "times = 1,5"),
+])
+def test_lists_skip_blank_entries(tmp_path, command, listed):
+    # one list syntax for r1, n_list and times: a blank entry lists nothing,
+    # so the run writes the same results as without it (the effective config
+    # echoes the list as given)
+    outputs = []
+    for text in (listed, f"{listed},", f"{listed}, ,"):
+        (tmp_path / text).mkdir()
+        code, out = _run_with_config(tmp_path / text, command, f"{text}\n")
+        assert code == 0
+        outputs.append({
+            path.name: path.read_bytes() for path in out.iterdir()
+            if path.name != "effective_config.cfg"
+        })
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_are_the_two_regimes_at_both_capacities(preset):
+    base = {"a": FIG_A, "b": FIG_B}[preset[-1]]
+    capacity_n = {"fig1": 100, "fig2": 5000}[preset[:-1]]
+    assert params_from_config(PRESETS[preset]) == make_params(base, capacity_n)
 
 
 _TYPED_ERRORS = [

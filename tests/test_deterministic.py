@@ -40,7 +40,7 @@ from alleechain.model import (
     basic_reproduction_ratio,
 )
 
-from conftest import FIG_A, FIG_B, boundary_params, make_params
+from conftest import FIG_A, FIG_B, bistable_domain, boundary_params, make_params
 
 
 def test_rhs_vanishes_at_equilibria():
@@ -298,9 +298,10 @@ def test_double_root_is_a_zero_but_fails_bistability():
 
 @st.composite
 def basin_cases(draw):
-    """Parameters across the assumption boundaries, a start that is either any
-    density or exactly a zero of the balance quadratic, and a horizon."""
-    params = draw(boundary_params(max_capacity=4))
+    """Parameters across the assumption boundaries or inside the bistable
+    domain, a start that is either any density or exactly a zero of the
+    balance quadratic, and a horizon."""
+    params = draw(boundary_params(max_capacity=4) | bistable_domain().map(lambda case: case[0]))
     _, zeros = _balance_roots(params)
     x0 = draw(st.floats(0.0, 1.0))
     on_zero = [z for z in zeros or () if 0.0 <= z <= 1.0]

@@ -24,7 +24,7 @@ from alleechain import (
 )
 from alleechain.model import _balance_roots, _within, balance_coefficients
 
-from conftest import FIG_A, FIG_B, make_params
+from conftest import FIG_A, FIG_B, at_bistable_edges, bistable_domain, make_params
 
 
 def test_from_constants_fields():
@@ -216,6 +216,23 @@ def test_balance_roots_match_40_digit_roots(params):
         assert got == want or abs(got - want) <= tol * abs(want)
     if b < 0.0 < c:
         assert zeros[1] < 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bistable_domain())
+@at_bistable_edges
+def test_bistable_domain_round_trips(case):
+    # Every draw of the equilibria map is bistable with interior capacity,
+    # and equilibria returns the drawn zeros. The zeros of a quadratic move
+    # by its rounding over the gap between them, so the tolerance (absolute)
+    # grows as 1 / (x+* - x-*): 1e-13 for zeros 1 apart, 1e-7 at MIN_GAP.
+    params, x_minus, x_plus = case
+    report = check_assumptions(params)
+    assert report.bistability_holds and report.capacity_interior, report.messages
+    pair = equilibria(params)
+    tolerance = 1e-13 / (x_plus - x_minus)
+    assert abs(pair.x_minus - x_minus) <= tolerance
+    assert abs(pair.x_plus - x_plus) <= tolerance
 
 
 def test_check_assumptions_all_hold():
