@@ -93,7 +93,7 @@ def _resolve_config(args, command: str) -> dict[str, str]:
             continue
         if key not in allowed:
             raise ValueError(f"--{key.replace('_', '-')} does not apply to the {command} command")
-        cfg[key] = str(value)  # argparse parsed it; str of an int or float is its repr
+        cfg[key] = value  # as text, read by the same config_* call as the config key
 
     unknown = sorted(set(cfg) - allowed)
     if unknown:
@@ -253,9 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value parameter file")
     parser.add_argument("--preset", help=f"named parameter set: {', '.join(sorted(PRESETS))}")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, help="base RNG seed (simulate)")
+    parser.add_argument("--seed", help="base RNG seed (simulate)")
     parser.add_argument("--n-list", help="comma-separated capacities (threshold, sweep)")
-    parser.add_argument("--epsilon", type=float, help="tail threshold (threshold, simulate)")
+    parser.add_argument("--epsilon", help="tail threshold (threshold, simulate)")
     return parser
 
 

@@ -15,7 +15,8 @@ safe without locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +58,10 @@ class ImmigrationSpec:
 
     @classmethod
     def constant(cls, value: float, capacity_n: int) -> "ImmigrationSpec":
-        """Constant schedule R_1i = value for every state below capacity."""
-        return cls(np.full(int(capacity_n), float(value)))
+        """Constant schedule R_1i = value for every state below capacity N,
+        which must be an integer >= 2."""
+        _check_capacity(capacity_n)
+        return cls(np.full(capacity_n, float(value)))
 
     @property
     def is_constant(self) -> bool:
@@ -74,9 +77,10 @@ class ImmigrationSpec:
 
 
 def _check_finite(name: str, value, *, positive: bool = False) -> None:
-    """Raise ValueError unless the number value is finite and >= 0 (> 0
-    when positive); name leads the message."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    """Raise ValueError unless value is a real number, not a bool, that is
+    finite and >= 0 (> 0 when positive); name leads the message."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
@@ -132,21 +136,12 @@ class ModelParams:
 
     def __post_init__(self):
         for _, name in _CONSTANT_KEYS:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
-        if not 0 <= self.delta1 <= 1:
+            value = getattr(self, name)
+            _check_finite(name, value, positive=name in ("lam", "mu", "delta3", "theta"))
+            object.__setattr__(self, name, float(value))
+        if self.delta1 > 1:
             raise ValueError("delta1 must lie in [0, 1]")
-        if self.delta2 < 0:
-            raise ValueError("delta2 must be >= 0")
-        if self.delta3 <= 0:
-            raise ValueError("delta3 must be > 0")
-        if not 0 < self.theta <= 1:
+        if self.theta > 1:
             raise ValueError("theta must lie in (0, 1]")
         _check_capacity(self.capacity_n)
         object.__setattr__(self, "capacity_n", int(self.capacity_n))
@@ -171,10 +166,9 @@ class ModelParams:
         r1: float,
     ) -> "ModelParams":
         """Build params with a constant immigration schedule R_1i = r1."""
-        _check_capacity(capacity_n)
         return cls(
-            lam, mu, delta1, delta2, delta3, theta, int(capacity_n),
-            ImmigrationSpec.constant(r1, int(capacity_n)),
+            lam, mu, delta1, delta2, delta3, theta, capacity_n,
+            ImmigrationSpec.constant(r1, capacity_n),
         )
 
     def with_capacity(self, capacity_n: int) -> "ModelParams":
@@ -185,10 +179,8 @@ class ModelParams:
         """
         if not self.immigration.is_constant:
             raise ValueError("cannot resize a state-dependent immigration schedule")
-        return ModelParams.from_constants(
-            self.lam, self.mu, self.delta1, self.delta2, self.delta3,
-            self.theta, capacity_n, float(self.immigration.r1[0]),
-        )
+        schedule = ImmigrationSpec.constant(self.immigration.r1[0], capacity_n)
+        return replace(self, capacity_n=capacity_n, immigration=schedule)
 
 
 @dataclass(frozen=True)
@@ -465,7 +457,6 @@ def params_from_config(mapping) -> ModelParams:
     length N; blank entries are skipped, as in every config list.
     """
     n = config_int(mapping, "N")
-    _check_capacity(n)
     r1 = config_list(mapping, "r1", float, "a number or a comma list of numbers", "numbers")
     schedule = ImmigrationSpec.constant(r1[0], n) if len(r1) == 1 else ImmigrationSpec(r1)
     constants = {field: config_float(mapping, key) for key, field in _CONSTANT_KEYS}

@@ -29,7 +29,6 @@ from .errors import (
 from .model import (
     ModelParams,
     _check_finite_entries,
-    balance_coefficients,
     basic_reproduction_ratio,
     equilibria,
     rate_arrays,
@@ -355,23 +354,22 @@ def mode_cubic_coefficients(
     """Coefficients (c3, c2, c1, c0) of the finite-capacity mode cubic in density.
 
     The cubic vanishes at densities x = i/N where successive stationary
-    probabilities tie, p_{i+1} = p_i, equivalently b(i) = d(i+1). Its
-    coefficients are the limiting balance coefficients plus 1/N, 1/N**2 and
-    1/N**3 corrections that depend on the immigration level R_1i at the
-    state in question. As capacity grows the roots approach {0, x-*, x+*}.
+    probabilities tie, p_{i+1} = p_i, equivalently b(i) = d(i+1). With
+    y = x + 1/N, b(i) / (mu N) = R0 x (1 - delta1 x) + R_1i (1 - x) / N and
+    d(i+1) / (mu N) = y (1 + delta2 y + delta3 theta / (theta + y)), so the
+    cubic is (theta + y) (b(i) - d(i+1)) / (mu N), expanded in x. It depends
+    on the immigration level R_1i at the state in question. As capacity
+    grows the roots approach {0, x-*, x+*}; c3 = 0 when delta1 = delta2 = 0.
     """
-    n = params.capacity_n
-    r0 = basic_reproduction_ratio(params)
-    a, b, c = balance_coefficients(params)
-    d2, d3, th, r = params.delta2, params.delta3, params.theta, float(r1_at_i)
-    c3 = -a
-    c2 = b - (3.0 * d2 + r0 * params.delta1 + r) / n
-    c1 = -(
-        c
-        + (2.0 * d2 * th + 2.0 - r0 + r * th - r) / n
-        + (3.0 * d2 + r) / n**2
-    )
-    c0 = -((d3 + 1.0 - r) * th / n + (1.0 + d2 * th - r) / n**2 + d2 / n**3)
+    from numpy.polynomial import Polynomial  # kept out of the CLI's start-up imports
+
+    n, r0, r = params.capacity_n, basic_reproduction_ratio(params), float(r1_at_i)
+    x = Polynomial([0.0, 1.0])
+    y = x + 1.0 / n
+    birth = r0 * x * (1.0 - params.delta1 * x) + r * (1.0 - x) / n
+    death = y * ((1.0 + params.delta2 * y) * (params.theta + y) + params.delta3 * params.theta)
+    cubic = (birth * (params.theta + y) - death).coef
+    c0, c1, c2, c3 = np.pad(cubic, (0, 4 - cubic.size)).tolist()
     return c3, c2, c1, c0
 
 

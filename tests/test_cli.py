@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -21,10 +22,10 @@ from hypothesis import strategies as st
 
 import alleechain
 from alleechain import ThresholdReport, errors, mode_profile, mode_scaling_check, psd_product
-from alleechain import deterministic, params_from_config, ssa
+from alleechain import deterministic, params_from_config, params_to_config, ssa
 from alleechain.cli import _COMMANDS, PRESETS, main
 
-from conftest import FIG_A, FIG_B, make_params
+from conftest import FIG_A, FIG_B, bistable_domain, boundary_params, make_params
 
 
 def run(*argv) -> int:
@@ -80,6 +81,25 @@ def test_each_flag_reaches_its_config_key(tmp_path, argv, config, line):
     out = tmp_path / "out"
     assert run(*argv, "--preset", "fig1a", "--config", str(path), "--out", str(out)) == 0
     assert line in read(out / "effective_config.cfg")
+
+
+@pytest.mark.parametrize("command, key, value, what", [
+    ("simulate", "seed", "1.5", "an integer"),
+    ("simulate", "epsilon", "abc", "a number"),
+    ("threshold", "epsilon", "abc", "a number"),
+    ("sweep", "n_list", "50,x", "a comma list of integers"),
+])
+def test_a_bad_flag_value_reads_as_the_bad_config_key(tmp_path, capsys, command, key, value, what):
+    """A flag is text, read by the reader of the config key it sets, so a
+    bad value gives that key's message, exit 2 and no output."""
+    line = f"error: config key {key!r} is not {what}: {value!r}\n"
+    out = tmp_path / "flag"
+    flag = f"--{key.replace('_', '-')}"
+    assert run(command, "--preset", "fig1a", flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == line
+    code, config_out = _run_with_config(tmp_path, command, f"{key} = {value}\n")
+    assert (code, capsys.readouterr().err) == (2, line)
+    assert list(out.iterdir()) == list(config_out.iterdir()) == []
 
 
 @pytest.mark.parametrize("capacity", [0, -5])
@@ -523,6 +543,71 @@ def test_memory_and_arithmetic_errors_exit_3(tmp_path, capsys, error, prefix):
         assert run("psd", "--preset", "fig1a", "--out", str(out)) == 3
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
     assert list(out.iterdir()) == []
+
+
+#: Wall time one CLI call of the contract test may take. hypothesis'
+#: deadline reports a slow example only after it ends, so an alarm stops it.
+_CALL_SECONDS = 10.0
+
+#: What a failed run's one line starts with, by exit code.
+_FAILURE_PREFIXES = {2: ("error: ",), 3: ("numerical failure: ", "out of memory: ", "I/O failure: ")}
+
+
+class _CallTimedOut(Exception):
+    """A CLI call outlived _CALL_SECONDS. Not TimeoutError: that is an
+    OSError, which main would report as an I/O failure with exit 3."""
+
+
+def _time_out(signum, frame):
+    raise _CallTimedOut(f"the call took more than {_CALL_SECONDS} s")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    params=bistable_domain().map(lambda case: case[0]) | boundary_params(max_capacity=40),
+    capacity=st.integers(2, 40),
+    r1=st.floats(0.0, 1.0),
+    n_list=st.lists(st.integers(2, 400), min_size=1, max_size=3),
+)
+def test_every_run_keeps_the_cli_contract(command, params, capacity, r1, n_list):
+    """Each call exits 0, 2 or 3 within _CALL_SECONDS. Exit 0 writes only
+    finite numbers and strict JSON; exit 2 or 3 publishes nothing and prints
+    one line with the prefix of its exit code."""
+    config = {**params_to_config(params), "N": str(capacity), "r1": repr(r1)}
+    if command == "simulate":
+        config.update(runs="2", t_end="5", burn_in="1")
+    elif command in ("threshold", "sweep"):
+        config["n_list"] = ",".join(map(str, n_list))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        stderr = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.setitimer(signal.ITIMER_REAL, _CALL_SECONDS)
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(path), "--out", str(out)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3)
+        if code == 0:
+            for csv_path in out.glob("*.csv"):
+                for row in csv_path.read_text().splitlines()[1:]:
+                    for field in row.split(","):
+                        with contextlib.suppress(ValueError):  # a label, not a number
+                            assert math.isfinite(float(field)), (csv_path.name, row)
+            for json_path in out.glob("*.json"):
+                json.loads(json_path.read_text(), parse_constant=_refuse_constant)
+        else:
+            err = stderr.getvalue()
+            assert err.startswith(_FAILURE_PREFIXES[code]) and err.count("\n") == 1, err
+            assert err.endswith("\n") and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])

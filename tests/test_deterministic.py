@@ -40,7 +40,9 @@ from alleechain.model import (
     basic_reproduction_ratio,
 )
 
-from conftest import FIG_A, FIG_B, bistable_domain, boundary_params, make_params
+from conftest import (
+    BISTABLE_EDGES, FIG_A, FIG_B, bistable_domain, boundary_params, make_params,
+)
 
 
 def test_rhs_vanishes_at_equilibria():
@@ -524,14 +526,18 @@ def near_double_root(draw, offset):
 @st.composite
 def hitting_cases(draw):
     """A start and the boundary its flow reaches, on constants of one of
-    five shapes: across the assumption boundaries, without density
-    dependence (a = 0), with delta2 = 0, and with delta3 within a relative
-    1e-12..1e-4 of a double root or beyond it into a complex pair."""
-    shape = draw(st.sampled_from(
-        ["boundary", "no density dependence", "delta2 = 0", "near double root", "complex pair"]
-    ))
+    six shapes: across the assumption boundaries, inside the bistable domain,
+    without density dependence (a = 0), with delta2 = 0, and with delta3
+    within a relative 1e-12..1e-4 of a double root or beyond it into a
+    complex pair."""
+    shape = draw(st.sampled_from([
+        "boundary", "bistable domain", "no density dependence", "delta2 = 0",
+        "near double root", "complex pair",
+    ]))
     if shape == "boundary":
         params = draw(boundary_params(max_capacity=4))
+    elif shape == "bistable domain":
+        params = draw(bistable_domain())[0]
     elif shape == "near double root":
         offset = _powers_of_ten(4.0, 12.0)
         params = draw(near_double_root(offset | offset.map(lambda d: -d)))
@@ -553,8 +559,22 @@ def hitting_cases(draw):
     return params, x0, target[1]
 
 
+def _at_bistable_edge_starts(test):
+    """Add each case of BISTABLE_EDGES as examples of a hitting-time test: a
+    start below x-* where one lies above PROXIMITY, and one above it,
+    between the zeros or, where they lie within 4 PROXIMITY, above x+*."""
+    for params, x_minus, x_plus in BISTABLE_EDGES.values():
+        above = (x_minus + x_plus) / 2 if x_plus - x_minus > 4 * PROXIMITY else (x_plus + 1) / 2
+        for x0 in (x_minus / 2, above):
+            if x0 > PROXIMITY:
+                boundary = _flow_target(params, x0, _armed_x_plus(params))[1]
+                test = example(case=(params, x0, boundary))(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=hitting_cases())
+@_at_bistable_edge_starts
 @example(case=(_DOUBLE_ROOT, 0.2, PROXIMITY))
 @example(case=(_NO_DENSITY_DEPENDENCE, 0.05, PROXIMITY))
 @example(case=(_SUBNORMAL_DELTA1, 1.0, PROXIMITY))

@@ -225,7 +225,7 @@ def test_evolve_zero_time_identity(fig1a):
 def test_evolve_rejects_bad_inputs(fig1a):
     gen = build_generator(fig1a)
     p0 = np.eye(gen.dimension)[0]
-    for t in (-1.0, math.nan, math.inf):
+    for t in (-1.0, math.nan, math.inf, True, "1"):
         with pytest.raises(ValueError, match="evolution time"):
             evolve(gen, p0, t)
     with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -50,6 +52,7 @@ def test_from_constants_fields():
         ("delta1", -0.1),
         ("delta2", -0.1),
         ("delta3", -0.1),
+        ("delta3", 0.0),
         ("theta", 0.0),
         ("theta", -1.0),
         ("lam", float("nan")),
@@ -61,6 +64,30 @@ def test_invalid_scalar_parameters(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError):
         ModelParams.from_constants(capacity_n=50, **kwargs)
+
+
+@pytest.mark.parametrize("field", ["lam", "mu", "delta1", "delta2", "delta3", "theta"])
+@pytest.mark.parametrize("value", [True, "1.4", -0.5], ids=["bool", "str", "negative"])
+def test_each_constant_takes_the_one_number_rule(field, value):
+    """A bool or a string is no number, and a negative constant fails the
+    same rule, with the message of every other real input; lam, mu, delta3
+    and theta must also be > 0."""
+    sign = ">" if field in ("lam", "mu", "delta3", "theta") else ">="
+    message = f"^{field} must be finite and {sign} 0, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        ModelParams.from_constants(capacity_n=50, **{**FIG_A, field: value})
+
+
+@pytest.mark.parametrize("value", [np.float32(1.4), np.int64(2), Fraction(7, 5)])
+def test_a_constant_may_be_any_real_number(value):
+    """numpy scalars and fractions build, as does a numpy capacity, through
+    from_constants and with_capacity; each is stored as a Python number."""
+    p = make_params({**FIG_A, "lam": value}, np.int64(50))
+    q = p.with_capacity(np.int64(80))
+    for params, capacity in ((p, 50), (q, 80)):
+        assert type(params.lam) is float and params.lam == float(value)
+        assert type(params.capacity_n) is int and params.capacity_n == capacity
+        assert params == make_params({**FIG_A, "lam": float(value)}, capacity)
 
 
 def test_invalid_capacity():

@@ -6,15 +6,19 @@ docstring is the string that opens a module, class or function body, as
 ``ast.get_docstring`` reads it. Lines inside any other multi-line string
 count, since that string is code.
 
-Usage: python tools/code_lines.py <dir>
+Usage: python tools/code_lines.py [--rev REV] <dir>
 
-Prints one line per module (sorted by name) and then the total.
+Prints one line per module (sorted by name) and then the total. With
+--rev, counts the modules of <dir> as committed at the git revision REV
+(read through git ls-tree and git show) instead of the files on disk.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -47,15 +51,41 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _git(directory: str, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=directory, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _committed_sources(directory: str, rev: str) -> list[tuple[str, str]]:
+    """(name, source) of each .py file directly in directory at revision rev."""
+    listing = _git(directory, "ls-tree", "--full-name", "--name-only", rev, ".")
+    paths = sorted(path for path in listing.splitlines() if path.endswith(".py"))
+    return [(Path(path).name, _git(directory, "show", f"{rev}:{path}")) for path in paths]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not Path(argv[0]).is_dir():
-        print("usage: python tools/code_lines.py <dir>", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="python tools/code_lines.py", description="Count the code lines of a package."
+    )
+    parser.add_argument("--rev", help="count the files as committed at this git revision")
+    parser.add_argument("dir", help="directory whose *.py files are counted")
+    args = parser.parse_args(argv)
+    if not Path(args.dir).is_dir():
+        parser.error(f"not a directory: {args.dir}")
+    if args.rev is None:
+        sources = [(path.name, path.read_text()) for path in sorted(Path(args.dir).glob("*.py"))]
+    else:
+        try:
+            sources = _committed_sources(args.dir, args.rev)
+        except subprocess.CalledProcessError as exc:
+            print(f"git failed: {exc.stderr.strip()}", file=sys.stderr)
+            return 2
     total = 0
-    for path in sorted(Path(argv[0]).glob("*.py")):
-        count = code_lines(path.read_text())
+    for name, source in sources:
+        count = code_lines(source)
         total += count
-        print(f"{count:6d}  {path.name}")
+        print(f"{count:6d}  {name}")
     print(f"{total:6d}  total")
     return 0
 
